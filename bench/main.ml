@@ -17,19 +17,13 @@ let section title =
   Printf.printf "%s\n" title;
   Printf.printf "==============================================================\n"
 
-(* Engine for kernel-booting experiments (--engine interp|slots|compiled).
-   Simulated results are engine-independent; this only changes how long
-   the harness takes on the host. *)
-let kernel_engine = ref Vg_compiler.Exec_engine.Compiled
-
 (* Every bench kernel boots through the fleet Node_config: the bench
-   profile is a big machine (256 MiB, 64 MiB disk) with the selected
-   execution engine. *)
+   profile is a big machine (256 MiB, 64 MiB disk). *)
 let bench_config ?(seed = "bench") ?(cpus = 1) ?(spec_depth = 0) mode =
   Node_config.(
     default |> with_cpus cpus |> with_phys_frames 65536
     |> with_disk_sectors 131072 |> with_seed seed |> with_mode mode
-    |> with_engine !kernel_engine |> with_spec_depth spec_depth)
+    |> with_spec_depth spec_depth)
 
 let boot_fresh ?seed mode = Node.kernel (Node.boot (bench_config ?seed mode))
 
@@ -531,12 +525,12 @@ let security () =
   let unmasked, unmasked_sec =
     observed (fun () ->
         Vg_attacks.Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost
-          ~ghosting:false ())
+          ~ghosting:false)
   in
   let masked, masked_sec =
     observed (fun () ->
         Vg_attacks.Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost
-          ~ghosting:true ())
+          ~ghosting:true)
   in
   Bench_report.linef r "  %-28s unmasked:%-7s masked:%s\n" "iago mmap (on vg kernel)"
     (if unmasked then "CORRUPT" else "safe")
@@ -1598,8 +1592,7 @@ let spectre_bench () =
   List.iter
     (fun (label, spec_depth, mitigation) ->
       let o =
-        Vg_attacks.Spectre.run_experiment ~engine:!kernel_engine ~spec_depth
-          ~mitigation ()
+        Vg_attacks.Spectre.run_experiment ~spec_depth ~mitigation ()
       in
       Bench_report.linef r "%-10s %6d %11s %5d/%d %9d %9d\n" label spec_depth
         (Vg_compiler.Mitigation.to_string mitigation)
@@ -1898,23 +1891,8 @@ let experiments =
     ("executor", executor);
   ]
 
-(* Strip a leading "--engine NAME" pair (anywhere in the argument list)
-   and set [kernel_engine] accordingly. *)
-let rec extract_engine = function
-  | "--engine" :: name :: rest -> (
-      match Vg_compiler.Exec_engine.of_string name with
-      | Some e ->
-          kernel_engine := e;
-          extract_engine rest
-      | None ->
-          Printf.eprintf "unknown engine %s (interp|slots|compiled)\n" name;
-          Stdlib.exit 2)
-  | arg :: rest -> arg :: extract_engine rest
-  | [] -> []
-
 let () =
-  let args = extract_engine (List.tl (Array.to_list Sys.argv)) in
-  match args with
+  match List.tl (Array.to_list Sys.argv) with
   | [ "--list" ] ->
       List.iter (fun (name, _) -> print_endline name) experiments;
       print_endline "bechamel";

@@ -22,31 +22,6 @@ let mode_conv =
 let mode_arg =
   Arg.(value & opt mode_conv Sva.Virtual_ghost & info [ "mode" ] ~doc:"Kernel build: native or vg.")
 
-let engine_conv =
-  let parse s =
-    match Vg_compiler.Exec_engine.of_string s with
-    | Some e -> Ok e
-    | None ->
-        Error (`Msg (Printf.sprintf "unknown engine %s (interp|slots|compiled)" s))
-  in
-  let print fmt e =
-    Format.pp_print_string fmt (Vg_compiler.Exec_engine.to_string e)
-  in
-  Arg.conv (parse, print)
-
-(* The CLI defaults to the fast engine: every engine charges identical
-   simulated cycles, so this only changes host time. *)
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Vg_compiler.Exec_engine.Compiled
-    & info [ "engine" ]
-        ~doc:
-          "Execution engine for translated kernel-mode code: interp (debug \
-           AST walker), slots (slot executor) or compiled (closure-compiled, \
-           default).  Simulated cycles are identical across engines; only \
-           host speed differs.")
-
 let cpus_arg =
   Arg.(
     value & opt int 1
@@ -105,23 +80,21 @@ let mem_frames_arg =
            swap through the sealed ghost-swap path (encrypted, integrity- \
            and freshness-checked by the VM); see the ghost_swap benchmark.")
 
-let node_config ?frame_limit ?(cpus = 1)
-    ?(engine = Vg_compiler.Exec_engine.Compiled) ?(spec_depth = 0)
+let node_config ?frame_limit ?(cpus = 1) ?(spec_depth = 0)
     ?(spec_mitigation = Vg_compiler.Mitigation.Off) mode =
   let config =
     Node_config.(
       default |> with_cpus cpus |> with_seed "vgsim" |> with_mode mode
-      |> with_engine engine |> with_spec_depth spec_depth
+      |> with_spec_depth spec_depth
       |> with_spec_mitigation spec_mitigation)
   in
   match frame_limit with
   | None -> config
   | Some l -> Node_config.with_frame_limit l config
 
-let boot ?frame_limit ?cpus ?engine ?spec_depth ?spec_mitigation mode =
+let boot ?frame_limit ?cpus ?spec_depth ?spec_mitigation mode =
   let node =
-    Node.boot
-      (node_config ?frame_limit ?cpus ?engine ?spec_depth ?spec_mitigation mode)
+    Node.boot (node_config ?frame_limit ?cpus ?spec_depth ?spec_mitigation mode)
   in
   (Node.machine node, Node.kernel node)
 
@@ -312,9 +285,9 @@ let attack_cmd =
     Arg.(value & opt attack_conv Vg_attacks.Rootkit.Direct_read
          & info [ "attack" ] ~doc:"Attack: direct (read victim memory) or inject (signal handler).")
   in
-  let run mode cpus engine attack trace stats =
+  let run mode cpus attack trace stats =
     with_obs ~trace ~stats (fun () ->
-        let o = Vg_attacks.Rootkit.run_experiment ~cpus ~engine ~mode ~attack () in
+        let o = Vg_attacks.Rootkit.run_experiment ~cpus ~mode ~attack () in
         Format.printf "%a@." Vg_attacks.Rootkit.pp_outcome o;
         let stolen =
           o.Vg_attacks.Rootkit.secret_leaked_to_console || o.secret_in_exfil_file
@@ -324,8 +297,7 @@ let attack_cmd =
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run a section-7 rootkit experiment.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ attack_arg $ trace_arg
-          $ stats_arg)
+    Term.(const run $ mode_arg $ cpus_arg $ attack_arg $ trace_arg $ stats_arg)
 
 (* -- spectre -------------------------------------------------------- *)
 
@@ -338,12 +310,9 @@ let spectre_cmd =
             "Speculative-window budget in macro-ops (default 12; the leak \
              needs at least 8, and 0 disables speculation entirely).")
   in
-  let run depth mitigation engine trace stats =
+  let run depth mitigation trace stats =
     with_obs ~trace ~stats (fun () ->
-        let o =
-          Vg_attacks.Spectre.run_experiment ~engine ~spec_depth:depth
-            ~mitigation ()
-        in
+        let o = Vg_attacks.Spectre.run_experiment ~spec_depth:depth ~mitigation () in
         Format.printf "%a@." Vg_attacks.Spectre.pp_outcome o;
         Format.printf "verdict: the secret was %s@."
           (if o.Vg_attacks.Spectre.success then "STOLEN transiently"
@@ -355,8 +324,7 @@ let spectre_cmd =
          "Run the Spectre-v1 flush+reload attack against ghost memory: a \
           hostile module leaks the ssh-agent key byte-by-byte through the \
           cache side channel of mispredicted sandbox masks.")
-    Term.(const run $ depth_arg $ mitigation_arg $ engine_arg $ trace_arg
-          $ stats_arg)
+    Term.(const run $ depth_arg $ mitigation_arg $ trace_arg $ stats_arg)
 
 (* -- sealed store demo ---------------------------------------------- *)
 
@@ -407,42 +375,42 @@ let sealed_cmd =
 (* -- lmbench -------------------------------------------------------- *)
 
 let lmbench_cmd =
+  let ops =
+    [
+      ("null", Lmbench.null_syscall);
+      ("open-close", Lmbench.open_close);
+      ("mmap", Lmbench.mmap_bench);
+      ("page-fault", Lmbench.page_fault);
+      ("sig-install", Lmbench.signal_install);
+      ("sig-deliver", Lmbench.signal_delivery);
+      ("fork-exit", Lmbench.fork_exit);
+      ("select", Lmbench.select_10);
+    ]
+  in
   let op_arg =
-    Arg.(value & opt string "null"
-         & info [ "op" ]
-             ~doc:"Operation: null, open-close, mmap, page-fault, sig-install, sig-deliver, fork-exit, select.")
+    Arg.(
+      value
+      & opt (enum (List.map (fun (name, _) -> (name, name)) ops)) "null"
+      & info [ "op" ] ~doc:("Operation: " ^ doc_alts_enum ops ^ "."))
   in
   let iters_arg =
     Arg.(value & opt int 500 & info [ "iterations" ] ~doc:"Iterations.")
   in
-  let run mode cpus engine mem_frames spec_depth spec_mitigation op iterations
-      trace stats =
+  let run mode cpus mem_frames spec_depth spec_mitigation op iterations trace
+      stats =
     with_obs ~trace ~stats (fun () ->
         let _, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~engine ~spec_depth
-            ~spec_mitigation mode
+          boot ?frame_limit:mem_frames ~cpus ~spec_depth ~spec_mitigation mode
         in
         Runtime.launch kernel ~ghosting:false (fun ctx ->
-            let f =
-              match op with
-              | "null" -> Lmbench.null_syscall
-              | "open-close" -> Lmbench.open_close
-              | "mmap" -> Lmbench.mmap_bench
-              | "page-fault" -> Lmbench.page_fault
-              | "sig-install" -> Lmbench.signal_install
-              | "sig-deliver" -> Lmbench.signal_delivery
-              | "fork-exit" -> Lmbench.fork_exit
-              | "select" -> Lmbench.select_10
-              | other -> failwith ("unknown op " ^ other)
-            in
+            let f = List.assoc op ops in
             Printf.printf "%s: %.3f us per operation (simulated)\n" op
               (f ctx ~iterations)))
   in
   Cmd.v
     (Cmd.info "lmbench" ~doc:"Run one LMBench micro-operation.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ mem_frames_arg
-          $ spec_depth_arg $ mitigation_arg $ op_arg $ iters_arg $ trace_arg
-          $ stats_arg)
+    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg
+          $ mitigation_arg $ op_arg $ iters_arg $ trace_arg $ stats_arg)
 
 (* -- httpd worker pool ---------------------------------------------- *)
 
@@ -461,12 +429,11 @@ let httpd_cmd =
          & info [ "batch" ] ~doc:"Ring submissions per ring_enter trap \
                                   (event-loop mode only).")
   in
-  let run mode cpus engine mem_frames spec_depth spec_mitigation requests
-      event_loop batch trace stats =
+  let run mode cpus mem_frames spec_depth spec_mitigation requests event_loop
+      batch trace stats =
     with_obs ~trace ~stats (fun () ->
         let machine, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~engine ~spec_depth
-            ~spec_mitigation mode
+          boot ?frame_limit:mem_frames ~cpus ~spec_depth ~spec_mitigation mode
         in
         (match Diskfs.create kernel.Kernel.fs "/index.html" with
         | Error _ -> failwith "create /index.html"
@@ -514,9 +481,9 @@ let httpd_cmd =
          "Serve an 8KB document under the preemptive scheduler: a worker \
           pool per core, or (with --event-loop) a per-core event loop \
           batching syscalls through the submission ring.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ mem_frames_arg
-          $ spec_depth_arg $ mitigation_arg $ requests_arg $ event_loop_arg
-          $ batch_arg $ trace_arg $ stats_arg)
+    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg
+          $ mitigation_arg $ requests_arg $ event_loop_arg $ batch_arg
+          $ trace_arg $ stats_arg)
 
 (* -- postmark ------------------------------------------------------- *)
 
@@ -527,12 +494,11 @@ let postmark_cmd =
   let files_arg =
     Arg.(value & opt int 100 & info [ "files" ] ~doc:"Base file count.")
   in
-  let run mode cpus engine mem_frames spec_depth spec_mitigation transactions
+  let run mode cpus mem_frames spec_depth spec_mitigation transactions
       base_files trace stats =
     with_obs ~trace ~stats (fun () ->
         let machine, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~engine ~spec_depth
-            ~spec_mitigation mode
+          boot ?frame_limit:mem_frames ~cpus ~spec_depth ~spec_mitigation mode
         in
         Runtime.launch kernel ~ghosting:false (fun ctx ->
             let config = { Postmark.paper_config with transactions; base_files } in
@@ -548,9 +514,8 @@ let postmark_cmd =
   in
   Cmd.v
     (Cmd.info "postmark" ~doc:"Run the Postmark file-system benchmark.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ mem_frames_arg
-          $ spec_depth_arg $ mitigation_arg $ tx_arg $ files_arg $ trace_arg
-          $ stats_arg)
+    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg
+          $ mitigation_arg $ tx_arg $ files_arg $ trace_arg $ stats_arg)
 
 (* -- fleet ---------------------------------------------------------- *)
 
@@ -590,11 +555,9 @@ let fleet_cmd =
             "Run the background mixed load (ghosting Postmark plus the ssh \
              key chain) on every serving node alongside the HTTP wave.")
   in
-  let run mode cpus engine nodes requests policy mixed trace stats =
+  let run mode cpus nodes requests policy mixed trace stats =
     with_obs ~trace ~stats (fun () ->
-        let config =
-          node_config ~cpus ~engine mode |> Node_config.with_seed "fleet"
-        in
+        let config = node_config ~cpus mode |> Node_config.with_seed "fleet" in
         let fleet = Fleet.create ~policy ~nodes config in
         Fleet.listen_all fleet ~port:80;
         Fleet.setup_www fleet ~path:"/index.html"
@@ -628,8 +591,8 @@ let fleet_cmd =
          "Boot an N-node fleet wired NIC-to-NIC, balance a wave of HTTP \
           requests across the event-loop backends and print per-node and \
           aggregate throughput.")
-    Term.(const run $ mode_arg $ cpus_arg $ engine_arg $ nodes_arg
-          $ requests_arg $ policy_arg $ mixed_arg $ trace_arg $ stats_arg)
+    Term.(const run $ mode_arg $ cpus_arg $ nodes_arg $ requests_arg
+          $ policy_arg $ mixed_arg $ trace_arg $ stats_arg)
 
 (* -- policy --------------------------------------------------------- *)
 
@@ -658,7 +621,7 @@ let policy_cmd =
     workload recorder;
     recorder
   in
-  let run app cpus engine =
+  let run app cpus =
     let recorded_app k = function
       | "httpd" ->
           Some
@@ -693,7 +656,7 @@ let policy_cmd =
                      ignore (Ssh_suite.load_private_key ctx ~path:"/id"))))
       | _ -> None
     in
-    let _, k = boot ~cpus ~engine Sva.Virtual_ghost in
+    let _, k = boot ~cpus Sva.Virtual_ghost in
     match recorded_app k app with
     | Some pol -> print_policy ~how:"recorded from the workload" app pol
     | None -> (
@@ -720,7 +683,7 @@ let policy_cmd =
          "Print an application's syscall-flow-integrity profile — the \
           transition graph the kernel enforces at dispatch — recorded from \
           a workload run or extracted statically from a linked image.")
-    Term.(const run $ app_arg $ cpus_arg $ engine_arg)
+    Term.(const run $ app_arg $ cpus_arg)
 
 let () =
   let doc = "Virtual Ghost (ASPLOS 2014) reproduction simulator" in

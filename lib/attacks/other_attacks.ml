@@ -1,17 +1,12 @@
 let secret = "ghost-page-secret-value!"
 
-let boot_config ?engine ?(cpus = 1) ~seed mode =
-  let config =
-    Vg_fleet.Node_config.(
-      default |> with_cpus cpus |> with_phys_frames 8192
-      |> with_disk_sectors 8192 |> with_seed seed |> with_mode mode)
-  in
-  match engine with
-  | None -> config
-  | Some e -> Vg_fleet.Node_config.with_engine e config
+let boot_config ?(cpus = 1) ~seed mode =
+  Vg_fleet.Node_config.(
+    default |> with_cpus cpus |> with_phys_frames 8192
+    |> with_disk_sectors 8192 |> with_seed seed |> with_mode mode)
 
-let boot ?engine mode =
-  Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ?engine ~seed:"oatk" mode))
+let boot mode =
+  Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ~seed:"oatk" mode))
 
 (* Plant the secret in a fresh process's ghost page; return everything
    the attacks need. *)
@@ -102,8 +97,8 @@ let evil_mmap_program () =
   Builder.ret b (Some (Ir.Imm (Int64.add Layout.ghost_start 0x1000_0000L)));
   Builder.program b
 
-let iago_mmap_attack ?engine ~mode ~ghosting:masked () =
-  let k = boot ?engine mode in
+let iago_mmap_attack ~mode ~ghosting:masked =
+  let k = boot mode in
   Syscalls.register_builtin_externs k;
   (match Module_loader.load k ~name:"iago" (evil_mmap_program ()) with
   | Ok () -> ()

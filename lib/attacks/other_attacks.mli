@@ -23,12 +23,7 @@ val evil_mmap_program : unit -> Ir.program
     a pointer into the caller's own ghost heap.  Exposed so the
     [vgsim verify] catalogue can verify the attack modules too. *)
 
-val iago_mmap_attack :
-  ?engine:Vg_compiler.Exec_engine.t ->
-  mode:Sva.mode ->
-  ghosting:bool ->
-  unit ->
-  bool
+val iago_mmap_attack : mode:Sva.mode -> ghosting:bool -> bool
 (** A hostile [mmap] returns a pointer into the application's own ghost
     heap; a non-ghosting (unmasked) application writing through it
     corrupts its own secret (section 2.2.5).  [ghosting] selects

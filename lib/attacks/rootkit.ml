@@ -197,15 +197,10 @@ let infect k ~attack =
     victim_survived = !survived;
   }
 
-let run_experiment ?(cpus = 1) ?engine ~mode ~attack () =
+let run_experiment ?(cpus = 1) ~mode ~attack () =
   let config =
     Vg_fleet.Node_config.(
       default |> with_cpus cpus |> with_phys_frames 16384
       |> with_disk_sectors 16384 |> with_seed "sec-exp" |> with_mode mode)
-  in
-  let config =
-    match engine with
-    | None -> config
-    | Some e -> Vg_fleet.Node_config.with_engine e config
   in
   infect (Vg_fleet.Node.kernel (Vg_fleet.Node.boot config)) ~attack

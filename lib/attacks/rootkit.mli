@@ -61,7 +61,6 @@ val infect : Kernel.t -> attack:attack -> outcome
 
 val run_experiment :
   ?cpus:int ->
-  ?engine:Vg_compiler.Exec_engine.t ->
   mode:Sva.mode ->
   attack:attack ->
   unit ->
@@ -70,10 +69,7 @@ val run_experiment :
     [cpus] cores — default 1; the attack itself runs on the boot
     core), start the ghosting ssh-agent holding a known secret, load
     the malicious module, trigger the victim's [read], and inspect the
-    aftermath.  [engine] selects the kernel's execution engine for the
-    module's code (default the slot executor); outcomes and Security
-    events are engine-independent — pinned by the attack parity
-    tests. *)
+    aftermath. *)
 
 val secret_string : string
 (** The planted secret the attacks hunt for. *)

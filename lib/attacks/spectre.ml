@@ -82,7 +82,7 @@ let pp_outcome fmt o =
 
 let align64 va = Int64.logand (Int64.add va 63L) (Int64.lognot 63L)
 
-let run_experiment ?(cpus = 1) ?engine ?(spec_depth = 12)
+let run_experiment ?(cpus = 1) ?(spec_depth = 12)
     ?(mitigation = Vg_compiler.Mitigation.Off) () =
   let config =
     Vg_fleet.Node_config.(
@@ -90,11 +90,6 @@ let run_experiment ?(cpus = 1) ?engine ?(spec_depth = 12)
       |> with_disk_sectors 16384 |> with_spec_depth spec_depth
       |> with_seed "spectre" |> with_mode Sva.Virtual_ghost
       |> with_spec_mitigation mitigation)
-  in
-  let config =
-    match engine with
-    | None -> config
-    | Some e -> Vg_fleet.Node_config.with_engine e config
   in
   let node = Vg_fleet.Node.boot config in
   let machine = Vg_fleet.Node.machine node in

@@ -46,7 +46,6 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 val run_experiment :
   ?cpus:int ->
-  ?engine:Vg_compiler.Exec_engine.t ->
   ?spec_depth:int ->
   ?mitigation:Vg_compiler.Mitigation.t ->
   unit ->

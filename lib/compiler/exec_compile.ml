@@ -1,4 +1,5 @@
-(* Closure-compiled execution engine.
+(* Closure-compiled execution engine — the one the kernel runs module
+   code on.
 
    [compile] translates a linked image once, at load time, into an
    array of OCaml closures — one per code slot — with every operand,
@@ -44,9 +45,13 @@
 
 (* The register file is a flat byte buffer of unboxed 64-bit values
    rather than an [int64 array]: a boxed-int64 array store pays the
-   caml_modify write barrier on every register write, which is pure
-   overhead in the hottest path of the whole engine.  Reads rebox, but
-   the result usually feeds straight into an arithmetic primitive. *)
+   caml_modify write barrier on every register write, and every value
+   written would be a fresh heap box.  Closures keep values unboxed
+   from register read to register write by feeding reads straight into
+   inlined primitives ({!binop}, {!cmpop}) rather than through closure
+   calls, which would box every argument and result.  Call arguments
+   are staged the same way, in the [scratch] byte buffer, and boxed
+   only for code outside the image. *)
 type state = {
   mutable rf : Bytes.t;
   mutable def : int array;
@@ -58,9 +63,9 @@ type state = {
   mutable gen : int;
   mutable fuel : int;
   mutable pc : int;
-  mutable result : int64;
+  ret : Bytes.t;  (* the value the last return produced, unboxed *)
   mutable running : bool;
-  scratch : int64 array;
+  scratch : Bytes.t;  (* call arguments, unboxed, 8 bytes each *)
   env : Executor.env;
   (* hot env callbacks hoisted out of the record hop: one load instead
      of two on every tick / memory access *)
@@ -113,43 +118,41 @@ let[@inline] tick st =
   if st.fuel <= 0 then raise (Executor.Exec_trap "out of fuel");
   st.charge Obs.Tag.Exec 1
 
-(* Pure operations, resolved to monomorphic closures at translation
-   time: {!Eval.eval_binop} / {!Eval.eval_cmp} re-match the operator on
-   every execution, and [eval_cmp] compares through polymorphic
-   equality.  Same arithmetic, same trap messages ({!Executor.run}
-   rewraps [Eval.Trap] into [Exec_trap]; the division closures raise
-   [Exec_trap] directly with the identical text). *)
-let binfn (op : Ir.binop) : int64 -> int64 -> int64 =
+(* Pure operations as inlined matches over primitives: the operands and
+   the result stay unboxed between register-file read and write (a
+   closure per operator would box both).  Same arithmetic as
+   {!Eval.eval_binop} / {!Eval.eval_cmp} without polymorphic equality,
+   same trap messages ({!Executor.run} rewraps [Eval.Trap] into
+   [Exec_trap]; the division arms raise [Exec_trap] directly with the
+   identical text). *)
+let[@inline] binop (op : Ir.binop) a b =
   match op with
-  | Add -> Int64.add
-  | Sub -> Int64.sub
-  | Mul -> Int64.mul
+  | Add -> Int64.add a b
+  | Sub -> Int64.sub a b
+  | Mul -> Int64.mul a b
   | Udiv ->
-      fun a b ->
-        if Int64.equal b 0L then raise (Executor.Exec_trap "udiv by zero")
-        else Int64.unsigned_div a b
+      if Int64.equal b 0L then raise (Executor.Exec_trap "udiv by zero")
+      else Int64.unsigned_div a b
   | Urem ->
-      fun a b ->
-        if Int64.equal b 0L then raise (Executor.Exec_trap "urem by zero")
-        else Int64.unsigned_rem a b
-  | And -> Int64.logand
-  | Or -> Int64.logor
-  | Xor -> Int64.logxor
-  | Shl -> fun a b -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
-  | Lshr ->
-      fun a b -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
-  | Ashr -> fun a b -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
+      if Int64.equal b 0L then raise (Executor.Exec_trap "urem by zero")
+      else Int64.unsigned_rem a b
+  | And -> Int64.logand a b
+  | Or -> Int64.logor a b
+  | Xor -> Int64.logxor a b
+  | Shl -> Int64.shift_left a (Int64.to_int (Int64.logand b 63L))
+  | Lshr -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
+  | Ashr -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
 
-let cmpfn (op : Ir.cmp) : int64 -> int64 -> int64 =
+let[@inline] cmpop (op : Ir.cmp) a b =
   match op with
-  | Eq -> fun a b -> if Int64.equal a b then 1L else 0L
-  | Ne -> fun a b -> if Int64.equal a b then 0L else 1L
-  | Ult -> fun a b -> if Int64.unsigned_compare a b < 0 then 1L else 0L
-  | Ule -> fun a b -> if Int64.unsigned_compare a b <= 0 then 1L else 0L
-  | Ugt -> fun a b -> if Int64.unsigned_compare a b > 0 then 1L else 0L
-  | Uge -> fun a b -> if Int64.unsigned_compare a b >= 0 then 1L else 0L
-  | Slt -> fun a b -> if Int64.compare a b < 0 then 1L else 0L
-  | Sle -> fun a b -> if Int64.compare a b <= 0 then 1L else 0L
+  | Eq -> if Int64.equal a b then 1L else 0L
+  | Ne -> if Int64.equal a b then 0L else 1L
+  | Ult -> if Int64.unsigned_compare a b < 0 then 1L else 0L
+  | Ule -> if Int64.unsigned_compare a b <= 0 then 1L else 0L
+  | Ugt -> if Int64.unsigned_compare a b > 0 then 1L else 0L
+  | Uge -> if Int64.unsigned_compare a b >= 0 then 1L else 0L
+  | Slt -> if Int64.compare a b < 0 then 1L else 0L
+  | Sle -> if Int64.compare a b <= 0 then 1L else 0L
 
 let trunc (width : Ir.width) : int64 -> int64 =
   match width with
@@ -205,10 +208,12 @@ let push_frame st ~caller_nregs ~callee ~callee_nregs ~params ~np ~ret_pc
   st.gen <- st.gen_ctr;
   for j = 0 to np - 1 do
     let i = base' + Array.unsafe_get params j in
-    rf_set st.rf (i lsl 3) (Array.unsafe_get st.scratch j);
+    rf_set st.rf (i lsl 3) (rf_get st.scratch (j lsl 3));
     Array.unsafe_set st.def i st.gen
   done
 
+(* Restores the caller's frame and returns the popped record's offset
+   in [stack]; the caller reads ret_pc and ret_dst from there. *)
 let pop_frame st =
   let s = st.sp - 1 in
   st.sp <- s;
@@ -217,14 +222,11 @@ let pop_frame st =
   st.base <- stk.(o);
   st.cur <- stk.(o + 1);
   st.gen <- stk.(o + 2);
-  (stk.(o + 3), stk.(o + 4))
+  o
 
-let eval_args_rt st (rs : (state -> int64) array) =
-  let n = Array.length rs in
-  for j = 0 to n - 1 do
-    Array.unsafe_set st.scratch j ((Array.unsafe_get rs j) st)
-  done;
-  n
+(* Box the staged arguments for code outside the image (externs,
+   foreign calls), which may retain the array. *)
+let boxed_args st n = Array.init n (fun j -> rf_get st.scratch (j lsl 3))
 
 let compile (image : Linker.image) : t =
   let lcode = image.Linker.lcode in
@@ -249,17 +251,30 @@ let compile (image : Linker.image) : t =
          (Printf.sprintf "read of undefined register %s"
             funcs.(st.cur).Linker.f_names.(s)))
   in
+  (* definedness first, so the read itself is a plain unboxed load with
+     no join against the trapping path *)
   let[@inline] rslot st s =
     let i = st.base + s in
-    if Array.unsafe_get st.def i = st.gen then rf_get st.rf (i lsl 3)
-    else undef_slot st s
+    if Array.unsafe_get st.def i <> st.gen then undef_slot st s;
+    rf_get st.rf (i lsl 3)
   in
   let rd (o : Linker.operand) : state -> int64 =
     match o with
     | Imm x -> fun _ -> x
     | Slot s -> fun st -> rslot st s
   in
-  let readers = Array.map rd in
+  let[@inline] operand st (o : Linker.operand) =
+    match o with Imm x -> x | Slot s -> rslot st s
+  in
+  (* Stage call arguments into [scratch], left to right (trap order on
+     undefined registers is the slot executor's). *)
+  let eval_args st (args : Linker.operand array) =
+    let n = Array.length args in
+    for j = 0 to n - 1 do
+      rf_set st.scratch (j lsl 3) (operand st (Array.unsafe_get args j))
+    done;
+    n
+  in
   (* dispatch: every translated target index is < ncode by linker
      construction, and [next] tops out at the fall-off-the-end trap slot,
      so the bounds check on the closure array is dead *)
@@ -341,49 +356,52 @@ let compile (image : Linker.image) : t =
     Spec_exec.transient_window ~image ~depth:st.spec_depth
       ~read:(read_opt st) ~spec_load:st.env.Executor.spec_load ~shadow ~pc
   in
-  (* Seven ticks, seven writes, values forwarded in locals; returns the
-     safe address for the fused access that follows.  [at] is the
-     guard's first slot index — fusion must not lose the transient
-     windows the two selects open when executed one by one. *)
-  let run_guard ~at g : state -> int64 =
-    let read_a =
-      match g.g_a with
-      | Linker.Imm v -> fun _ -> v
-      | Slot sa -> fun st -> rslot st sa
-    in
-    fun st ->
-      tick st;
-      let a = read_a st in
-      let h = if Int64.unsigned_compare a g.g_c1 >= 0 then 1L else 0L in
-      write st g.g_h h;
-      tick st;
-      let o = Int64.logor a g.g_c2 in
-      write st g.g_o o;
-      tick st;
-      let e = if Int64.equal h 0L then a else o in
-      write st g.g_e e;
-      if st.spec_depth > 0 then
-        open_window st
-          ~shadow:(Some (g.g_e, if Int64.equal h 0L then o else a))
-          ~pc:(at + 3);
-      tick st;
-      let av = if Int64.unsigned_compare e g.g_c3 >= 0 then 1L else 0L in
-      write st g.g_av av;
-      tick st;
-      let bv = if Int64.unsigned_compare e g.g_c4 < 0 then 1L else 0L in
-      write st g.g_bv bv;
-      tick st;
-      let iv = Int64.logand av bv in
-      write st g.g_iv iv;
-      tick st;
-      let s = if Int64.equal iv 0L then e else g.g_t in
-      write st g.g_s s;
-      if st.spec_depth > 0 then
-        open_window st
-          ~shadow:(Some (g.g_s, if Int64.equal iv 0L then g.g_t else e))
-          ~pc:(at + 7);
-      s
+  (* Seven ticks, seven writes, values forwarded in locals; the fused
+     access that follows reads the safe address back from [g_s].  [at]
+     is the guard's first slot index — fusion must not lose the
+     transient windows the two selects open when executed one by one. *)
+  let[@inline] guard_body ~at g st a =
+    let h = if Int64.unsigned_compare a g.g_c1 >= 0 then 1L else 0L in
+    write st g.g_h h;
+    tick st;
+    let o = Int64.logor a g.g_c2 in
+    write st g.g_o o;
+    tick st;
+    let e = if Int64.equal h 0L then a else o in
+    write st g.g_e e;
+    if st.spec_depth > 0 then
+      open_window st
+        ~shadow:(Some (g.g_e, if Int64.equal h 0L then o else a))
+        ~pc:(at + 3);
+    tick st;
+    let av = if Int64.unsigned_compare e g.g_c3 >= 0 then 1L else 0L in
+    write st g.g_av av;
+    tick st;
+    let bv = if Int64.unsigned_compare e g.g_c4 < 0 then 1L else 0L in
+    write st g.g_bv bv;
+    tick st;
+    let iv = Int64.logand av bv in
+    write st g.g_iv iv;
+    tick st;
+    write st g.g_s (if Int64.equal iv 0L then e else g.g_t);
+    if st.spec_depth > 0 then
+      open_window st
+        ~shadow:(Some (g.g_s, if Int64.equal iv 0L then g.g_t else e))
+        ~pc:(at + 7)
   in
+  let run_guard ~at g : state -> unit =
+    match g.g_a with
+    | Linker.Imm v ->
+        fun st ->
+          tick st;
+          guard_body ~at g st v
+    | Slot sa ->
+        fun st ->
+          tick st;
+          guard_body ~at g st (rslot st sa)
+  in
+  (* the safe address a guard just wrote, read back without a probe *)
+  let[@inline] safe st g = rf_get st.rf ((st.base + g.g_s) lsl 3) in
   let checked_target label target =
     let masked = Layout.mask_kernel_target target in
     match Native.index_of_addr native masked with
@@ -419,11 +437,12 @@ let compile (image : Linker.image) : t =
       ~ret_dst;
     st.pc <- target
   in
-  let do_return st rdv =
-    (match rdv with Some r -> st.result <- r st | None -> st.result <- 0L);
+  (* [st.ret] already holds the returned value *)
+  let do_return st =
     if st.sp = 0 then st.running <- false
     else begin
-      let ret_pc, ret_dst = pop_frame st in
+      let o = pop_frame st in
+      let ret_pc = st.stack.(o + 3) and ret_dst = st.stack.(o + 4) in
       match st.env.Executor.tamper_return with
       | None ->
           if ret_pc >= ncode then
@@ -431,13 +450,13 @@ let compile (image : Linker.image) : t =
               (Executor.Exec_trap
                  (Printf.sprintf "return to %s outside image"
                     (Vg_util.U64.to_hex (Native.addr_of_index native ret_pc))));
-          if ret_dst >= 0 then write st ret_dst st.result;
+          if ret_dst >= 0 then write st ret_dst (rf_get st.ret 0);
           st.pc <- ret_pc
       | Some f -> (
           let ret_addr = f (Native.addr_of_index native ret_pc) in
           match Native.index_of_addr native ret_addr with
           | Some idx ->
-              if ret_dst >= 0 then write st ret_dst st.result;
+              if ret_dst >= 0 then write st ret_dst (rf_get st.ret 0);
               st.pc <- idx
           | None ->
               raise
@@ -446,11 +465,11 @@ let compile (image : Linker.image) : t =
                       (Vg_util.U64.to_hex ret_addr))))
     end
   in
-  let do_return_checked st label rdv =
-    (match rdv with Some r -> st.result <- r st | None -> st.result <- 0L);
+  let do_return_checked st label =
     if st.sp = 0 then st.running <- false
     else begin
-      let ret_pc, ret_dst = pop_frame st in
+      let o = pop_frame st in
+      let ret_pc = st.stack.(o + 3) and ret_dst = st.stack.(o + 4) in
       st.charge Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
       let target =
         match st.env.Executor.tamper_return with
@@ -459,7 +478,7 @@ let compile (image : Linker.image) : t =
             else checked_target label (Native.addr_of_index native ret_pc)
         | Some f -> checked_target label (f (Native.addr_of_index native ret_pc))
       in
-      if ret_dst >= 0 then write st ret_dst st.result;
+      if ret_dst >= 0 then write st ret_dst (rf_get st.ret 0);
       st.pc <- target
     end
   in
@@ -479,16 +498,16 @@ let compile (image : Linker.image) : t =
                 (match width with
                 | Ir.W64 ->
                     fun st ->
-                      let s = gb st in
+                      gb st;
                       tick st;
-                      write st dst (st.mem_load s Ir.W64);
+                      write st dst (st.mem_load (safe st g) Ir.W64);
                       goto after st
                 | w ->
                     let tr = trunc w in
                     fun st ->
-                      let s = gb st in
+                      gb st;
                       tick st;
-                      write st dst (tr (st.mem_load s w));
+                      write st dst (tr (st.mem_load (safe st g) w));
                       goto after st)
           | LStore { src; addr = Slot sa; width } when sa = g.g_s ->
               fused_pairs := !fused_pairs + 7;
@@ -497,28 +516,29 @@ let compile (image : Linker.image) : t =
                 (match width with
                 | Ir.W64 ->
                     fun st ->
-                      let s = gb st in
+                      gb st;
                       tick st;
-                      st.mem_store s Ir.W64 (rsrc st);
+                      st.mem_store (safe st g) Ir.W64 (rsrc st);
                       goto after st
                 | w ->
                     let tr = trunc w in
                     fun st ->
-                      let s = gb st in
+                      gb st;
                       tick st;
-                      st.mem_store s w (tr (rsrc st));
+                      st.mem_store (safe st g) w (tr (rsrc st));
                       goto after st)
           | LAtomic { dst; op; addr = Slot sa; operand_; width }
             when sa = g.g_s ->
               fused_pairs := !fused_pairs + 7;
               let rop = rd operand_ in
-              let f = binfn op and tr = trunc width in
+              let tr = trunc width in
               Some
                 (fun st ->
-                  let sa = gb st in
+                  gb st;
                   tick st;
+                  let sa = safe st g in
                   let old = tr (st.mem_load sa width) in
-                  st.mem_store sa width (tr (f old (rop st)));
+                  st.mem_store sa width (tr (binop op old (rop st)));
                   write st dst old;
                   goto after st)
           | LCmp _ -> (
@@ -542,22 +562,24 @@ let compile (image : Linker.image) : t =
                               Int64.to_int (Vg_util.U64.div len_v 8L)
                             in
                             fun st ->
-                              let d = gb st in
-                              let s = gb2 st in
+                              gb st;
+                              gb2 st;
                               tick st;
                               st.charge Obs.Tag.Copy copy_cycles;
-                              st.env.Executor.memcpy ~dst:d ~src:s ~len:len_v;
+                              st.env.Executor.memcpy ~dst:(safe st g)
+                                ~src:(safe st g2) ~len:len_v;
                               goto after st
                         | _ ->
                             let rlen = rd len in
                             fun st ->
-                              let d = gb st in
-                              let s = gb2 st in
+                              gb st;
+                              gb2 st;
                               tick st;
                               let len_v = rlen st in
                               st.charge Obs.Tag.Copy
                                 (Int64.to_int (Vg_util.U64.div len_v 8L));
-                              st.env.Executor.memcpy ~dst:d ~src:s ~len:len_v;
+                              st.env.Executor.memcpy ~dst:(safe st g)
+                                ~src:(safe st g2) ~len:len_v;
                               goto after st)
                   | _ -> None)
               | _ -> None)
@@ -572,7 +594,6 @@ let compile (image : Linker.image) : t =
     | LCmp { dst; op; a; b }, Some (LJz { cond = Slot c; target })
       when c = dst -> (
         incr fused_pairs;
-        let cmp = cmpfn op in
         let fall = i + 2 in
         let finish st x =
           write st dst x;
@@ -586,17 +607,17 @@ let compile (image : Linker.image) : t =
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              finish st (cmp (rslot st sa) (rslot st sb))
+              finish st (cmpop op (rslot st sa) (rslot st sb))
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              finish st (cmp (rslot st sa) vb)
+              finish st (cmpop op (rslot st sa) vb)
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              finish st (cmp va (rslot st sb))
+              finish st (cmpop op va (rslot st sb))
         | Imm va, Imm vb ->
-            let x = cmp va vb in
+            let x = cmpop op va vb in
             fun st ->
               tick st;
               finish st x)
@@ -605,7 +626,7 @@ let compile (image : Linker.image) : t =
         Some (LLoad { dst = ldst; addr = Slot am; width }) )
       when am = m -> (
         incr fused_pairs;
-        let f = binfn op and tr = trunc width in
+        let tr = trunc width in
         let fall = i + 2 in
         (* the masked address was written one instruction ago in this
            very closure: read it back without the definedness probe *)
@@ -619,22 +640,22 @@ let compile (image : Linker.image) : t =
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              write st m (f (rslot st sa) (rslot st sb));
+              write st m (binop op (rslot st sa) (rslot st sb));
               finish st
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              write st m (f (rslot st sa) vb);
+              write st m (binop op (rslot st sa) vb);
               finish st
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              write st m (f va (rslot st sb));
+              write st m (binop op va (rslot st sb));
               finish st
         | Imm va, Imm vb ->
             fun st ->
               tick st;
-              write st m (f va vb);
+              write st m (binop op va vb);
               finish st)
     (* --- superinstruction: load+mask ------------------------------ *)
     | ( LLoad { dst = l; addr; width },
@@ -645,13 +666,12 @@ let compile (image : Linker.image) : t =
         let raddr = rd addr
         and rba = rd ba
         and rbb = rd bb
-        and f = binfn bop
         and tr = trunc width in
         fun st ->
           tick st;
           write st l (tr (st.mem_load (raddr st) width));
           tick st;
-          write st bdst (f (rba st) (rbb st));
+          write st bdst (binop bop (rba st) (rbb st));
           goto (i + 2) st
     (* --- single instructions -------------------------------------- *)
     | LMov { dst; src }, _ -> (
@@ -667,50 +687,48 @@ let compile (image : Linker.image) : t =
               write st dst (rslot st s);
               goto next st)
     | LBin { dst; op; a; b }, _ -> (
-        let f = binfn op in
         match (a, b) with
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              write st dst (f (rslot st sa) (rslot st sb));
+              write st dst (binop op (rslot st sa) (rslot st sb));
               goto next st
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              write st dst (f (rslot st sa) vb);
+              write st dst (binop op (rslot st sa) vb);
               goto next st
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              write st dst (f va (rslot st sb));
+              write st dst (binop op va (rslot st sb));
               goto next st
         | Imm va, Imm vb ->
             fun st ->
               tick st;
-              write st dst (f va vb);
+              write st dst (binop op va vb);
               goto next st)
     | LCmp { dst; op; a; b }, _ -> (
-        let cmp = cmpfn op in
         match (a, b) with
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              write st dst (cmp (rslot st sa) (rslot st sb));
+              write st dst (cmpop op (rslot st sa) (rslot st sb));
               goto next st
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              write st dst (cmp (rslot st sa) vb);
+              write st dst (cmpop op (rslot st sa) vb);
               goto next st
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              write st dst (cmp va (rslot st sb));
+              write st dst (cmpop op va (rslot st sb));
               goto next st
         | Imm va, Imm vb ->
             fun st ->
               tick st;
-              write st dst (cmp va vb);
+              write st dst (cmpop op va vb);
               goto next st)
     | LSelect { dst; cond; if_true; if_false }, _ ->
         let rcond = rd cond and rt_ = rd if_true and rf_ = rd if_false in
@@ -806,12 +824,12 @@ let compile (image : Linker.image) : t =
               goto next st)
     | LAtomic { dst; op; addr; operand_; width }, _ ->
         let raddr = rd addr and rop = rd operand_ in
-        let f = binfn op and tr = trunc width in
+        let tr = trunc width in
         fun st ->
           tick st;
           let a = raddr st in
           let old = tr (st.mem_load a width) in
-          st.mem_store a width (tr (f old (rop st)));
+          st.mem_store a width (tr (binop op old (rop st)));
           write st dst old;
           goto next st
     | LJmp target, _ ->
@@ -838,7 +856,6 @@ let compile (image : Linker.image) : t =
               goto arch st)
     (* --- superinstruction: push+call ------------------------------ *)
     | LCall { dst; target; args }, _ -> (
-        let rs = readers args in
         let nargs = Array.length args in
         let callee = entry_of.(target) in
         if callee < 0 then
@@ -848,7 +865,7 @@ let compile (image : Linker.image) : t =
           in
           fun st ->
             tick st;
-            ignore (eval_args_rt st rs);
+            ignore (eval_args st args);
             raise (Executor.Exec_trap msg)
         else
           let f = funcs.(callee) in
@@ -860,7 +877,7 @@ let compile (image : Linker.image) : t =
             in
             fun st ->
               tick st;
-              ignore (eval_args_rt st rs);
+              ignore (eval_args st args);
               raise (Executor.Exec_trap msg)
           else begin
             incr static_calls;
@@ -868,57 +885,57 @@ let compile (image : Linker.image) : t =
             let callee_nregs = f.Linker.f_nregs in
             fun st ->
               tick st;
-              ignore (eval_args_rt st rs);
+              ignore (eval_args st args);
               push_frame st ~caller_nregs:funcs.(st.cur).Linker.f_nregs ~callee
                 ~callee_nregs ~params ~np ~ret_pc:next ~ret_dst:dst;
               goto target st
           end)
     | LCallExtern { dst; name; args }, _ ->
-        let rs = readers args in
         fun st ->
           tick st;
-          let n = eval_args_rt st rs in
-          (* external code may retain the array; never hand out scratch *)
-          let res = st.env.Executor.extern name (Array.sub st.scratch 0 n) in
+          let n = eval_args st args in
+          let res = st.env.Executor.extern name (boxed_args st n) in
           if dst >= 0 then write st dst res;
           goto next st
     | LCallIndirect { dst; target; args }, _ ->
-        let rtarget = rd target and rs = readers args in
+        let rtarget = rd target in
         fun st -> (
           tick st;
           let addr = rtarget st in
-          let nargs = eval_args_rt st rs in
+          let nargs = eval_args st args in
           match Native.index_of_addr native addr with
           | Some idx ->
               do_call_dyn st ~ret_dst:dst ~target:idx ~ret_pc:next ~nargs;
               goto st.pc st
           | None ->
               let res =
-                st.env.Executor.call_foreign addr (Array.sub st.scratch 0 nargs)
+                st.env.Executor.call_foreign addr (boxed_args st nargs)
               in
               if dst >= 0 then write st dst res;
               goto next st)
     | LCallIndirectChecked { dst; target; args; label }, _ ->
-        let rtarget = rd target and rs = readers args in
+        let rtarget = rd target in
         fun st ->
           tick st;
           let addr = rtarget st in
-          let nargs = eval_args_rt st rs in
+          let nargs = eval_args st args in
           st.charge Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
           let idx = checked_target label addr in
           do_call_dyn st ~ret_dst:dst ~target:idx ~ret_pc:next ~nargs;
           goto st.pc st
     | LRet value, _ ->
-        let rdv = Option.map rd value in
+        let v = Option.value value ~default:(Linker.Imm 0L) in
         fun st ->
           tick st;
-          do_return st rdv;
+          rf_set st.ret 0 (operand st v);
+          do_return st;
           if st.running then goto st.pc st
     | LRetChecked { value; label }, _ ->
-        let rdv = Option.map rd value in
+        let v = Option.value value ~default:(Linker.Imm 0L) in
         fun st ->
           tick st;
-          do_return_checked st label rdv;
+          rf_set st.ret 0 (operand st v);
+          do_return_checked st label;
           if st.running then goto st.pc st
     | LCfiLabel _, _ ->
         fun st ->
@@ -990,9 +1007,9 @@ let run ?(fuel = 50_000_000) (env : Executor.env) t entry args =
       gen = 1;
       fuel;
       pc = f0.Linker.f_entry;
-      result = 0L;
+      ret = Bytes.make 8 '\000';
       running = true;
-      scratch = Array.make image.Linker.max_args 0L;
+      scratch = Bytes.create (image.Linker.max_args lsl 3);
       env;
       charge = env.Executor.charge;
       mem_load = env.Executor.load;
@@ -1013,4 +1030,4 @@ let run ?(fuel = 50_000_000) (env : Executor.env) t entry args =
       raise (Executor.Exec_trap (Printf.sprintf "pc %d out of code bounds" p))
     end
   done;
-  st.result
+  rf_get st.ret 0

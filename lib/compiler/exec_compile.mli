@@ -1,4 +1,5 @@
-(** Closure-compiled execution engine.
+(** Closure-compiled execution engine: the kernel's only runtime
+    engine for verified module code.
 
     {!compile} translates a linked image once, at load time, into a
     tree of pre-resolved OCaml closures — one per code slot, with
@@ -18,8 +19,9 @@
     The closure compiler is outside the TCB: kernels obtain compiled
     artifacts exclusively through {!Trans_cache.find_compiled}, which
     runs {!Image_verify} first, and this module's behaviour is pinned
-    against the slot executor by cycle goldens and the three-way
-    differential fuzz suite. *)
+    against the slot executor and the reference interpreter (kept as
+    test oracles) by cycle goldens and the three-way differential fuzz
+    suite. *)
 
 type t
 (** A compiled image: the closure array plus the image it came from. *)

@@ -17,7 +17,11 @@
     resolution is O(1) (precomputed at link time); none of that changes
     what [charge] sees — the lowered code has slot-for-slot the same
     shape, so simulated cycle counts are identical to the pre-linking
-    executor's. *)
+    executor's.
+
+    The kernel itself runs module code on {!Exec_compile}; this
+    executor is the reference that engine is checked against (cycle
+    goldens, the differential fuzz, the executor bench). *)
 
 type env = {
   load : int64 -> Ir.width -> int64;

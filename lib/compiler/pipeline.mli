@@ -16,8 +16,7 @@ type compiled = {
   image : Native.image;
   linked : Linker.image;
       (** the executor-ready linked form of [image]; what the signed
-          translation cache stores and the executor runs *)
-  instrumented_ir : Ir.program;  (** the IR actually lowered *)
+          translation cache stores and the kernel runs *)
   mode : mode;
 }
 

@@ -9,7 +9,6 @@ let boot ?(id = 0) (config : Node_config.t) =
   let machine = Node_config.create_machine config in
   let kernel =
     Kernel.boot ?frame_limit:config.Node_config.frame_limit
-      ~engine:config.Node_config.engine
       ~spec_mitigation:config.Node_config.spec_mitigation
       ~mode:config.Node_config.mode machine
   in

@@ -12,7 +12,6 @@ type t = {
   seed : string;
   obs : Obs.t option;
   mode : Sva.mode;
-  engine : Vg_compiler.Exec_engine.t;
   spec_mitigation : Vg_compiler.Mitigation.t;
   frame_limit : int option;
   sfip : Syscall_policy.t option;
@@ -27,7 +26,6 @@ let default =
     seed = "node";
     obs = None;
     mode = Sva.Virtual_ghost;
-    engine = Vg_compiler.Exec_engine.Slots;
     spec_mitigation = Vg_compiler.Mitigation.Off;
     frame_limit = None;
     sfip = None;
@@ -40,7 +38,6 @@ let with_spec_depth spec_depth t = { t with spec_depth }
 let with_seed seed t = { t with seed }
 let with_obs obs t = { t with obs = Some obs }
 let with_mode mode t = { t with mode }
-let with_engine engine t = { t with engine }
 let with_spec_mitigation spec_mitigation t = { t with spec_mitigation }
 let with_frame_limit limit t = { t with frame_limit = Some limit }
 let with_sfip sfip t = { t with sfip = Some sfip }
@@ -51,12 +48,11 @@ let create_machine t =
     ~seed:t.seed ()
 
 let describe t =
-  Printf.sprintf "%s cpus=%d frames=%d depth=%d engine=%s mitigation=%s%s"
+  Printf.sprintf "%s cpus=%d frames=%d depth=%d mitigation=%s%s"
     (match t.mode with
     | Sva.Native_build -> "native"
     | Sva.Virtual_ghost -> "vg")
     t.cpus t.phys_frames t.spec_depth
-    (Vg_compiler.Exec_engine.to_string t.engine)
     (Vg_compiler.Mitigation.to_string t.spec_mitigation)
     (match t.frame_limit with
     | None -> ""

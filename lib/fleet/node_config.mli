@@ -25,7 +25,6 @@ type t = {
   seed : string;  (** determinises TPM + entropy; default ["node"] *)
   obs : Obs.t option;  (** default: the process-wide {!Obs.default} *)
   mode : Sva.mode;  (** default [Virtual_ghost] *)
-  engine : Vg_compiler.Exec_engine.t;  (** default [Slots] *)
   spec_mitigation : Vg_compiler.Mitigation.t;  (** default [Off] *)
   frame_limit : int option;  (** kernel frame-allocator cap; default none *)
   sfip : Syscall_policy.t option;
@@ -42,7 +41,6 @@ val with_spec_depth : int -> t -> t
 val with_seed : string -> t -> t
 val with_obs : Obs.t -> t -> t
 val with_mode : Sva.mode -> t -> t
-val with_engine : Vg_compiler.Exec_engine.t -> t -> t
 val with_spec_mitigation : Vg_compiler.Mitigation.t -> t -> t
 val with_frame_limit : int -> t -> t
 val with_sfip : Syscall_policy.t -> t -> t

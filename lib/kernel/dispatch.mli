@@ -70,12 +70,10 @@ val run :
     [ring_enter] (no nested ring entry), run the policy gate (skipped
     in favour of a cursor commit when [prechecked]), honour any module
     override, otherwise the registered builtin, and return the
-    ABI-encoded result register.  Callers are expected to be inside a
-    trap or a typed wrapper; this performs no trap protocol of its
-    own. *)
-
-val run_override :
-  Kernel.t -> Proc.t -> Kernel.syscall_override -> int64 array -> int64
-(** Execute a loadable-module override body on the kernel's execution
-    engine (exposed for {!run}'s internal use and tests; raises
-    {!Vg_compiler.Executor.Cfi_violation} like any module code). *)
+    ABI-encoded result register.  An override that raises a CFI
+    violation or an execution trap terminates its kernel thread: the
+    call returns [EFAULT], the console logs [vg: kernel thread
+    terminated: <msg>], and exactly one event is emitted
+    ([Cfi_violation], or [Security{module-trap}]).  Callers are
+    expected to be inside a trap or a typed wrapper; this performs no
+    trap protocol of its own. *)

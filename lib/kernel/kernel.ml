@@ -20,17 +20,11 @@ type t = {
   mutable block : unit -> bool;
   child_wq : Waitq.t;
   mutable syscall_count : int;
-  engine : Vg_compiler.Exec_engine.t;
   spec_mitigation : Vg_compiler.Mitigation.t;
       (* Spectre hardening every instrumented translation must carry *)
 }
 
-and syscall_override = {
-  image : Vg_compiler.Linker.image;
-  func : string;
-  program : Ir.program;
-  compiled : Vg_compiler.Exec_compile.t option;
-}
+and syscall_override = { func : string; compiled : Vg_compiler.Exec_compile.t }
 
 let mode t = Sva.mode t.sva
 
@@ -64,8 +58,7 @@ let verify_kernel_image machine sva ~mitigation =
         ("Kernel.boot: kernel image failed load-time verification: "
         ^ Vg_compiler.Trans_cache.describe_find_error e)
 
-let boot ?frame_limit ?(engine = Vg_compiler.Exec_engine.Slots)
-    ?(spec_mitigation = Vg_compiler.Mitigation.Off) ~mode machine =
+let boot ?frame_limit ?(spec_mitigation = Vg_compiler.Mitigation.Off) ~mode machine =
   let sva = Sva.boot ~mode machine in
   (* Bind the syscall table into the translation cache so any signed
      blob carrying a syscall-flow graph can be re-proven against its
@@ -121,7 +114,6 @@ let boot ?frame_limit ?(engine = Vg_compiler.Exec_engine.Slots)
       block = (fun () -> false);
       child_wq = Waitq.create ~name:"child-exit";
       syscall_count = 0;
-      engine;
       spec_mitigation;
     }
   in

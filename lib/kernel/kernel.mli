@@ -51,10 +51,6 @@ type t = {
           {!Sched.run} installs a fiber-yielding hook. *)
   child_wq : Waitq.t;  (** woken on every process exit (wait sleeps here) *)
   mutable syscall_count : int;
-  engine : Vg_compiler.Exec_engine.t;
-      (** which execution engine runs module override code — a host-time
-          choice; simulated cycles are engine-independent wherever the
-          engine can model them (see {!Vg_compiler.Exec_engine}) *)
   spec_mitigation : Vg_compiler.Mitigation.t;
       (** the Spectre hardening selected at boot: the kernel image and
           every loaded module are compiled under it, and the
@@ -63,21 +59,17 @@ type t = {
 }
 
 and syscall_override = {
-  image : Vg_compiler.Linker.image;
-  func : string;
-  program : Ir.program;
-      (** the instrumented IR the image was lowered from, for the
-          [Interp] debug engine *)
-  compiled : Vg_compiler.Exec_compile.t option;
-      (** the closure-compiled artifact, present iff the kernel booted
-          with the [Compiled] engine; only ever obtained through
+  func : string;  (** the overriding module function *)
+  compiled : Vg_compiler.Exec_compile.t;
+      (** the module's closure-compiled image
+          ({!Vg_compiler.Exec_compile.image} reads the linked image
+          back); only ever obtained through
           {!Vg_compiler.Trans_cache.find_compiled}, i.e. after the image
           verifier accepted the image *)
 }
 
 val boot :
   ?frame_limit:int ->
-  ?engine:Vg_compiler.Exec_engine.t ->
   ?spec_mitigation:Vg_compiler.Mitigation.t ->
   mode:Sva.mode ->
   Machine.t ->
@@ -86,11 +78,9 @@ val boot :
     system (or remount an existing one), the network stack, and the
     init process (pid 1).  [frame_limit] caps the kernel's frame
     allocator — a memory-constrained machine that forces ghost
-    swapping.  [engine] (default [Slots]) selects the execution engine
-    for module override code; all engines charge identical simulated
-    cycles on the code they can run, so goldens are engine-independent
-    (the [Interp] debug engine cannot model CFI — see
-    {!Vg_compiler.Exec_engine}).  [spec_mitigation] (default [Off])
+    swapping.  Module override code always runs on the
+    closure-compiled translation ({!Vg_compiler.Exec_compile}) of its
+    verified image.  [spec_mitigation] (default [Off])
     selects the Spectre hardening of the sandbox: the kernel image and
     every module are compiled under it and the translation cache is
     bound to it ({!Vg_compiler.Trans_cache.set_mitigation}).

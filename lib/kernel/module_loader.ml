@@ -62,32 +62,20 @@ let load (k : Kernel.t) ~name program =
       let instrumented = Kernel.mode k = Sva.Virtual_ghost in
       Vg_compiler.Trans_cache.add cache ~name ~instrumented ~mitigation
         compiled.Vg_compiler.Pipeline.linked;
-      (* Under the compiled engine, ask the cache for the
-         closure-compiled artifact: [find_compiled] is the only way to
-         obtain one, and it runs the image verifier first, so an
-         unverifiable image is refused on exactly the same path (and
-         with the same error) as under the interpreting engines. *)
-      let looked_up =
-        match k.Kernel.engine with
-        | Vg_compiler.Exec_engine.Compiled -> (
-            match Vg_compiler.Trans_cache.find_compiled cache ~name with
-            | Error e -> Error e
-            | Ok artifact ->
-                Ok (Vg_compiler.Exec_compile.image artifact, Some artifact))
-        | Vg_compiler.Exec_engine.Interp | Vg_compiler.Exec_engine.Slots -> (
-            match Vg_compiler.Trans_cache.find cache ~name with
-            | Error e -> Error e
-            | Ok image -> Ok (image, None))
-      in
-      match looked_up with
+      (* [find_compiled] is the only way to obtain the closure-compiled
+         artifact the kernel runs, and it runs the image verifier
+         first, so an unverifiable image is refused before any of it
+         is translated. *)
+      match Vg_compiler.Trans_cache.find_compiled cache ~name with
       | Error e -> reject k ~name (Cache_refused e)
-      | Ok (image, artifact) ->
-          let program = compiled.Vg_compiler.Pipeline.instrumented_ir in
-          let overrides = overrides_of_image k image in
+      | Ok artifact ->
+          let overrides =
+            overrides_of_image k (Vg_compiler.Exec_compile.image artifact)
+          in
           List.iter
             (fun (sysno, func) ->
               Hashtbl.replace k.Kernel.overrides sysno
-                { Kernel.image; func; program; compiled = artifact })
+                { Kernel.func; compiled = artifact })
             overrides;
           Hashtbl.replace k.Kernel.modules name (List.map fst overrides);
           Machine.emit k.Kernel.machine

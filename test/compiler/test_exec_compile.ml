@@ -1,6 +1,7 @@
 (* Tests for the closure-compiled execution engine: exact parity with
    the slot executor on the CFI attack scenarios (ROP via tampered
-   returns, corrupted function pointers, kernel-space masking), the v4
+   returns, corrupted function pointers, kernel-space masking), host
+   allocation no higher than the slot executor's, the v4
    translation cache (verify-before-compile, HMAC-keyed memoization of
    both the verifier and the closure compiler), and the fusion
    statistics of the translator itself. *)
@@ -278,6 +279,67 @@ let test_kernel_masking_parity () =
   Alcotest.(check (array int)) "same cycles" c1 c2
 
 (* ------------------------------------------------------------------ *)
+(* Host-allocation parity                                              *)
+
+(* The kernel runs every module through the compiled engine, so it must
+   cost no more host allocation than the slot executor, its reference.
+   The fixture is a read() override that checksums a 4 KiB buffer by
+   recursion over 8-byte words: a call, a guarded load and a return per
+   word, the shape of a verified module's hot path. *)
+let checksum_program () =
+  let b = Builder.create () in
+  Builder.func b "sys_read" ~params:[ "fd"; "buf"; "len" ];
+  let n = Builder.call b "extern.genuine_read" [ Reg "fd"; Reg "buf"; Reg "len" ] in
+  let nothing = Builder.cmp b Slt n (Imm 1L) in
+  Builder.cbr b nothing "done" "sum";
+  Builder.block b "done";
+  Builder.ret b (Some n);
+  Builder.block b "sum";
+  let sum = Builder.call b "csum" [ Reg "buf"; n ] in
+  Builder.ret b (Some (Builder.bin b And sum (Imm 0x3fffffffL)));
+  Builder.func b "csum" ~params:[ "p"; "n" ];
+  let short = Builder.cmp b Ult (Reg "n") (Imm 8L) in
+  Builder.cbr b short "base" "step";
+  Builder.block b "base";
+  Builder.ret b (Some (Imm 0L));
+  Builder.block b "step";
+  let word = Builder.load b ~width:W64 (Reg "p") in
+  let rest =
+    Builder.call b "csum"
+      [ Builder.bin b Add (Reg "p") (Imm 8L); Builder.bin b Sub (Reg "n") (Imm 8L) ]
+  in
+  Builder.ret b (Some (Builder.bin b Add (Builder.bin b Mul rest (Imm 31L)) word));
+  Builder.program b
+
+let test_alloc_parity () =
+  let image =
+    compile_link ~cfi:true (Sandbox_pass.instrument_program (checksum_program ()))
+  in
+  let t = Exec_compile.compile image in
+  let buf = 0x4000L and len = 4096 in
+  let measure run =
+    let w = make_world () in
+    let rng = Random.State.make [| 7 |] in
+    for j = 0 to len - 1 do
+      world_store w (Int64.add buf (Int64.of_int j)) W8 (Int64.of_int (Random.State.int rng 256))
+    done;
+    w.stores <- [];
+    (* genuine_read reports the whole buffer as read *)
+    let env = { (exec_env w) with Executor.extern = (fun _ args -> args.(2)) } in
+    let before = Gc.minor_words () in
+    let v = run env in
+    let words = Gc.minor_words () -. before in
+    (v, Array.fold_left ( + ) 0 w.by_tag, words)
+  in
+  let args = [| 3L; buf; Int64.of_int len |] in
+  let v1, c1, a1 = measure (fun env -> Executor.run env image "sys_read" args) in
+  let v2, c2, a2 = measure (fun env -> Exec_compile.run env t "sys_read" args) in
+  Alcotest.(check int64) "same checksum" v1 v2;
+  Alcotest.(check int) "same cycles" c1 c2;
+  if a2 > a1 then
+    Alcotest.failf "compiled run allocated %.0f minor words, slot executor %.0f" a2 a1
+
+(* ------------------------------------------------------------------ *)
 (* Translation cache v4                                                *)
 
 let instrumented_image () =
@@ -368,6 +430,11 @@ let () =
           Alcotest.test_case "corrupted function pointer" `Quick
             test_corrupted_fptr_parity;
           Alcotest.test_case "kernel-space masking" `Quick test_kernel_masking_parity;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "checksum module, compiled <= slots" `Quick
+            test_alloc_parity;
         ] );
       ( "trans-cache-v4",
         [

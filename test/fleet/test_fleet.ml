@@ -27,17 +27,16 @@ let test_config_builders () =
   let c =
     Node_config.(
       default |> with_cpus 4 |> with_mode Sva.Native_build
-      |> with_frame_limit 512 |> with_seed "x"
-      |> with_engine Vg_compiler.Exec_engine.Interp
-      |> with_spec_depth 8)
+      |> with_frame_limit 512 |> with_seed "x" |> with_spec_depth 8)
   in
   Alcotest.(check int) "cpus" 4 c.Node_config.cpus;
   Alcotest.(check bool) "mode" true (c.Node_config.mode = Sva.Native_build);
   Alcotest.(check bool) "limit" true (c.Node_config.frame_limit = Some 512);
   Alcotest.(check string) "seed" "x" c.Node_config.seed;
   Alcotest.(check int) "depth" 8 c.Node_config.spec_depth;
-  Alcotest.(check bool) "describe mentions engine" true
-    (String.length (Node_config.describe c) > 0)
+  Alcotest.(check string) "describe"
+    "native cpus=4 frames=32768 depth=8 mitigation=off frame_limit=512"
+    (Node_config.describe c)
 
 (* ------------------------------------------------------------------ *)
 (* Cycle identity: Node.boot vs the raw two-call boot                  *)

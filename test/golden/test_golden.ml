@@ -91,19 +91,22 @@ let run_tagged_cycles ?(compiled = false) ~cfi ~sandbox program entry arg =
 let run_cycles ?compiled ~cfi ~sandbox program entry arg =
   Array.fold_left ( + ) 0 (run_tagged_cycles ?compiled ~cfi ~sandbox program entry arg)
 
-let check_modes ?compiled name program entry arg ~plain ~cfi ~sandbox ~full =
-  Alcotest.(check int)
-    (name ^ ": plain") plain
-    (run_cycles ?compiled ~cfi:false ~sandbox:false program entry arg);
-  Alcotest.(check int)
-    (name ^ ": cfi") cfi
-    (run_cycles ?compiled ~cfi:true ~sandbox:false program entry arg);
-  Alcotest.(check int)
-    (name ^ ": sandbox") sandbox
-    (run_cycles ?compiled ~cfi:false ~sandbox:true program entry arg);
-  Alcotest.(check int)
-    (name ^ ": full") full
-    (run_cycles ?compiled ~cfi:true ~sandbox:true program entry arg)
+(* Each mode is pinned on the closure-compiled engine the kernel runs
+   and on the slot executor it is checked against. *)
+let check_modes name program entry arg ~plain ~cfi ~sandbox ~full =
+  List.iter
+    (fun compiled ->
+      let name = if compiled then name ^ "/compiled" else name ^ "/slots" in
+      let check mode expected ~cfi ~sandbox =
+        Alcotest.(check int)
+          (name ^ ": " ^ mode) expected
+          (run_cycles ~compiled ~cfi ~sandbox program entry arg)
+      in
+      check "plain" plain ~cfi:false ~sandbox:false;
+      check "cfi" cfi ~cfi:true ~sandbox:false;
+      check "sandbox" sandbox ~cfi:false ~sandbox:true;
+      check "full" full ~cfi:true ~sandbox:true)
+    [ true; false ]
 
 let test_collatz_cycles () =
   check_modes "collatz(97)" (collatz_program ()) "collatz" 97L ~plain:1543
@@ -113,29 +116,18 @@ let test_recsum_cycles () =
   check_modes "recsum(40)" (rec_sum_program ()) "sum" 40L ~plain:244 ~cfi:445
     ~sandbox:244 ~full:445
 
-(* The closure-compiled engine must reproduce the exact same pinned
-   numbers — its whole contract is byte-identical simulated cycles. *)
-let test_compiled_engine_cycles () =
-  check_modes ~compiled:true "collatz(97)/compiled" (collatz_program ())
-    "collatz" 97L ~plain:1543 ~cfi:1544 ~sandbox:4875 ~full:4876;
-  check_modes ~compiled:true "recsum(40)/compiled" (rec_sum_program ()) "sum"
-    40L ~plain:244 ~cfi:445 ~sandbox:244 ~full:445
-
 (* --- whole-kernel golden: LMBench null syscall -------------------- *)
 
 (* The bench-profile node, built through the fleet config — the golden
    numbers below pin that this path stays cycle-identical to the raw
    Machine.create + Kernel.boot it replaced. *)
-let golden_config ?engine ?(spec_depth = 0) mode =
-  let config =
-    Node_config.(
-      default |> with_phys_frames 65536 |> with_disk_sectors 131072
-      |> with_seed "bench" |> with_mode mode |> with_spec_depth spec_depth)
-  in
-  match engine with None -> config | Some e -> Node_config.with_engine e config
+let golden_config ?(spec_depth = 0) mode =
+  Node_config.(
+    default |> with_phys_frames 65536 |> with_disk_sectors 131072
+    |> with_seed "bench" |> with_mode mode |> with_spec_depth spec_depth)
 
-let null_syscall_cycles ?engine mode =
-  let node = Node.boot (golden_config ?engine mode) in
+let null_syscall_cycles mode =
+  let node = Node.boot (golden_config mode) in
   let machine = Node.machine node and k = Node.kernel node in
   Runtime.launch k ~ghosting:false (fun ctx ->
       let proc = ctx.Runtime.proc in
@@ -149,13 +141,7 @@ let test_null_syscall_cycles () =
   Alcotest.(check int) "native build" 71600
     (null_syscall_cycles Sva.Native_build);
   Alcotest.(check int) "virtual ghost" 261000
-    (null_syscall_cycles Sva.Virtual_ghost);
-  (* Same whole-kernel goldens under the compiled execution engine. *)
-  let compiled = Vg_compiler.Exec_engine.Compiled in
-  Alcotest.(check int) "native build (compiled engine)" 71600
-    (null_syscall_cycles ~engine:compiled Sva.Native_build);
-  Alcotest.(check int) "virtual ghost (compiled engine)" 261000
-    (null_syscall_cycles ~engine:compiled Sva.Virtual_ghost)
+    (null_syscall_cycles Sva.Virtual_ghost)
 
 (* --- speculation model off: cycle identity ------------------------ *)
 (* The speculation era must be pay-for-what-you-use: a machine built
@@ -165,10 +151,10 @@ let test_null_syscall_cycles () =
    architectural price of each hardening (lfence cycles, the two extra
    branchless-mask instructions) cannot drift silently. *)
 
-let null_syscall_cycles_spec ?engine ~spec_depth ~mitigation mode =
+let null_syscall_cycles_spec ~spec_depth ~mitigation mode =
   let node =
     Node.boot
-      (golden_config ?engine ~spec_depth mode
+      (golden_config ~spec_depth mode
       |> Node_config.with_spec_mitigation mitigation)
   in
   let machine = Node.machine node and k = Node.kernel node in
@@ -185,11 +171,7 @@ let test_spec_depth0_cycle_identity () =
   Alcotest.(check int) "native, spec plumbing off" 71600
     (null_syscall_cycles_spec ~spec_depth:0 ~mitigation:off Sva.Native_build);
   Alcotest.(check int) "virtual ghost, spec plumbing off" 261000
-    (null_syscall_cycles_spec ~spec_depth:0 ~mitigation:off Sva.Virtual_ghost);
-  Alcotest.(check int) "virtual ghost, spec plumbing off (compiled engine)"
-    261000
-    (null_syscall_cycles_spec ~engine:Vg_compiler.Exec_engine.Compiled
-       ~spec_depth:0 ~mitigation:off Sva.Virtual_ghost)
+    (null_syscall_cycles_spec ~spec_depth:0 ~mitigation:off Sva.Virtual_ghost)
 
 let test_spec_mitigation_goldens () =
   (* Architectural mitigation cost at depth 0: what fence / safe-mask
@@ -211,22 +193,17 @@ let test_spec_mitigation_goldens () =
    silently (the null-syscall goldens above measure *after* boot and
    are unaffected by design). *)
 
-let boot_verify_cycles ?engine mode =
+let boot_verify_cycles mode =
   let stats = Obs_stats.create () in
   Obs.with_sink Obs.default (Obs_stats.sink stats) (fun () ->
-      ignore (Node.boot (golden_config ?engine mode)));
+      ignore (Node.boot (golden_config mode)));
   Obs_stats.cycles stats Obs.Tag.Verify
 
 let test_boot_verify_cycles () =
   Alcotest.(check int) "native build verifies nothing" 0
     (boot_verify_cycles Sva.Native_build);
   Alcotest.(check int) "virtual ghost kernel image" 288
-    (boot_verify_cycles Sva.Virtual_ghost);
-  (* The compiled engine's extra work is host-time only: the simulated
-     Verify bill is unchanged. *)
-  Alcotest.(check int) "virtual ghost (compiled engine)" 288
-    (boot_verify_cycles ~engine:Vg_compiler.Exec_engine.Compiled
-       Sva.Virtual_ghost)
+    (boot_verify_cycles Sva.Virtual_ghost)
 
 (* --- observability parity ----------------------------------------- *)
 (* The zero-overhead-off guarantee, pinned: simulated cycle counts must
@@ -295,16 +272,14 @@ let () =
           Alcotest.test_case "collatz, four modes" `Quick test_collatz_cycles;
           Alcotest.test_case "recursive sum, four modes" `Quick
             test_recsum_cycles;
-          Alcotest.test_case "compiled engine, same goldens" `Quick
-            test_compiled_engine_cycles;
           Alcotest.test_case "LMBench null syscall" `Quick
             test_null_syscall_cycles;
+          Alcotest.test_case "boot-time image verification" `Quick
+            test_boot_verify_cycles;
           Alcotest.test_case "spec depth 0 is cycle-identical" `Quick
             test_spec_depth0_cycle_identity;
           Alcotest.test_case "mitigation cost goldens" `Quick
             test_spec_mitigation_goldens;
-          Alcotest.test_case "boot-time image verification" `Quick
-            test_boot_verify_cycles;
         ] );
       ( "observability-parity",
         [

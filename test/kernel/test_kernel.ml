@@ -3,15 +3,12 @@
    the central enforcement property, signals, sockets, select, and
    loadable-module overrides. *)
 
-let kconfig ?engine ?(mode = Sva.Virtual_ghost) () =
-  let config =
-    Node_config.(
-      default |> with_phys_frames 8192 |> with_disk_sectors 16384
-      |> with_seed "ktest" |> with_mode mode)
-  in
-  match engine with None -> config | Some e -> Node_config.with_engine e config
+let kconfig ?(mode = Sva.Virtual_ghost) () =
+  Node_config.(
+    default |> with_phys_frames 8192 |> with_disk_sectors 16384
+    |> with_seed "ktest" |> with_mode mode)
 
-let boot ?engine ?mode () = Node.kernel (Node.boot (kconfig ?engine ?mode ()))
+let boot ?mode () = Node.kernel (Node.boot (kconfig ?mode ()))
 
 let init k = Kernel.init_process k
 
@@ -712,48 +709,27 @@ let test_privileged_module_rejected () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "baseline load: %s" (Module_loader.describe_load_error e)
 
-(* The same override must work — and return the same hijacked result —
-   under every execution engine.  Closure compilation happens at load
-   time, behind the verifier, and changes nothing observable. *)
-let test_module_override_engines () =
-  List.iter
-    (fun engine ->
-      let k = boot ~engine () in
-      let p = init k in
-      Syscalls.register_builtin_externs k;
-      (match Module_loader.load k ~name:"const_read" (constant_read_module ()) with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
-      let fd = expect_ok "open" (Syscalls.open_ k p "/f" Syscalls.creat_trunc) in
-      Alcotest.(check int)
-        ("hijacked result under "
-        ^ Vg_compiler.Exec_engine.to_string engine)
-        42
-        (expect_ok "read" (Syscalls.read k p ~fd ~buf:user_buf ~len:10));
-      Module_loader.unload k ~name:"const_read")
-    Vg_compiler.Exec_engine.all
-
-(* The compiled engine obtains artifacts only through the verifying
-   cache: an image the verifier refuses is never closure-compiled and
-   the load fails exactly as under the slot executor. *)
-let test_compiled_engine_refuses_unverified () =
+(* Module code is closure-compiled only through the verifying cache: an
+   image the verifier refuses is never translated, registers no
+   override, and the genuine handler keeps serving the call. *)
+let test_refuses_unverified () =
   let evil =
     let b = Builder.create () in
     Builder.func b "sys_read" ~params:[ "fd"; "buf"; "len" ];
     Builder.io_write b ~port:(Imm 0x3f8L) (Imm 0x41L);
-    Builder.ret b (Some (Imm 0L));
+    Builder.ret b (Some (Imm 42L));
     Builder.program b
   in
   let recorder = Vg_obs.Obs_recorder.create () in
-  let result =
+  let k, result =
     Vg_obs.Obs.with_sink Vg_obs.Obs.default
       (Vg_obs.Obs_recorder.sink recorder)
       (fun () ->
-        let k = boot ~engine:Vg_compiler.Exec_engine.Compiled () in
-        Module_loader.load k ~name:"evil_io" evil)
+        let k = boot () in
+        (k, Module_loader.load k ~name:"evil_io" evil))
   in
   (match result with
-  | Ok () -> Alcotest.fail "compiled engine executed an unverifiable image"
+  | Ok () -> Alcotest.fail "an unverifiable image was loaded"
   | Error
       (Module_loader.Cache_refused (Vg_compiler.Trans_cache.Rejected_by_verifier _)
        as err) ->
@@ -764,7 +740,53 @@ let test_compiled_engine_refuses_unverified () =
     (Vg_obs.Obs_recorder.count_matching recorder (function
        | Vg_obs.Obs.Event.Security { subsystem = "image-verify"; _ } -> true
        | _ -> false)
-    > 0)
+    > 0);
+  Alcotest.(check (list string)) "no override registered" []
+    (Module_loader.loaded_overrides k);
+  let p = init k in
+  let fd = expect_ok "open" (Syscalls.open_ k p "/f" Syscalls.creat_trunc) in
+  Alcotest.(check int) "genuine read" 0
+    (expect_ok "read" (Syscalls.read k p ~fd ~buf:user_buf ~len:10))
+
+(* A module that traps at run time (here, division by a zero argument)
+   loses its kernel thread, not the simulator: the call fails with
+   EFAULT, one Security{module-trap} event records it, and the process
+   and the module carry on. *)
+let test_module_trap () =
+  let divide () =
+    let b = Builder.create () in
+    Builder.func b "sys_read" ~params:[ "fd"; "buf"; "len" ];
+    Builder.ret b (Some (Builder.bin b Udiv (Imm 100L) (Reg "len")));
+    Builder.program b
+  in
+  List.iter
+    (fun mode ->
+      let recorder = Vg_obs.Obs_recorder.create () in
+      let k = boot ~mode () in
+      let p = init k in
+      (match Module_loader.load k ~name:"divide" (divide ()) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
+      let trapped =
+        Vg_obs.Obs.with_sink Vg_obs.Obs.default
+          (Vg_obs.Obs_recorder.sink recorder)
+          (fun () -> Syscalls.read k p ~fd:0 ~buf:user_buf ~len:0)
+      in
+      Alcotest.(check string) "trapping call returns EFAULT" "EFAULT"
+        (match trapped with Ok _ -> "ok" | Error e -> Errno.to_string e);
+      (match Vg_obs.Obs_recorder.security_events recorder with
+      | [ { event = Vg_obs.Obs.Event.Security { subsystem; detail }; _ } ] ->
+          Alcotest.(check string) "event subsystem" "module-trap" subsystem;
+          Alcotest.(check string) "event detail" "sys_read: udiv by zero" detail
+      | events ->
+          Alcotest.failf "expected one module-trap event, got %d security events"
+            (List.length events));
+      Alcotest.(check bool) "console reports the terminated thread" true
+        (Console.contains (Machine.console k.Kernel.machine)
+           "vg: kernel thread terminated: udiv by zero");
+      Alcotest.(check int) "next syscall succeeds" 25
+        (expect_ok "read" (Syscalls.read k p ~fd:0 ~buf:user_buf ~len:4)))
+    [ Sva.Native_build; Sva.Virtual_ghost ]
 
 (* ------------------------------------------------------------------ *)
 (* Poll readiness                                                      *)
@@ -1416,10 +1438,8 @@ let () =
       ( "modules",
         [
           Alcotest.test_case "override" `Quick test_module_override;
-          Alcotest.test_case "override under all engines" `Quick
-            test_module_override_engines;
-          Alcotest.test_case "compiled engine refuses unverified" `Quick
-            test_compiled_engine_refuses_unverified;
+          Alcotest.test_case "refuses unverified" `Quick test_refuses_unverified;
+          Alcotest.test_case "trap returns EFAULT" `Quick test_module_trap;
           Alcotest.test_case "chains to genuine" `Quick test_module_chains_to_genuine;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_module_rejected;
           Alcotest.test_case "privileged module rejected" `Quick
