@@ -755,6 +755,9 @@ let bechamel () =
   section "Bechamel: host-time microbenchmarks of the simulator itself";
   let key = Vg_crypto.Aes128.expand (Bytes.make 16 'k') in
   let block = Bytes.make 16 'p' in
+  (* one swap blob's payload: 24-byte header || 4 KiB page *)
+  let swap_key = Bytes.make 16 's' and swap_nonce = Bytes.make 8 'n' in
+  let swap_payload = Bytes.make 4120 'g' in
   (* images are linked once, outside the staged thunks: linking is a
      translation-time cost, amortised across every execution *)
   let collatz =
@@ -775,6 +778,9 @@ let bechamel () =
           (Staged.stage (fun () -> ignore (Vg_crypto.Aes128.encrypt_block key block)));
         Test.make ~name:"sha256-block"
           (Staged.stage (fun () -> ignore (Vg_crypto.Sha256.digest block)));
+        Test.make ~name:"ctr-seal-page"
+          (Staged.stage (fun () ->
+               ignore (Vg_crypto.Ctr.seal ~key:swap_key ~nonce:swap_nonce swap_payload)));
         Test.make ~name:"executor-collatz"
           (Staged.stage (fun () -> ignore (run_image_cycles collatz)));
         Test.make ~name:"executor-recsum"

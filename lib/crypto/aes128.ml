@@ -14,7 +14,7 @@ let gf_mul a b =
 
 (* The S-box is the multiplicative inverse followed by the FIPS 197
    affine transform.  Inverses are found by exhausting the field once. *)
-let sbox, inv_sbox =
+let sbox =
   let inv = Array.make 256 0 in
   for a = 1 to 255 do
     for b = 1 to 255 do
@@ -25,138 +25,118 @@ let sbox, inv_sbox =
     let rotl8 v n = ((v lsl n) lor (v lsr (8 - n))) land 0xff in
     x lxor rotl8 x 1 lxor rotl8 x 2 lxor rotl8 x 3 lxor rotl8 x 4 lxor 0x63
   in
-  let s = Array.make 256 0 and si = Array.make 256 0 in
-  for x = 0 to 255 do
-    s.(x) <- affine inv.(x)
-  done;
-  for x = 0 to 255 do
-    si.(s.(x)) <- x
-  done;
-  (s, si)
+  Array.init 256 (fun x -> affine inv.(x))
 
-type key = { rounds : bytes array (* 11 round keys of 16 bytes *) }
+(* Words are big-endian: byte [r] of a column is bits [31-8r .. 24-8r],
+   so row 0 is the most significant byte.  [te0.(x)] is the column
+   SubBytes+MixColumns produce from [x] in row 0, i.e. (2s, s, s, 3s)
+   with s = S(x); [te1]..[te3] are the same column for rows 1..3, which
+   is [te0] rotated right by 8, 16 and 24 bits.  One round of the
+   cipher is then four lookups and four xors per output column. *)
+let ror32 w n = ((w lsr n) lor (w lsl (32 - n))) land 0xffffffff
+
+let te0 =
+  Array.init 256 (fun x ->
+      let s = sbox.(x) in
+      (gf_mul s 2 lsl 24) lor (s lsl 16) lor (s lsl 8) lor gf_mul s 3)
+
+let te1 = Array.map (fun w -> ror32 w 8) te0
+let te2 = Array.map (fun w -> ror32 w 16) te0
+let te3 = Array.map (fun w -> ror32 w 24) te0
+
+(* The 44-word key schedule of FIPS 197 section 5.2, one word per int.
+   The type is abstract and only [expand] builds one, so reads of
+   words 0..43 need no bounds check. *)
+type key = int array
+
+let[@inline] get_be32 b i =
+  (Char.code (Bytes.unsafe_get b i) lsl 24)
+  lor (Char.code (Bytes.unsafe_get b (i + 1)) lsl 16)
+  lor (Char.code (Bytes.unsafe_get b (i + 2)) lsl 8)
+  lor Char.code (Bytes.unsafe_get b (i + 3))
+
+let[@inline] set_be32 b i w =
+  Bytes.unsafe_set b i (Char.unsafe_chr (w lsr 24));
+  Bytes.unsafe_set b (i + 1) (Char.unsafe_chr ((w lsr 16) land 0xff));
+  Bytes.unsafe_set b (i + 2) (Char.unsafe_chr ((w lsr 8) land 0xff));
+  Bytes.unsafe_set b (i + 3) (Char.unsafe_chr (w land 0xff))
+
+let sub_word w =
+  (sbox.(w lsr 24) lsl 24)
+  lor (sbox.((w lsr 16) land 0xff) lsl 16)
+  lor (sbox.((w lsr 8) land 0xff) lsl 8)
+  lor sbox.(w land 0xff)
 
 let expand k =
   if Bytes.length k <> key_size then invalid_arg "Aes128.expand: need 16 bytes";
-  (* Word-oriented key schedule: 44 four-byte words. *)
-  let words = Array.make 44 (Bytes.create 4) in
+  let w = Array.make 44 0 in
   for i = 0 to 3 do
-    words.(i) <- Bytes.sub k (4 * i) 4
+    w.(i) <- get_be32 k (4 * i)
   done;
   let rcon = ref 1 in
   for i = 4 to 43 do
-    let prev = words.(i - 1) in
+    let prev = w.(i - 1) in
     let temp =
       if i mod 4 = 0 then begin
         (* RotWord + SubWord + Rcon *)
-        let t = Bytes.create 4 in
-        for j = 0 to 3 do
-          Bytes.set t j
-            (Char.chr sbox.(Char.code (Bytes.get prev ((j + 1) mod 4))))
-        done;
-        Bytes.set t 0 (Char.chr (Char.code (Bytes.get t 0) lxor !rcon));
+        let t = sub_word (ror32 prev 24) lxor (!rcon lsl 24) in
         rcon := gf_mul !rcon 2;
         t
       end
-      else Bytes.copy prev
+      else prev
     in
-    Bytes_util.xor_into ~src:words.(i - 4) ~dst:temp;
-    words.(i) <- temp
+    w.(i) <- w.(i - 4) lxor temp
   done;
-  let rounds =
-    Array.init 11 (fun r ->
-        let rk = Bytes.create 16 in
-        for j = 0 to 3 do
-          Bytes.blit words.((4 * r) + j) 0 rk (4 * j) 4
-        done;
-        rk)
-  in
-  { rounds }
+  w
 
-let add_round_key state rk = Bytes_util.xor_into ~src:rk ~dst:state
+(* One full round for one output column: column j takes row r from
+   input column (j + r) mod 4, which is ShiftRows folded into the
+   lookups. *)
+let[@inline] round_column a b c d rk =
+  Array.unsafe_get te0 (a lsr 24)
+  lxor Array.unsafe_get te1 ((b lsr 16) land 0xff)
+  lxor Array.unsafe_get te2 ((c lsr 8) land 0xff)
+  lxor Array.unsafe_get te3 (d land 0xff)
+  lxor rk
 
-let sub_bytes state table =
-  for i = 0 to 15 do
-    Bytes.set state i (Char.chr table.(Char.code (Bytes.get state i)))
-  done
+(* The last round has no MixColumns: SubBytes and ShiftRows only. *)
+let[@inline] last_column a b c d rk =
+  (Array.unsafe_get sbox (a lsr 24) lsl 24)
+  lor (Array.unsafe_get sbox ((b lsr 16) land 0xff) lsl 16)
+  lor (Array.unsafe_get sbox ((c lsr 8) land 0xff) lsl 8)
+  lor Array.unsafe_get sbox (d land 0xff)
+  lxor rk
 
-(* State layout: byte [r + 4*c] is row r, column c (column-major, as in
-   FIPS 197).  A 16-byte input maps column-by-column. *)
+(* Round-key word [i]: always in 0..43, see [key]. *)
+let[@inline] rk (key : key) i = Array.unsafe_get key i
 
-let shift_rows state =
-  let tmp = Bytes.copy state in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      Bytes.set state (r + (4 * c)) (Bytes.get tmp (r + (4 * ((c + r) mod 4))))
-    done
-  done
-
-let inv_shift_rows state =
-  let tmp = Bytes.copy state in
-  for r = 1 to 3 do
-    for c = 0 to 3 do
-      Bytes.set state (r + (4 * ((c + r) mod 4))) (Bytes.get tmp (r + (4 * c)))
-    done
-  done
-
-let mix_single state c m0 m1 m2 m3 =
-  let b i = Char.code (Bytes.get state (i + (4 * c))) in
-  let s0 = b 0 and s1 = b 1 and s2 = b 2 and s3 = b 3 in
-  let mix m a b c d =
-    gf_mul m.(0) a lxor gf_mul m.(1) b lxor gf_mul m.(2) c lxor gf_mul m.(3) d
-  in
-  Bytes.set state (0 + (4 * c)) (Char.chr (mix m0 s0 s1 s2 s3));
-  Bytes.set state (1 + (4 * c)) (Char.chr (mix m1 s0 s1 s2 s3));
-  Bytes.set state (2 + (4 * c)) (Char.chr (mix m2 s0 s1 s2 s3));
-  Bytes.set state (3 + (4 * c)) (Char.chr (mix m3 s0 s1 s2 s3))
-
-let mc0 = [| 2; 3; 1; 1 |]
-let mc1 = [| 1; 2; 3; 1 |]
-let mc2 = [| 1; 1; 2; 3 |]
-let mc3 = [| 3; 1; 1; 2 |]
-let imc0 = [| 14; 11; 13; 9 |]
-let imc1 = [| 9; 14; 11; 13 |]
-let imc2 = [| 13; 9; 14; 11 |]
-let imc3 = [| 11; 13; 9; 14 |]
-
-let mix_columns state =
-  for c = 0 to 3 do
-    mix_single state c mc0 mc1 mc2 mc3
-  done
-
-let inv_mix_columns state =
-  for c = 0 to 3 do
-    mix_single state c imc0 imc1 imc2 imc3
-  done
+let encrypt_into key ~src ~src_off ~dst ~dst_off =
+  if
+    src_off < 0
+    || src_off > Bytes.length src - block_size
+    || dst_off < 0
+    || dst_off > Bytes.length dst - block_size
+  then invalid_arg "Aes128.encrypt_into: block out of bounds";
+  let s0 = ref (get_be32 src src_off lxor rk key 0)
+  and s1 = ref (get_be32 src (src_off + 4) lxor rk key 1)
+  and s2 = ref (get_be32 src (src_off + 8) lxor rk key 2)
+  and s3 = ref (get_be32 src (src_off + 12) lxor rk key 3) in
+  for round = 1 to 9 do
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 and k = 4 * round in
+    s0 := round_column a b c d (rk key k);
+    s1 := round_column b c d a (rk key (k + 1));
+    s2 := round_column c d a b (rk key (k + 2));
+    s3 := round_column d a b c (rk key (k + 3))
+  done;
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  set_be32 dst dst_off (last_column a b c d (rk key 40));
+  set_be32 dst (dst_off + 4) (last_column b c d a (rk key 41));
+  set_be32 dst (dst_off + 8) (last_column c d a b (rk key 42));
+  set_be32 dst (dst_off + 12) (last_column d a b c (rk key 43))
 
 let encrypt_block key plain =
   if Bytes.length plain <> block_size then
     invalid_arg "Aes128.encrypt_block: need 16 bytes";
-  let state = Bytes.copy plain in
-  add_round_key state key.rounds.(0);
-  for round = 1 to 9 do
-    sub_bytes state sbox;
-    shift_rows state;
-    mix_columns state;
-    add_round_key state key.rounds.(round)
-  done;
-  sub_bytes state sbox;
-  shift_rows state;
-  add_round_key state key.rounds.(10);
-  state
-
-let decrypt_block key cipher =
-  if Bytes.length cipher <> block_size then
-    invalid_arg "Aes128.decrypt_block: need 16 bytes";
-  let state = Bytes.copy cipher in
-  add_round_key state key.rounds.(10);
-  for round = 9 downto 1 do
-    inv_shift_rows state;
-    sub_bytes state inv_sbox;
-    add_round_key state key.rounds.(round);
-    inv_mix_columns state
-  done;
-  inv_shift_rows state;
-  sub_bytes state inv_sbox;
-  add_round_key state key.rounds.(0);
-  state
+  let out = Bytes.create block_size in
+  encrypt_into key ~src:plain ~src_off:0 ~dst:out ~dst_off:0;
+  out

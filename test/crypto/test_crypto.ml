@@ -1,6 +1,8 @@
 (* Crypto substrate tests: published vectors (FIPS 197, FIPS 180-4,
-   RFC 4231, RFC 8439) plus qcheck properties on round-trips and
-   arithmetic laws. *)
+   RFC 4231, RFC 8439), qcheck properties on round-trips and
+   arithmetic laws, a differential check of the table-driven AES and
+   CTR against the spec-form oracle in [Aes_ref], and an allocation
+   guard on the swap envelope. *)
 
 open Vg_crypto
 
@@ -84,6 +86,25 @@ let test_sha256_streaming_split () =
     (Bytes_util.to_hex (Sha256.digest msg))
     (Bytes_util.to_hex (Sha256.finalize ctx))
 
+let spent = Invalid_argument "Sha256: context already finalized"
+
+let finalized_ctx () =
+  let ctx = Sha256.init () in
+  Sha256.update ctx (Bytes.of_string "abc");
+  check_hex "abc" "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    (Sha256.finalize ctx);
+  ctx
+
+let test_sha256_finalize_twice () =
+  let ctx = finalized_ctx () in
+  Alcotest.check_raises "second finalize" spent (fun () -> ignore (Sha256.finalize ctx))
+
+let test_sha256_update_after_finalize () =
+  let ctx = finalized_ctx () in
+  Alcotest.check_raises "update" spent (fun () -> Sha256.update ctx (Bytes.of_string "d"));
+  Alcotest.check_raises "update_sub" spent (fun () ->
+      Sha256.update_sub ctx Bytes.empty ~pos:0 ~len:0)
+
 (* ------------------------------------------------------------------ *)
 (* HMAC (RFC 4231)                                                     *)
 
@@ -134,8 +155,7 @@ let test_aes_fips197 () =
   let key = Aes128.expand (hex "000102030405060708090a0b0c0d0e0f") in
   let plain = hex "00112233445566778899aabbccddeeff" in
   let cipher = Aes128.encrypt_block key plain in
-  check_hex "encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" cipher;
-  check_hex "decrypt" "00112233445566778899aabbccddeeff" (Aes128.decrypt_block key cipher)
+  check_hex "encrypt" "69c4e0d86a7b0430d8cdb78070b4c55a" cipher
 
 let test_aes_second_vector () =
   (* NIST SP 800-38A F.1.1 ECB-AES128 block 1. *)
@@ -148,9 +168,7 @@ let test_aes_ecb_full_f11 () =
   (* NIST SP 800-38A F.1.1: all four ECB-AES128 blocks. *)
   let key = Aes128.expand (hex "2b7e151628aed2a6abf7158809cf4f3c") in
   List.iter
-    (fun (plain, cipher) ->
-      check_hex plain cipher (Aes128.encrypt_block key (hex plain));
-      check_hex cipher plain (Aes128.decrypt_block key (hex cipher)))
+    (fun (plain, cipher) -> check_hex plain cipher (Aes128.encrypt_block key (hex plain)))
     [
       ("6bc1bee22e409f96e93d7e117393172a", "3ad77bb40d7a3660a89ecaf32466ef97");
       ("ae2d8a571e03ac9c9eb76fac45af8e51", "f5d3d58503b9699de785895a96fdbaaf");
@@ -175,7 +193,14 @@ let test_aes_bad_sizes () =
     (fun () -> ignore (Aes128.expand (Bytes.create 5)));
   let key = Aes128.expand (Bytes.create 16) in
   Alcotest.check_raises "block" (Invalid_argument "Aes128.encrypt_block: need 16 bytes")
-    (fun () -> ignore (Aes128.encrypt_block key (Bytes.create 15)))
+    (fun () -> ignore (Aes128.encrypt_block key (Bytes.create 15)));
+  let oob = Invalid_argument "Aes128.encrypt_into: block out of bounds" in
+  Alcotest.check_raises "src" oob (fun () ->
+      Aes128.encrypt_into key ~src:(Bytes.create 20) ~src_off:5 ~dst:(Bytes.create 16)
+        ~dst_off:0);
+  Alcotest.check_raises "dst" oob (fun () ->
+      Aes128.encrypt_into key ~src:(Bytes.create 16) ~src_off:0 ~dst:(Bytes.create 16)
+        ~dst_off:(-1))
 
 (* ------------------------------------------------------------------ *)
 (* AES-CTR envelope                                                    *)
@@ -205,6 +230,89 @@ let test_seal_wrong_nonce () =
   let sealed = Ctr.seal ~key ~nonce:(hex "0000000000000001") (Bytes.of_string "x") in
   Alcotest.(check bool) "nonce binds" true
     (Ctr.open_ ~key ~nonce:(hex "0000000000000002") sealed = None)
+
+(* ------------------------------------------------------------------ *)
+(* Differential: table-driven cipher vs the spec-form oracle           *)
+
+let gen_bytes n = QCheck2.Gen.(map Bytes.of_string (string_size ~gen:char (return n)))
+let gen_msg max = QCheck2.Gen.(map Bytes.of_string (string_size ~gen:char (int_bound max)))
+
+let prop_aes_matches_reference =
+  QCheck2.Test.make ~name:"aes128 encrypt_block = FIPS 197 round functions"
+    ~count:2000
+    QCheck2.Gen.(pair (gen_bytes 16) (gen_bytes 16))
+    (fun (k, block) ->
+      Bytes.equal
+        (Aes128.encrypt_block (Aes128.expand k) block)
+        (Aes_ref.encrypt_block (Aes_ref.expand k) block))
+
+let prop_ctr_matches_reference =
+  QCheck2.Test.make ~name:"ctr transform = reference keystream xor" ~count:100
+    QCheck2.Gen.(triple (gen_bytes 16) (gen_bytes 8) (gen_msg 5000))
+    (fun (k, nonce, msg) ->
+      let rounds = Aes_ref.expand k in
+      let expected = Bytes.copy msg in
+      for blk = 0 to (Bytes.length msg - 1) / 16 do
+        let ks = Aes_ref.keystream_block rounds ~nonce blk in
+        for i = 16 * blk to min (Bytes.length msg) (16 * (blk + 1)) - 1 do
+          Bytes.set expected i
+            (Char.chr (Char.code (Bytes.get msg i) lxor Char.code (Bytes.get ks (i mod 16))))
+        done
+      done;
+      Bytes.equal expected (Ctr.transform ~key:(Aes128.expand k) ~nonce msg))
+
+let prop_seal_open_roundtrip =
+  QCheck2.Test.make ~name:"ctr open_ (seal m) = Some m" ~count:200
+    QCheck2.Gen.(triple (gen_bytes 16) (gen_bytes 8) (gen_msg 5000))
+    (fun (key, nonce, msg) -> Ctr.open_ ~key ~nonce (Ctr.seal ~key ~nonce msg) = Some msg)
+
+let prop_seal_flip_refused =
+  QCheck2.Test.make ~name:"ctr any flipped sealed byte is refused" ~count:300
+    QCheck2.Gen.(
+      quad (gen_bytes 16) (gen_bytes 8) (gen_msg 300) (pair nat (int_range 1 255)))
+    (fun (key, nonce, msg, (where, bits)) ->
+      let sealed = Ctr.seal ~key ~nonce msg in
+      let i = where mod Bytes.length sealed in
+      Bytes.set sealed i (Char.chr (Char.code (Bytes.get sealed i) lxor bits));
+      Ctr.open_ ~key ~nonce sealed = None)
+
+let prop_sha256_split =
+  QCheck2.Test.make ~name:"sha256 random splits = one-shot" ~count:300
+    QCheck2.Gen.(pair (gen_msg 700) (list_size (int_bound 12) (int_bound 150)))
+    (fun (msg, cuts) ->
+      let ctx = Sha256.init () in
+      let n = Bytes.length msg in
+      let pos =
+        List.fold_left
+          (fun pos cut ->
+            let len = min cut (n - pos) in
+            Sha256.update_sub ctx msg ~pos ~len;
+            pos + len)
+          0 cuts
+      in
+      Sha256.update_sub ctx msg ~pos ~len:(n - pos);
+      Bytes.equal (Sha256.finalize ctx) (Sha256.digest msg))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard: one swap blob's header || page                    *)
+
+(* Words a call allocates: minor plus those allocated directly in the
+   major heap (major minus promoted). *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
+let test_swap_envelope_allocation () =
+  let key = Bytes.make 16 'k' and nonce = hex "0000000000000007" in
+  let payload = Bytes.init 4120 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let budget = 2000 in
+  let sealed, seal_words = words_allocated (fun () -> Ctr.seal ~key ~nonce payload) in
+  let opened, open_words = words_allocated (fun () -> Ctr.open_ ~key ~nonce sealed) in
+  Alcotest.(check bool) "round-trip" true (opened = Some payload);
+  if seal_words > budget then Alcotest.failf "seal allocated %d words (> %d)" seal_words budget;
+  if open_words > budget then Alcotest.failf "open_ allocated %d words (> %d)" open_words budget
 
 (* ------------------------------------------------------------------ *)
 (* ChaCha20 (RFC 8439 section 2.3.2)                                   *)
@@ -439,6 +547,9 @@ let () =
           Alcotest.test_case "FIPS vectors" `Quick test_sha256_vectors;
           Alcotest.test_case "million a" `Slow test_sha256_million_a;
           Alcotest.test_case "streaming split" `Quick test_sha256_streaming_split;
+          Alcotest.test_case "finalize twice raises" `Quick test_sha256_finalize_twice;
+          Alcotest.test_case "update after finalize raises" `Quick
+            test_sha256_update_after_finalize;
         ] );
       ( "hmac",
         [
@@ -461,6 +572,15 @@ let () =
           Alcotest.test_case "seal/open" `Quick test_seal_open;
           Alcotest.test_case "nonce binds" `Quick test_seal_wrong_nonce;
         ] );
+      ( "differential",
+        qcheck
+          [
+            prop_aes_matches_reference; prop_ctr_matches_reference;
+            prop_seal_open_roundtrip; prop_seal_flip_refused; prop_sha256_split;
+          ] );
+      ( "allocation",
+        [ Alcotest.test_case "swap envelope seal/open" `Quick test_swap_envelope_allocation ]
+      );
       ( "chacha20",
         [
           Alcotest.test_case "RFC 8439 block" `Quick test_chacha20_block;
