@@ -547,95 +547,39 @@ let security () =
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 
-let collatz_program () =
-  let open Vg_ir in
-  let open Vg_ir.Ir in
-  let b = Builder.create () in
-  Builder.func b "collatz" ~params:[ "n" ];
-  Builder.store b ~src:(Imm 0L) ~addr:(Imm 0x2000L) ();
-  Builder.store b ~src:(Reg "n") ~addr:(Imm 0x2008L) ();
-  Builder.br b "loop";
-  Builder.block b "loop";
-  let n = Builder.load b (Imm 0x2008L) in
-  let at_one = Builder.cmp b Ule n (Imm 1L) in
-  Builder.cbr b at_one "done" "step";
-  Builder.block b "step";
-  let odd = Builder.bin b And n (Imm 1L) in
-  let half = Builder.bin b Lshr n (Imm 1L) in
-  let tripled = Builder.bin b Mul n (Imm 3L) in
-  let plus1 = Builder.bin b Add tripled (Imm 1L) in
-  let next = Builder.select b odd plus1 half in
-  Builder.store b ~src:next ~addr:(Imm 0x2008L) ();
-  let count = Builder.load b (Imm 0x2000L) in
-  let count' = Builder.bin b Add count (Imm 1L) in
-  Builder.store b ~src:count' ~addr:(Imm 0x2000L) ();
-  Builder.br b "loop";
-  Builder.block b "done";
-  let count = Builder.load b (Imm 0x2000L) in
-  Builder.ret b (Some count);
-  Builder.program b
-
-let bench_env ~cycles ~instrs =
+(* Simulated cycles of one run of [entry] on the engine the kernel runs
+   module code on. *)
+let run_cycles ?(arg = 97L) ~entry artifact =
   let mem = Bytes.make 65536 '\000' in
-  {
-    Vg_compiler.Executor.null_env with
-    load =
-      (fun addr _ -> Bytes.get_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)));
-    store =
-      (fun addr _ v ->
-        Bytes.set_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)) v);
-    charge =
-      (fun tag n ->
-        cycles := !cycles + n;
-        (* instruction count = Exec charges; CFI checks and memcpy
-           surcharges carry their own tags *)
-        if tag = Vg_obs.Obs.Tag.Exec then incr instrs);
-  }
-
-let run_image_counts ?(arg = 97L) image =
-  let cycles = ref 0 and instrs = ref 0 in
-  let env = bench_env ~cycles ~instrs in
-  ignore (Vg_compiler.Executor.run env image "collatz" [| arg |]);
-  (!cycles, !instrs)
-
-let run_image_cycles image = fst (run_image_counts image)
-
-(* Call-heavy kernel code: recursion makes every call/return pay the
-   CFI check. *)
-let rec_sum_program () =
-  let open Vg_ir in
-  let open Vg_ir.Ir in
-  let b = Builder.create () in
-  Builder.func b "collatz" ~params:[ "n" ] (* entry name reused by runner *);
-  let is_zero = Builder.cmp b Eq (Reg "n") (Imm 0L) in
-  Builder.cbr b is_zero "base" "rec";
-  Builder.block b "base";
-  Builder.ret b (Some (Imm 0L));
-  Builder.block b "rec";
-  let n1 = Builder.bin b Sub (Reg "n") (Imm 1L) in
-  let sub = Builder.call b "collatz" [ n1 ] in
-  let total = Builder.bin b Add (Reg "n") sub in
-  Builder.ret b (Some total);
-  Builder.program b
+  let cycles = ref 0 in
+  let env =
+    {
+      Vg_compiler.Exec_env.null_env with
+      load =
+        (fun addr _ -> Bytes.get_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)));
+      store =
+        (fun addr _ v ->
+          Bytes.set_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)) v);
+      charge = (fun _ n -> cycles := !cycles + n);
+    }
+  in
+  ignore (Vg_compiler.Exec_compile.run env artifact entry [| arg |]);
+  !cycles
 
 let compile_linked ~cfi program =
   Vg_compiler.Linker.link (Vg_compiler.Codegen.compile ~cfi program)
 
-let pass_cost_table r ~key title program =
-  let plain = compile_linked ~cfi:false program in
-  let cfi_only = compile_linked ~cfi:true program in
-  let sandboxed =
-    compile_linked ~cfi:false (Vg_compiler.Sandbox_pass.instrument_program program)
-  in
-  let full =
-    compile_linked ~cfi:true (Vg_compiler.Sandbox_pass.instrument_program program)
-  in
-  let base = run_image_cycles plain in
+let compile_artifact ~cfi program =
+  Vg_compiler.Exec_compile.compile (compile_linked ~cfi program)
+
+let pass_cost_table r ~key ~entry title program =
+  let sandboxed = Vg_compiler.Sandbox_pass.instrument_program program in
+  let cycles ~cfi program = run_cycles ~entry (compile_artifact ~cfi program) in
+  let base = cycles ~cfi:false program in
   Bench_report.linef r "  pass cost on %s (executor cycles):\n" title;
   Bench_report.linef r "    %-22s %8d (1.00x)\n" "no instrumentation" base;
   List.iter
-    (fun (name, image) ->
-      let c = run_image_cycles image in
+    (fun (name, c) ->
       Bench_report.linef r "    %-22s %8d (%.2fx)\n" name c
         (float_of_int c /. float_of_int base);
       Bench_report.row r
@@ -647,17 +591,23 @@ let pass_cost_table r ~key title program =
           ("base_cycles", Bench_report.int base);
           ("slowdown_x", Bench_report.num (float_of_int c /. float_of_int base));
         ])
-    [ ("cfi only", cfi_only); ("sandboxing only", sandboxed); ("sandbox + cfi", full) ]
+    [
+      ("cfi only", cycles ~cfi:true program);
+      ("sandboxing only", cycles ~cfi:false sandboxed);
+      ("sandbox + cfi", cycles ~cfi:true sandboxed);
+    ]
 
 let ablations () =
   let r = Bench_report.create ~name:"ablations" ~title:"Ablations (DESIGN.md section 5)" in
   (* (a) Instruction-level cost of the passes, measured on real
      compiled code in the executor: a memory-bound loop shows the
      sandboxing cost, a call-heavy recursion shows the CFI cost. *)
-  pass_cost_table r ~key:"collatz" "a memory-bound kernel loop (collatz)"
-    (collatz_program ());
-  pass_cost_table r ~key:"recsum" "call-heavy kernel code (recursive sum)"
-    (rec_sum_program ());
+  pass_cost_table r ~key:"collatz" ~entry:"collatz"
+    "a memory-bound kernel loop (collatz)"
+    (Vg_oracle.Fixtures.collatz_program ());
+  pass_cost_table r ~key:"recsum" ~entry:"sum"
+    "call-heavy kernel code (recursive sum)"
+    (Vg_oracle.Fixtures.rec_sum_program ());
   (* (b) Ghosting versus the shadowing (Overshadow/InkTag) design: the
      shadowing model must encrypt+hash each application page the kernel
      touches on the syscall path; Virtual Ghost just masks. *)
@@ -730,7 +680,7 @@ let ablations () =
         Bench_report.num ((always -. selective) /. selective *. 100.0) );
     ];
   (* (e) What the optimiser buys on kernel code. *)
-  let program = collatz_program () in
+  let program = Vg_oracle.Fixtures.collatz_program () in
   let before = Vg_ir.Ir.instr_count (Vg_compiler.Sandbox_pass.instrument_program program) in
   let after =
     Vg_ir.Ir.instr_count
@@ -758,16 +708,14 @@ let bechamel () =
   (* one swap blob's payload: 24-byte header || 4 KiB page *)
   let swap_key = Bytes.make 16 's' and swap_nonce = Bytes.make 8 'n' in
   let swap_payload = Bytes.make 4120 'g' in
-  (* images are linked once, outside the staged thunks: linking is a
-     translation-time cost, amortised across every execution *)
-  let collatz =
-    compile_linked ~cfi:true
-      (Vg_compiler.Sandbox_pass.instrument_program (collatz_program ()))
+  (* images are linked and closure-compiled once, outside the staged
+     thunks: that is a translation-time cost, amortised across every
+     execution *)
+  let ghosted program =
+    compile_artifact ~cfi:true (Vg_compiler.Sandbox_pass.instrument_program program)
   in
-  let recsum =
-    compile_linked ~cfi:true
-      (Vg_compiler.Sandbox_pass.instrument_program (rec_sum_program ()))
-  in
+  let collatz = ghosted (Vg_oracle.Fixtures.collatz_program ()) in
+  let recsum = ghosted (Vg_oracle.Fixtures.rec_sum_program ()) in
   let tests =
     Test.make_grouped ~name:"vg" ~fmt:"%s %s"
       [
@@ -782,9 +730,9 @@ let bechamel () =
           (Staged.stage (fun () ->
                ignore (Vg_crypto.Ctr.seal ~key:swap_key ~nonce:swap_nonce swap_payload)));
         Test.make ~name:"executor-collatz"
-          (Staged.stage (fun () -> ignore (run_image_cycles collatz)));
+          (Staged.stage (fun () -> ignore (run_cycles ~entry:"collatz" collatz)));
         Test.make ~name:"executor-recsum"
-          (Staged.stage (fun () -> ignore (fst (run_image_counts ~arg:40L recsum))));
+          (Staged.stage (fun () -> ignore (run_cycles ~arg:40L ~entry:"sum" recsum)));
       ]
   in
   let ols =
@@ -820,68 +768,18 @@ let bechamel () =
 
    Methodology: short fixtures (collatz, recsum) are kept for
    continuity, but the headline speedup numbers come from the long
-   workloads (>= 1e5 instructions: an iterative-fibonacci loop and a
-   memcpy loop), where dispatch dominates and a per-run timing is not
-   noise-bound.  Timings amortise a warm start: images are linked and
-   closure-compiled once, outside the timed region, exactly as a kernel
-   with a warm translation cache would run them. *)
-
-(* Long workload: an iterative fibonacci loop, ~12 instructions per
-   iteration — dispatch-bound, memory-light. *)
-let iterfib_program () =
-  let open Vg_ir in
-  let open Vg_ir.Ir in
-  let b = Builder.create () in
-  Builder.func b "main" ~params:[ "n" ];
-  Builder.store b ~src:(Imm 0L) ~addr:(Imm 0x2100L) ();
-  Builder.store b ~src:(Imm 1L) ~addr:(Imm 0x2108L) ();
-  Builder.store b ~src:(Reg "n") ~addr:(Imm 0x2110L) ();
-  Builder.br b "loop";
-  Builder.block b "loop";
-  let i = Builder.load b (Imm 0x2110L) in
-  let finished = Builder.cmp b Eq i (Imm 0L) in
-  Builder.cbr b finished "done" "step";
-  Builder.block b "step";
-  let a = Builder.load b (Imm 0x2100L) in
-  let fb = Builder.load b (Imm 0x2108L) in
-  let c = Builder.bin b Add a fb in
-  Builder.store b ~src:fb ~addr:(Imm 0x2100L) ();
-  Builder.store b ~src:c ~addr:(Imm 0x2108L) ();
-  let i' = Builder.bin b Sub i (Imm 1L) in
-  Builder.store b ~src:i' ~addr:(Imm 0x2110L) ();
-  Builder.br b "loop";
-  Builder.block b "done";
-  let r = Builder.load b (Imm 0x2108L) in
-  Builder.ret b (Some r);
-  Builder.program b
-
-(* Long workload: a memcpy loop — the bulk-copy path, Copy-tagged
-   surcharges included. *)
-let memcpy_loop_program () =
-  let open Vg_ir in
-  let open Vg_ir.Ir in
-  let b = Builder.create () in
-  Builder.func b "main" ~params:[ "n" ];
-  Builder.store b ~src:(Reg "n") ~addr:(Imm 0x2110L) ();
-  Builder.br b "loop";
-  Builder.block b "loop";
-  let i = Builder.load b (Imm 0x2110L) in
-  let finished = Builder.cmp b Eq i (Imm 0L) in
-  Builder.cbr b finished "done" "step";
-  Builder.block b "step";
-  Builder.memcpy b ~dst:(Imm 0x4000L) ~src:(Imm 0x8000L) ~len:(Imm 256L);
-  let i' = Builder.bin b Sub i (Imm 1L) in
-  Builder.store b ~src:i' ~addr:(Imm 0x2110L) ();
-  Builder.br b "loop";
-  Builder.block b "done";
-  Builder.ret b (Some (Imm 0L));
-  Builder.program b
+   workloads (>= 1e5 instructions: the iterative-fibonacci and memcpy
+   loops of [Vg_oracle.Fixtures]), where dispatch dominates and a
+   per-run timing is not noise-bound.  Timings amortise a warm start:
+   images are linked and closure-compiled once, outside the timed
+   region, exactly as a kernel with a warm translation cache would run
+   them. *)
 
 (* Per-engine single-run counters.  The executor engines tag their
-   charges; instructions = Exec-tagged charge count, matching
-   [bench_env].  The memcpy is a no-op on purpose: the simulated Copy
-   surcharge is length-based either way, and the host cost under
-   measurement is the engine dispatch, not Bytes.blit.
+   charges; instructions = Exec-tagged charge count.  The memcpy is a
+   no-op on purpose: the simulated Copy surcharge is length-based either
+   way, and the host cost under measurement is the engine dispatch, not
+   Bytes.blit.
 
    The memory closures use the unchecked byte primitives: the address
    mask confines every access to [0, 0xfff8] inside a 64 KiB buffer,
@@ -897,7 +795,7 @@ let engine_env () =
   let instrs = ref 0 in
   let env =
     {
-      Vg_compiler.Executor.null_env with
+      Vg_compiler.Exec_env.null_env with
       load =
         (fun addr _ ->
           bytes_get64u mem (Int64.to_int (Int64.logand addr 0xfff8L)));
@@ -921,7 +819,7 @@ let engine_env () =
 let interp_counts program entry arg =
   let mem = Bytes.make 65536 '\000' in
   let cycles = ref 0 and instrs = ref 0 in
-  let env : Vg_ir.Interp.env =
+  let env : Vg_oracle.Interp.env =
     {
       load =
         (fun addr _ ->
@@ -942,12 +840,12 @@ let interp_counts program entry arg =
       fence = (fun () -> cycles := !cycles + Vg_compiler.Fence_pass.fence_cycles);
     }
   in
-  ignore (Vg_ir.Interp.run env program entry [| arg |]);
+  ignore (Vg_oracle.Interp.run env program entry [| arg |]);
   (!cycles, !instrs)
 
 let slots_counts image entry arg =
   let env, by_tag, instrs = engine_env () in
-  ignore (Vg_compiler.Executor.run env image entry [| arg |]);
+  ignore (Vg_oracle.Executor.run env image entry [| arg |]);
   (by_tag, !instrs)
 
 let compiled_counts artifact entry arg =
@@ -1002,6 +900,7 @@ type engine_row = { e_cycles : int; e_instrs : int; e_ns_per_run : float }
 
 let bench_json () =
   let fixtures =
+    let open Vg_oracle.Fixtures in
     let collatz = collatz_program ()
     and recsum = rec_sum_program ()
     and iterfib = iterfib_program ()
@@ -1013,7 +912,7 @@ let bench_json () =
       ]
     in
     both "collatz" collatz "collatz" 97L ~long:false
-    @ both "recsum" recsum "collatz" 40L ~long:false
+    @ both "recsum" recsum "sum" 40L ~long:false
     @ both "iterfib-long" iterfib "main" 20_000L ~long:true
     @ both "memcpy-loop" memloop "main" 20_000L ~long:true
   in
@@ -1074,7 +973,8 @@ let bench_json () =
   let cold_ns, warm_ns, verifier_runs =
     trans_cache_measure
       (compile_linked ~cfi:true
-         (Vg_compiler.Sandbox_pass.instrument_program (iterfib_program ())))
+         (Vg_compiler.Sandbox_pass.instrument_program
+            (Vg_oracle.Fixtures.iterfib_program ())))
   in
   (* The gated series is the ghost-instrumented (cfi+sandbox) long
      workloads: that is the deployment configuration this engine exists

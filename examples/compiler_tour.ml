@@ -50,7 +50,7 @@ let () =
   let observed = ref [] in
   let env =
     {
-      Vg_compiler.Executor.null_env with
+      Vg_compiler.Exec_env.null_env with
       load = (fun addr _ ->
           observed := ("load", addr) :: !observed;
           0x1122334455667788L);
@@ -60,7 +60,10 @@ let () =
   let ghost_ptr = Int64.add Layout.ghost_start 0x5000L in
   let kernel_ptr = Layout.kernel_data_start in
   let linked = Vg_compiler.Linker.link vg in
-  ignore (Vg_compiler.Executor.run env linked "copy_word" [| kernel_ptr; ghost_ptr |]);
+  ignore
+    (Vg_compiler.Exec_compile.run env
+       (Vg_compiler.Exec_compile.compile linked)
+       "copy_word" [| kernel_ptr; ghost_ptr |]);
   print_endline "Executing copy_word(kernel_ptr, ghost_ptr) on the instrumented code:";
   List.iter
     (fun (op, addr) ->

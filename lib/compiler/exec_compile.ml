@@ -6,7 +6,7 @@
    call target, arity check and error message pre-resolved at
    translation time.  Steady-state execution is then a chain of tail
    calls through the closure array: the per-instruction constructor
-   match and operand decode of {!Executor.run} disappear entirely.
+   match and operand decode of the slot executor disappear entirely.
 
    The contract is byte-identical observable behaviour with the
    slot-file executor: the same [charge] calls with the same
@@ -14,7 +14,7 @@
    the same messages, the same fuel accounting, the same
    [tamper_return] consultation, and the same generation-stamped
    register-file stack semantics.  Every closure body below is a
-   transliteration of the corresponding {!Executor.run} match arm —
+   transliteration of the corresponding slot-executor match arm —
    down to application shapes, so that OCaml's argument evaluation
    order (and therefore trap order on undefined registers) is
    preserved.
@@ -66,7 +66,7 @@ type state = {
   ret : Bytes.t;  (* the value the last return produced, unboxed *)
   mutable running : bool;
   scratch : Bytes.t;  (* call arguments, unboxed, 8 bytes each *)
-  env : Executor.env;
+  env : Exec_env.env;
   (* hot env callbacks hoisted out of the record hop: one load instead
      of two on every tick / memory access *)
   charge : Obs.Tag.t -> int -> unit;
@@ -109,20 +109,20 @@ type t = {
 let image t = t.image
 let stats t = t.stats
 
-(* call stack layout, as in {!Executor}:
+(* call stack layout, as in the slot executor:
    prev_base, prev_func, prev_gen, ret_pc, ret_dst *)
 let stk_stride = 5
 
 let[@inline] tick st =
   st.fuel <- st.fuel - 1;
-  if st.fuel <= 0 then raise (Executor.Exec_trap "out of fuel");
+  if st.fuel <= 0 then raise (Exec_env.Exec_trap "out of fuel");
   st.charge Obs.Tag.Exec 1
 
 (* Pure operations as inlined matches over primitives: the operands and
    the result stay unboxed between register-file read and write (a
    closure per operator would box both).  Same arithmetic as
    {!Eval.eval_binop} / {!Eval.eval_cmp} without polymorphic equality,
-   same trap messages ({!Executor.run} rewraps [Eval.Trap] into
+   same trap messages (the slot executor rewraps [Eval.Trap] into
    [Exec_trap]; the division arms raise [Exec_trap] directly with the
    identical text). *)
 let[@inline] binop (op : Ir.binop) a b =
@@ -131,10 +131,10 @@ let[@inline] binop (op : Ir.binop) a b =
   | Sub -> Int64.sub a b
   | Mul -> Int64.mul a b
   | Udiv ->
-      if Int64.equal b 0L then raise (Executor.Exec_trap "udiv by zero")
+      if Int64.equal b 0L then raise (Exec_env.Exec_trap "udiv by zero")
       else Int64.unsigned_div a b
   | Urem ->
-      if Int64.equal b 0L then raise (Executor.Exec_trap "urem by zero")
+      if Int64.equal b 0L then raise (Exec_env.Exec_trap "urem by zero")
       else Int64.unsigned_rem a b
   | And -> Int64.logand a b
   | Or -> Int64.logor a b
@@ -247,7 +247,7 @@ let compile (image : Linker.image) : t =
      so the probe itself inlines. *)
   let undef_slot st s =
     raise
-      (Executor.Exec_trap
+      (Exec_env.Exec_trap
          (Printf.sprintf "read of undefined register %s"
             funcs.(st.cur).Linker.f_names.(s)))
   in
@@ -341,7 +341,7 @@ let compile (image : Linker.image) : t =
             }
       | _ -> None
   in
-  (* Speculation hooks, matching {!Executor.run} window for window: the
+  (* Speculation hooks, matching the slot executor window for window: the
      compiled engine must pollute the same cache lines at the same
      resolution points, or cross-engine cycle parity breaks the moment
      a later architectural access hits (or misses) a line only one
@@ -352,9 +352,9 @@ let compile (image : Linker.image) : t =
     else None
   in
   let open_window st ~shadow ~pc =
-    st.env.Executor.spec_window ();
+    st.env.Exec_env.spec_window ();
     Spec_exec.transient_window ~image ~depth:st.spec_depth
-      ~read:(read_opt st) ~spec_load:st.env.Executor.spec_load ~shadow ~pc
+      ~read:(read_opt st) ~spec_load:st.env.Exec_env.spec_load ~shadow ~pc
   in
   (* Seven ticks, seven writes, values forwarded in locals; the fused
      access that follows reads the safe address back from [g_s].  [at]
@@ -407,14 +407,14 @@ let compile (image : Linker.image) : t =
     match Native.index_of_addr native masked with
     | None ->
         raise
-          (Executor.Cfi_violation
+          (Exec_env.Cfi_violation
              (Printf.sprintf "control transfer to %s outside translated code"
                 (Vg_util.U64.to_hex masked)))
     | Some idx ->
         if label_of.(idx) = label then idx
         else
           raise
-            (Executor.Cfi_violation
+            (Exec_env.Cfi_violation
                (Printf.sprintf "target %s does not carry the expected CFI label"
                   (Vg_util.U64.to_hex masked)))
   in
@@ -422,14 +422,14 @@ let compile (image : Linker.image) : t =
     let callee = entry_of.(target) in
     if callee < 0 then
       raise
-        (Executor.Exec_trap
+        (Exec_env.Exec_trap
            (Printf.sprintf "call to %s which is not a function entry"
               (Linker.describe_slot image target)));
     let f = funcs.(callee) in
     let np = Array.length f.Linker.f_params in
     if np <> nargs then
       raise
-        (Executor.Exec_trap
+        (Exec_env.Exec_trap
            (Printf.sprintf "call %s: arity mismatch (%d vs %d)" f.Linker.f_name
               np nargs));
     push_frame st ~caller_nregs:funcs.(st.cur).Linker.f_nregs ~callee
@@ -443,11 +443,11 @@ let compile (image : Linker.image) : t =
     else begin
       let o = pop_frame st in
       let ret_pc = st.stack.(o + 3) and ret_dst = st.stack.(o + 4) in
-      match st.env.Executor.tamper_return with
+      match st.env.Exec_env.tamper_return with
       | None ->
           if ret_pc >= ncode then
             raise
-              (Executor.Exec_trap
+              (Exec_env.Exec_trap
                  (Printf.sprintf "return to %s outside image"
                     (Vg_util.U64.to_hex (Native.addr_of_index native ret_pc))));
           if ret_dst >= 0 then write st ret_dst (rf_get st.ret 0);
@@ -460,7 +460,7 @@ let compile (image : Linker.image) : t =
               st.pc <- idx
           | None ->
               raise
-                (Executor.Exec_trap
+                (Exec_env.Exec_trap
                    (Printf.sprintf "return to %s outside image"
                       (Vg_util.U64.to_hex ret_addr))))
     end
@@ -472,7 +472,7 @@ let compile (image : Linker.image) : t =
       let ret_pc = st.stack.(o + 3) and ret_dst = st.stack.(o + 4) in
       st.charge Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
       let target =
-        match st.env.Executor.tamper_return with
+        match st.env.Exec_env.tamper_return with
         | None ->
             if ret_pc < ncode && ret_label_of.(ret_pc) = label then ret_pc
             else checked_target label (Native.addr_of_index native ret_pc)
@@ -566,7 +566,7 @@ let compile (image : Linker.image) : t =
                               gb2 st;
                               tick st;
                               st.charge Obs.Tag.Copy copy_cycles;
-                              st.env.Executor.memcpy ~dst:(safe st g)
+                              st.env.Exec_env.memcpy ~dst:(safe st g)
                                 ~src:(safe st g2) ~len:len_v;
                               goto after st
                         | _ ->
@@ -578,7 +578,7 @@ let compile (image : Linker.image) : t =
                               let len_v = rlen st in
                               st.charge Obs.Tag.Copy
                                 (Int64.to_int (Vg_util.U64.div len_v 8L));
-                              st.env.Executor.memcpy ~dst:(safe st g)
+                              st.env.Exec_env.memcpy ~dst:(safe st g)
                                 ~src:(safe st g2) ~len:len_v;
                               goto after st)
                   | _ -> None)
@@ -812,7 +812,7 @@ let compile (image : Linker.image) : t =
             fun st ->
               tick st;
               st.charge Obs.Tag.Copy copy_cycles;
-              st.env.Executor.memcpy ~dst:(rdst st) ~src:(rsrc st) ~len:len_v;
+              st.env.Exec_env.memcpy ~dst:(rdst st) ~src:(rsrc st) ~len:len_v;
               goto next st
         | _ ->
             let rlen = rd len in
@@ -820,7 +820,7 @@ let compile (image : Linker.image) : t =
               tick st;
               let len_v = rlen st in
               st.charge Obs.Tag.Copy (Int64.to_int (Vg_util.U64.div len_v 8L));
-              st.env.Executor.memcpy ~dst:(rdst st) ~src:(rsrc st) ~len:len_v;
+              st.env.Exec_env.memcpy ~dst:(rdst st) ~src:(rsrc st) ~len:len_v;
               goto next st)
     | LAtomic { dst; op; addr; operand_; width }, _ ->
         let raddr = rd addr and rop = rd operand_ in
@@ -866,7 +866,7 @@ let compile (image : Linker.image) : t =
           fun st ->
             tick st;
             ignore (eval_args st args);
-            raise (Executor.Exec_trap msg)
+            raise (Exec_env.Exec_trap msg)
         else
           let f = funcs.(callee) in
           let np = Array.length f.Linker.f_params in
@@ -878,7 +878,7 @@ let compile (image : Linker.image) : t =
             fun st ->
               tick st;
               ignore (eval_args st args);
-              raise (Executor.Exec_trap msg)
+              raise (Exec_env.Exec_trap msg)
           else begin
             incr static_calls;
             let params = f.Linker.f_params in
@@ -894,7 +894,7 @@ let compile (image : Linker.image) : t =
         fun st ->
           tick st;
           let n = eval_args st args in
-          let res = st.env.Executor.extern name (boxed_args st n) in
+          let res = st.env.Exec_env.extern name (boxed_args st n) in
           if dst >= 0 then write st dst res;
           goto next st
     | LCallIndirect { dst; target; args }, _ ->
@@ -909,7 +909,7 @@ let compile (image : Linker.image) : t =
               goto st.pc st
           | None ->
               let res =
-                st.env.Executor.call_foreign addr (boxed_args st nargs)
+                st.env.Exec_env.call_foreign addr (boxed_args st nargs)
               in
               if dst >= 0 then write st dst res;
               goto next st)
@@ -945,13 +945,13 @@ let compile (image : Linker.image) : t =
         let rport = rd port in
         fun st ->
           tick st;
-          write st dst (st.env.Executor.io_read (rport st));
+          write st dst (st.env.Exec_env.io_read (rport st));
           goto next st
     | LIoWrite { port; src }, _ ->
         let rport = rd port and rsrc = rd src in
         fun st ->
           tick st;
-          st.env.Executor.io_write (rport st) (rsrc st);
+          st.env.Exec_env.io_write (rport st) (rsrc st);
           goto next st
     | LFence, _ ->
         fun st ->
@@ -961,7 +961,7 @@ let compile (image : Linker.image) : t =
     | LHalt, _ ->
         fun st ->
           tick st;
-          raise (Executor.Exec_trap "halt / unreachable executed"))
+          raise (Exec_env.Exec_trap "halt / unreachable executed"))
   in
   for i = 0 to ncode - 1 do
     code.(i) <- compile_at i
@@ -970,9 +970,9 @@ let compile (image : Linker.image) : t =
   code.(ncode) <-
     (fun st ->
       st.fuel <- st.fuel - 1;
-      if st.fuel <= 0 then raise (Executor.Exec_trap "out of fuel");
+      if st.fuel <= 0 then raise (Exec_env.Exec_trap "out of fuel");
       raise
-        (Executor.Exec_trap (Printf.sprintf "pc %d out of code bounds" ncode)));
+        (Exec_env.Exec_trap (Printf.sprintf "pc %d out of code bounds" ncode)));
   {
     image;
     code;
@@ -980,7 +980,7 @@ let compile (image : Linker.image) : t =
       { slots = ncode; fused_pairs = !fused_pairs; static_calls = !static_calls };
   }
 
-let run ?(fuel = 50_000_000) (env : Executor.env) t entry args =
+let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
   let image = t.image in
   let fid =
     match Linker.find_func image entry with
@@ -991,7 +991,7 @@ let run ?(fuel = 50_000_000) (env : Executor.env) t entry args =
   let f0 = funcs.(fid) in
   if Array.length f0.Linker.f_params <> Array.length args then
     raise
-      (Executor.Exec_trap
+      (Exec_env.Exec_trap
          (Printf.sprintf "call %s: arity mismatch (%d vs %d)" f0.Linker.f_name
             (Array.length f0.Linker.f_params) (Array.length args)));
   let nr = max 64 f0.Linker.f_nregs in
@@ -1011,10 +1011,10 @@ let run ?(fuel = 50_000_000) (env : Executor.env) t entry args =
       running = true;
       scratch = Bytes.create (image.Linker.max_args lsl 3);
       env;
-      charge = env.Executor.charge;
-      mem_load = env.Executor.load;
-      mem_store = env.Executor.store;
-      spec_depth = env.Executor.spec_depth;
+      charge = env.Exec_env.charge;
+      mem_load = env.Exec_env.load;
+      mem_store = env.Exec_env.store;
+      spec_depth = env.Exec_env.spec_depth;
     }
   in
   (* bind the entry frame straight from the caller's array (it may be
@@ -1026,8 +1026,8 @@ let run ?(fuel = 50_000_000) (env : Executor.env) t entry args =
     if p >= 0 && p < ncode then t.code.(p) st
     else begin
       st.fuel <- st.fuel - 1;
-      if st.fuel <= 0 then raise (Executor.Exec_trap "out of fuel");
-      raise (Executor.Exec_trap (Printf.sprintf "pc %d out of code bounds" p))
+      if st.fuel <= 0 then raise (Exec_env.Exec_trap "out of fuel");
+      raise (Exec_env.Exec_trap (Printf.sprintf "pc %d out of code bounds" p))
     end
   done;
   rf_get st.ret 0

@@ -6,12 +6,12 @@
     superinstruction fusion for three hot adjacent pairs (cmp+branch,
     mask+load/load+mask, push+call) — so that steady-state execution
     avoids the per-instruction constructor match and operand decode of
-    {!Executor.run}.
+    the slot executor ([Executor] in [test/oracle]) it was derived from.
 
-    {!run} is observably byte-identical to {!Executor.run} on the same
-    image: the same [charge] calls with the same {!Obs.Tag} attribution
-    ([Exec]/[Cfi]/[Copy]) in the same order, the same
-    {!Executor.Exec_trap} / {!Executor.Cfi_violation} exceptions with
+    {!run} is observably byte-identical to the slot executor on the
+    same image: the same [charge] calls with the same {!Obs.Tag}
+    attribution ([Exec]/[Cfi]/[Copy]) in the same order, the same
+    {!Exec_env.Exec_trap} / {!Exec_env.Cfi_violation} exceptions with
     the same messages, the same fuel accounting, the same
     [tamper_return] behaviour, and the same generation-stamped
     register-file stack semantics.  Only host time differs.
@@ -19,9 +19,9 @@
     The closure compiler is outside the TCB: kernels obtain compiled
     artifacts exclusively through {!Trans_cache.find_compiled}, which
     runs {!Image_verify} first, and this module's behaviour is pinned
-    against the slot executor and the reference interpreter (kept as
-    test oracles) by cycle goldens and the three-way differential fuzz
-    suite. *)
+    against the slot executor and the reference interpreter (test
+    oracles in [test/oracle], outside every runtime library) by cycle
+    goldens and the three-way differential fuzz suite. *)
 
 type t
 (** A compiled image: the closure array plus the image it came from. *)
@@ -43,7 +43,7 @@ val stats : t -> stats
     superinstruction closures, and statically pre-resolved call
     sites. *)
 
-val run : ?fuel:int -> Executor.env -> t -> string -> int64 array -> int64
-(** [run env t entry args] — exactly {!Executor.run}'s contract
+val run : ?fuel:int -> Exec_env.env -> t -> string -> int64 array -> int64
+(** [run env t entry args] — exactly the slot executor's contract
     (default [fuel] [5e7], raises [Not_found] on an unknown entry
     symbol) over the compiled form. *)

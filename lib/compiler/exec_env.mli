@@ -1,27 +1,10 @@
-(** Executor for linked native code images.
+(** The contract between an execution engine and its world.
 
-    Runs compiled (possibly instrumented) code — in the slot-allocated
-    form produced by {!Linker.link} — against the world exposed by an
-    {!env}: the simulated machine's memory, I/O ports, the SVA-OS
-    intrinsics, and kernel helper functions.  The executor keeps an
-    explicit call stack, so control-data attacks are expressible:
-    [tamper_return] lets a test (or a simulated kernel buffer overflow)
-    corrupt a return address the instant it is popped, and indirect
-    calls read their targets from data the program computed.  CFI
-    instrumentation, when present in the image, catches both.
-
-    Every executed instruction calls [charge], so the cycle cost of
-    instrumentation emerges from actually executing the extra
-    instructions rather than from a bolted-on estimate.  Frames are
-    spans of one reusable register-file stack and symbol/label
-    resolution is O(1) (precomputed at link time); none of that changes
-    what [charge] sees — the lowered code has slot-for-slot the same
-    shape, so simulated cycle counts are identical to the pre-linking
-    executor's.
-
-    The kernel itself runs module code on {!Exec_compile}; this
-    executor is the reference that engine is checked against (cycle
-    goldens, the differential fuzz, the executor bench). *)
+    {!Exec_compile.run} (the kernel's engine) and the slot executor kept
+    as a test oracle both run linked images against an {!env}: the
+    simulated machine's memory, I/O ports, the SVA-OS intrinsics, and
+    kernel helper functions.  A run that breaks the rules ends in one
+    of the two exceptions below. *)
 
 type env = {
   load : int64 -> Ir.width -> int64;
@@ -68,7 +51,3 @@ exception Cfi_violation of string
 
 exception Exec_trap of string
 (** Non-CFI execution error (bad jump, arity mismatch, fuel, ...). *)
-
-val run : ?fuel:int -> env -> Linker.image -> string -> int64 array -> int64
-(** [run env image func args] executes [func].  Returns the function's
-    result (0 for void).  @raise Not_found if [func] is not a symbol. *)

@@ -48,5 +48,4 @@ let symbol_of_index image i = List.find_opt (fun s -> s.entry = i) image.symbols
 let addr_of_symbol image name =
   find_symbol image name |> Option.map (fun s -> addr_of_index image s.entry)
 
-let size_bytes image = Array.length image.code * slot_bytes
 let count image p = Array.fold_left (fun acc i -> if p i then acc + 1 else acc) 0 image.code

@@ -67,7 +67,6 @@ val symbol_of_index : image -> int -> symbol option
 (** The function whose entry slot is exactly this index. *)
 
 val addr_of_symbol : image -> string -> int64 option
-val size_bytes : image -> int
 
 val count : image -> (ninstr -> bool) -> int
 (** Number of instructions satisfying a predicate; used by tests and

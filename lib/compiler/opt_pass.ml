@@ -19,7 +19,7 @@ let fold_bin (op : Ir.binop) a b =
       (* Division by zero must keep trapping: do not fold it away. *)
       match op with
       | (Udiv | Urem) when y = 0L -> None
-      | _ -> Some (Interp.eval_binop op x y))
+      | _ -> Some (Eval.eval_binop op x y))
   | _ -> (
       (* Algebraic identities with one constant side. *)
       match (op, const a, const b) with
@@ -86,7 +86,7 @@ let fold_block (b : Ir.block) : Ir.block =
         kill dst;
         match (const a, const b) with
         | Some x, Some y ->
-            let c = Interp.eval_cmp op x y in
+            let c = Eval.eval_cmp op x y in
             Hashtbl.replace env dst c;
             const_def dst c
         | _ -> Cmp { dst; op; a; b })

@@ -34,11 +34,6 @@ val instrument_instr : ?mitigation:Mitigation.t -> Ir.instr -> Ir.instr list
 val safe_mask_instructions : int
 (** Length of the branchless [Safe_mask] sequence (9). *)
 
-val window_size : Mitigation.t -> int
-(** Instructions between a mask window's first instruction and the
-    memory access it guards, per mitigation: 7 / 8 (incl. the lfence) /
-    9. *)
-
 val masked_address : int64 -> int64
 (** The run-time semantics of the inserted sequence, as one function:
     what address an instrumented kernel access actually touches.  Used

@@ -1,6 +1,6 @@
 (* Transient execution down a mispredicted path.
 
-   Both execution engines (the slot-file {!Executor} and the
+   Both execution engines (the slot-file executor oracle and the
    closure-compiled {!Exec_compile}) open a speculative window at every
    conditional they resolve — select or branch — when the machine runs
    with a non-zero speculation depth.  The window runs the wrong-path

@@ -28,7 +28,6 @@ type ctx = {
   mutable finalized : bool; (* [finalize] has run: the state is spent *)
 }
 
-let digest_size = 32
 let mask = 0xffffffff
 
 let init () =

@@ -38,7 +38,6 @@ type t = {
 let size t = Array.length t.nodes
 let node t i = t.nodes.(i).node
 let lb t = t.lb
-let node_stats t i = t.nodes.(i).stats
 let security_events t i = List.rev !(t.nodes.(i).security)
 let restarts t i = t.nodes.(i).restarts
 let last_mixed t i = t.nodes.(i).last_mixed
@@ -164,9 +163,6 @@ let setup_www t ~path data =
       match Node.www st.node ~path data with Ok () | Error _ -> ())
     t.nodes
 
-let mark_down t i = Lb.set_up t.lb i false
-let readmit t i = Lb.set_up t.lb i true
-
 (* Quarantine any node whose kernel raised Security events since its
    last clean boot; returns the quarantined ids with their event
    counts. *)
@@ -281,7 +277,6 @@ let serve_wave ?(batch = 8) ?(mixed = false) t ~port ~path ~requests =
         else begin
           let stats =
             Httpd.Event_loop.serve ~batch
-              ?sfip:t.config.Node_config.sfip
               ?background:
                 (if mixed then Some (fun sched -> mixed_background t i sched)
                  else None)

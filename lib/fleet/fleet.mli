@@ -44,9 +44,6 @@ val restart_node : t -> int -> unit
     file system, listeners and documents re-applied, security log
     cleared — and re-admit it to the balancer. *)
 
-val mark_down : t -> int -> unit
-val readmit : t -> int -> unit
-
 val check_health : t -> (int * int) list
 (** Quarantine (drain) every admitted node whose kernel has raised
     [Security] events since its last clean boot; returns
@@ -54,7 +51,6 @@ val check_health : t -> (int * int) list
 
 (** {1 Per-node observability} *)
 
-val node_stats : t -> int -> Obs_stats.t
 val security_events : t -> int -> string list
 val restarts : t -> int -> int
 

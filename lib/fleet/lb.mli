@@ -19,7 +19,6 @@ val set_up : t -> int -> bool -> unit
     {!complete}d. *)
 
 val is_up : t -> int -> bool
-val up_count : t -> int
 
 val assign : t -> int option
 (** Pick a node for one request ([None] when every node is drained)

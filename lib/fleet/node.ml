@@ -22,9 +22,6 @@ let net t = t.kernel.Kernel.net
 let mode t = t.config.Node_config.mode
 
 let launch t ?image ?sfip ~ghosting body =
-  let sfip =
-    match sfip with Some _ -> sfip | None -> t.config.Node_config.sfip
-  in
   Runtime.launch t.kernel ?image ?sfip ~ghosting body
 
 let listen t ~port = Netstack.listen t.kernel.Kernel.net ~port

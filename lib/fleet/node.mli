@@ -20,8 +20,7 @@ val mode : t -> Sva.mode
 val launch :
   t -> ?image:Appimage.t -> ?sfip:Syscall_policy.t -> ghosting:bool ->
   (Runtime.ctx -> 'a) -> 'a
-(** {!Runtime.launch} on this node's kernel; when [?sfip] is omitted
-    the node config's policy (if any) applies. *)
+(** {!Runtime.launch} on this node's kernel. *)
 
 val listen : t -> port:int -> unit Errno.result
 val www : t -> path:string -> bytes -> unit Errno.result

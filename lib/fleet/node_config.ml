@@ -14,7 +14,6 @@ type t = {
   mode : Sva.mode;
   spec_mitigation : Vg_compiler.Mitigation.t;
   frame_limit : int option;
-  sfip : Syscall_policy.t option;
 }
 
 let default =
@@ -28,7 +27,6 @@ let default =
     mode = Sva.Virtual_ghost;
     spec_mitigation = Vg_compiler.Mitigation.Off;
     frame_limit = None;
-    sfip = None;
   }
 
 let with_cpus cpus t = { t with cpus }
@@ -40,7 +38,6 @@ let with_obs obs t = { t with obs = Some obs }
 let with_mode mode t = { t with mode }
 let with_spec_mitigation spec_mitigation t = { t with spec_mitigation }
 let with_frame_limit limit t = { t with frame_limit = Some limit }
-let with_sfip sfip t = { t with sfip = Some sfip }
 
 let create_machine t =
   Machine.create ~cpus:t.cpus ~phys_frames:t.phys_frames

@@ -27,9 +27,6 @@ type t = {
   mode : Sva.mode;  (** default [Virtual_ghost] *)
   spec_mitigation : Vg_compiler.Mitigation.t;  (** default [Off] *)
   frame_limit : int option;  (** kernel frame-allocator cap; default none *)
-  sfip : Syscall_policy.t option;
-      (** syscall-flow policy the node's serving processes run under;
-          default none *)
 }
 
 val default : t
@@ -43,7 +40,6 @@ val with_obs : Obs.t -> t -> t
 val with_mode : Sva.mode -> t -> t
 val with_spec_mitigation : Vg_compiler.Mitigation.t -> t -> t
 val with_frame_limit : int -> t -> t
-val with_sfip : Syscall_policy.t -> t -> t
 
 val create_machine : t -> Machine.t
 (** The machine half of a boot — for callers that need a bare machine

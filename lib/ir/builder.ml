@@ -51,10 +51,6 @@ let fresh b prefix =
   b.counter <- b.counter + 1;
   Printf.sprintf "%%%s%d" prefix b.counter
 
-let fresh_label b prefix =
-  b.counter <- b.counter + 1;
-  Printf.sprintf "%s%d" prefix b.counter
-
 let emit b instr =
   let f = current b in
   (match f.current.term with
@@ -101,9 +97,6 @@ let call_indirect b target args =
   let dst = fresh b "r" in
   emit b (Ir.Call_indirect { dst = Some dst; target; args });
   Ir.Reg dst
-
-let call_indirect_void b target args =
-  emit b (Ir.Call_indirect { dst = None; target; args })
 
 let io_read b port =
   let dst = fresh b "io" in

@@ -1,10 +1,11 @@
-(** Pure operational semantics of the IR, shared between the reference
-    interpreter ({!Interp}) and the native executor so the two cannot
+(** Pure operational semantics of the IR, shared by the execution
+    engine, the optimizer's constant folder and the test oracles (the
+    reference interpreter and the slot executor) so they cannot
     drift. *)
 
 exception Trap of string
-(** Raised on division by zero.  {!Interp.Trap} is an alias of this
-    exception, so either name catches it. *)
+(** Raised on division by zero.  The reference interpreter's [Trap] is
+    an alias of this exception, so either name catches it. *)
 
 val truncate : Ir.width -> int64 -> int64
 (** Keep the low bits of a value per the access width. *)

@@ -140,7 +140,7 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
   in
   let env =
     {
-      Vg_compiler.Executor.null_env with
+      Vg_compiler.Exec_env.null_env with
       load =
         (fun addr width ->
           try Machine.read_virt machine addr ~len:(Ir.bytes_of_width width)
@@ -154,9 +154,12 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
             sandbox_fault "store" addr);
       memcpy =
         (fun ~dst ~src ~len ->
-          try Machine.memcpy_virt machine ~dst ~src ~len:(Int64.to_int len)
-          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
-            sandbox_fault "memcpy" src);
+          try Machine.memcpy_virt machine ~dst ~src ~len:(Int64.to_int len) with
+          | Machine.Page_fault { va; _ } -> sandbox_fault "memcpy" va
+          | Phys_mem.Bad_physical_address _ ->
+              (* a frame outside physical memory carries no virtual
+                 address: name the copy's source *)
+              sandbox_fault "memcpy" src);
       io_read = (fun port -> Sva.io_read k.Kernel.sva ~port);
       io_write =
         (fun port v ->
@@ -230,9 +233,9 @@ let run k proc ~origin ?(prechecked = false) ~sysno (args : int64 array) : int64
               in
               match run_override k proc ov args with
               | result -> result
-              | exception Vg_compiler.Executor.Cfi_violation msg ->
+              | exception Vg_compiler.Exec_env.Cfi_violation msg ->
                   terminate (Obs.Event.Cfi_violation { detail = msg }) msg
-              | exception Vg_compiler.Executor.Exec_trap msg ->
+              | exception Vg_compiler.Exec_env.Exec_trap msg ->
                   terminate
                     (Obs.Event.Security
                        {

@@ -3,7 +3,6 @@ type t = {
   machine : Machine.t;
   mode : Sva.mode;
   mitigation : Vg_compiler.Mitigation.t;
-  mutable faults : int;
 }
 
 let create ?(mitigation = Vg_compiler.Mitigation.Off) sva =
@@ -12,13 +11,11 @@ let create ?(mitigation = Vg_compiler.Mitigation.Off) sva =
     machine = Sva.machine sva;
     mode = Sva.mode sva;
     mitigation;
-    faults = 0;
   }
 
 let sva t = t.sva
 let machine t = t.machine
 let mode t = t.mode
-let faulted_accesses t = t.faults
 
 (* The Spectre hardening the kernel was compiled under costs extra
    cycles per memory operand, exactly as the instrumented-IR path pays
@@ -48,7 +45,6 @@ let effective t addr =
    (e.g. a ghost address forced out of range) — a defence engaging, so
    it must not pass silently. *)
 let fault t what addr =
-  t.faults <- t.faults + 1;
   if t.mode = Sva.Virtual_ghost && Machine.tracing t.machine then
     Machine.emit t.machine
       (Obs.Event.Security

@@ -59,7 +59,3 @@ val fn_entry : t -> unit
 (** Models entering one instrumented kernel function: charges the CFI
     label/check cost under Virtual Ghost, nothing otherwise. *)
 
-val faulted_accesses : t -> int
-(** How many kernel accesses faulted and were zero-filled (diagnostic:
-    nonzero means something — usually an attack — touched unmapped
-    masked addresses). *)

@@ -42,10 +42,6 @@ let addr_of_wire w =
   let hi = w lsr 16 and port = w land 0xffff in
   if hi = 0 then Local port else Peer { node = hi - 1; port }
 
-let addr_to_string = function
-  | Local port -> Printf.sprintf "local:%d" port
-  | Peer { node; port } -> Printf.sprintf "node%d:%d" node port
-
 (* Which link a connection lives on: the classic harness wire (the
    paper's dedicated GbE to the load generator) or the fleet fabric,
    in which case we remember the peer node for outbound frames. *)

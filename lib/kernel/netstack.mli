@@ -35,8 +35,6 @@ val addr_to_wire : addr -> int64
 val addr_of_wire : int64 -> addr
 (** Inverse of {!addr_to_wire}. *)
 
-val addr_to_string : addr -> string
-
 val create : kmem:Kmem.t -> Nic.t -> t
 
 val attach_fabric : t -> node:int -> Nic.t -> pump:(unit -> unit) -> unit

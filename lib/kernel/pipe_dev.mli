@@ -22,7 +22,6 @@ val write : t -> bytes -> int Errno.result
     with no reader, [EAGAIN] when completely full. *)
 
 val bytes_available : t -> int
-val room_available : t -> int
 
 val readable : t -> bool
 (** Bytes are buffered, or EOF (no writers) — a read returns at once. *)

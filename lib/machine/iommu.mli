@@ -16,8 +16,6 @@ val set_protected : t -> (int -> bool) -> unit
 (** [set_protected t p] installs the predicate: frame [f] is
     DMA-forbidden when [p f]. *)
 
-val frame_allowed : t -> int -> bool
-
 val set_observer : t -> (int -> unit) -> unit
 (** [set_observer t f] registers a callback invoked with the offending
     frame just before {!Dma_blocked} is raised, so blocked transfers can

@@ -285,7 +285,6 @@ let spec_load t va ~len =
         | exception Phys_mem.Bad_physical_address _ -> None)
 
 let spec_window_opened t = t.spec_windows <- t.spec_windows + 1
-let cache_hot t va = t.spec_depth > 0 && Hashtbl.mem t.cache_lines (cache_line va)
 let spec_flush t = Hashtbl.reset t.cache_lines
 
 type spec_stats = {

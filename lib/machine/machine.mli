@@ -189,11 +189,6 @@ val spec_window_opened : t -> unit
 (** Execution engines call this once per transient window they open
     (statistics only; charges nothing). *)
 
-val cache_hot : t -> int64 -> bool
-(** Is the line holding [va] present in the cache-line set?  (Test
-    introspection; the architectural probe is the {!Cost.cache_miss}
-    cycle difference.) *)
-
 val spec_flush : t -> unit
 (** Flush the cache-line set (clflush over the probe array).  Leaves
     the TLB alone. *)

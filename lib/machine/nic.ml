@@ -4,10 +4,9 @@ type t = {
   charge : int -> unit;
   rx : bytes Queue.t;
   mutable peer : t option;
-  mutable tx_bytes : int;
 }
 
-let make charge = { charge; rx = Queue.create (); peer = None; tx_bytes = 0 }
+let make charge = { charge; rx = Queue.create (); peer = None }
 
 let pair ?(charge = fun _ -> ()) () =
   let a = make charge and b = make charge in
@@ -22,9 +21,7 @@ let transmit t frame =
       let len = Bytes.length frame in
       let packets = max 1 ((len + mtu - 1) / mtu) in
       t.charge ((len * Cost.nic_per_byte) + (packets * Cost.nic_per_packet));
-      t.tx_bytes <- t.tx_bytes + len;
       Queue.add (Bytes.copy frame) peer.rx
 
 let receive t = if Queue.is_empty t.rx then None else Some (Queue.pop t.rx)
 let pending t = Queue.length t.rx
-let bytes_transmitted t = t.tx_bytes

@@ -25,5 +25,3 @@ val receive : t -> bytes option
 val pending : t -> int
 (** Datagrams waiting in the receive queue. *)
 
-val bytes_transmitted : t -> int
-(** Total payload bytes this endpoint has sent (statistics). *)

@@ -11,8 +11,6 @@ let create ~pc ~sp ~privilege = { pc; sp; privilege; gprs = Array.make gpr_count
 
 let clone t = { t with gprs = Array.copy t.gprs }
 
-let zero_gprs t = Array.fill t.gprs 0 gpr_count 0L
-
 let byte_size = 8 * (3 + gpr_count)
 
 let to_bytes t =

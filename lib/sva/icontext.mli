@@ -27,10 +27,6 @@ val create : pc:int64 -> sp:int64 -> privilege:Machine.privilege -> t
 
 val clone : t -> t
 
-val zero_gprs : t -> unit
-(** Register-zeroing on kernel entry: confidential register contents
-    never reach the OS. *)
-
 val byte_size : int
 (** Size of the serialised image (pc, sp, privilege, 16 GPRs). *)
 

@@ -37,7 +37,6 @@ type percpu = {
   cpu : int;
   ist_va : int64;
   mutable running : int option; (* tid *)
-  mutable switches : int;
 }
 
 type t = {
@@ -64,8 +63,6 @@ type t = {
      not restore. *)
   swap_versions : (int * int64, int) Hashtbl.t;
   mutable swap_epoch : int;
-  mutable traps : int;
-  mutable mmu_checks : int;
 }
 
 let mode t = t.mode
@@ -73,8 +70,6 @@ let machine t = t.machine
 let translation_cache t = t.trans_cache
 let frame_use t frame = Option.value ~default:Kernel_managed (Hashtbl.find_opt t.uses frame)
 let set_code_frame t frame = Hashtbl.replace t.uses frame Code_frame
-let stats_traps t = t.traps
-let stats_mmu_checks t = t.mmu_checks
 let iommu_config_port = 0xfee0L
 
 (* Number of frames reserved for SVA-internal memory (1 MiB): interrupt
@@ -141,7 +136,6 @@ let boot ?(vg_key_bits = 256) ~mode machine =
           ist_va =
             Int64.add Layout.sva_start (Int64.of_int (0x000f_0000 + (cpu * 0x1000)));
           running = None;
-          switches = 0;
         })
   in
   let t =
@@ -165,8 +159,6 @@ let boot ?(vg_key_bits = 256) ~mode machine =
       swap_key;
       swap_versions = Hashtbl.create 64;
       swap_epoch = 0;
-      traps = 0;
-      mmu_checks = 0;
     }
   in
   (* DMA protection: the IOMMU refuses transfers touching any frame the
@@ -227,7 +219,6 @@ let map_checks t pt ~va ~frame ~perm : (unit, mmu_error) result =
   match t.mode with
   | Native_build -> Ok ()
   | Virtual_ghost -> (
-      t.mmu_checks <- t.mmu_checks + 1;
       Machine.charge ~tag:Obs.Tag.Mmu_check t.machine mmu_check_cost;
       match frame_use t frame with
       | (Ghost_frame _ | Sva_internal) as u -> Error (Protected_frame u)
@@ -278,7 +269,6 @@ let unmap_page_no_shootdown t pt ~va =
         Pagetable.unmap pt ~vpage;
         Ok ()
     | Virtual_ghost ->
-        t.mmu_checks <- t.mmu_checks + 1;
         Machine.charge ~tag:Obs.Tag.Mmu_check t.machine mmu_check_cost;
         if Layout.in_ghost va then Error (Protected_range "ghost partition")
         else if Layout.in_sva va then Error (Protected_range "SVA-internal memory")
@@ -458,7 +448,6 @@ let native_ic_address t ~tid =
 (* Trap entry / exit                                                   *)
 
 let enter_trap t ~tid =
-  t.traps <- t.traps + 1;
   Machine.charge ~tag:Obs.Tag.Trap t.machine Cost.trap_entry;
   let thread = find_thread t tid in
   if Machine.tracing t.machine then
@@ -513,7 +502,6 @@ let swap_integer t ~tid =
            where there is no other core to race. *)
         if Machine.cpus t.machine > 1 then
           Machine.charge ~tag:Obs.Tag.Context_switch t.machine Cost.sva_swap_smp;
-        if pc.running <> Some tid then pc.switches <- pc.switches + 1;
         pc.running <- Some tid;
         Ok ()
       end
@@ -527,8 +515,6 @@ let swap_idle t =
   pc.running <- None
 
 let running_on t ~cpu = t.percpu.(cpu).running
-let cpu_switches t ~cpu = t.percpu.(cpu).switches
-let cpu_ist t ~cpu = t.percpu.(cpu).ist_va
 
 (* ------------------------------------------------------------------ *)
 (* Program launch (execve)                                             *)
@@ -925,8 +911,6 @@ let swap_in_ghost t ~pid ~pt ~va ~frame ~blob =
                   Ok ()
                 end
           end)
-
-let swapped_out_version t ~pid ~va = Hashtbl.find_opt t.swap_versions (pid, va)
 
 (* ------------------------------------------------------------------ *)
 (* Randomness and programmed I/O                                       *)

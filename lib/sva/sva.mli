@@ -135,13 +135,6 @@ val swap_idle : t -> unit
 val running_on : t -> cpu:int -> int option
 (** Which thread the VM believes is live on core [cpu]. *)
 
-val cpu_switches : t -> cpu:int -> int
-(** How many distinct thread switches core [cpu] has performed. *)
-
-val cpu_ist : t -> cpu:int -> int64
-(** The SVA-internal address of core [cpu]'s Interrupt Stack Table
-    save area (per-CPU, as the paper specifies). *)
-
 (** {1 Threads and interrupt contexts} *)
 
 val new_thread : t -> pid:int -> entry:int64 -> stack:int64 -> int
@@ -238,10 +231,6 @@ val swap_in_ghost :
     refusal — unknown page, bad frame, corrupted blob, substitution,
     replay — emits one [Security{swap}] event under Virtual Ghost. *)
 
-val swapped_out_version : t -> pid:int -> va:int64 -> int option
-(** The version the VM currently expects for a swapped-out page, if
-    any (diagnostics; [None] once the page is resident again). *)
-
 (** {1 Monotonic counters}
 
     Support for the paper's future-work item on replay protection
@@ -278,7 +267,3 @@ val io_write : t -> port:int64 -> int64 -> (unit, string) result
 val iommu_config_port : int64
 (** The simulated IOMMU control port. *)
 
-(** {1 Statistics} *)
-
-val stats_traps : t -> int
-val stats_mmu_checks : t -> int

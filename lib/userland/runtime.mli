@@ -124,8 +124,6 @@ val sys_send : ctx -> fd:int -> buf:int64 -> len:int -> int Errno.result
 val write_string : ctx -> fd:int -> string -> int Errno.result
 (** Convenience: stage a string in the heap and write it. *)
 
-val read_string : ctx -> fd:int -> max:int -> string Errno.result
-
 val sys_mmap : ctx -> len:int -> int64 Errno.result
 (** Applies the Iago mask to the kernel's return value when
     [ghosting]. *)

@@ -42,7 +42,6 @@ let enters t = t.enters
 let submitted t = t.submitted
 let completed t = t.completed
 let sq_head t = read_counter t Syscall_ring.sq_head_off
-let in_flight t = t.sq_tail - sq_head t
 
 let submit t ~sysno ~args ~user_data =
   if t.sq_tail - sq_head t >= t.depth then false

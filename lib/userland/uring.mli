@@ -35,9 +35,6 @@ val reap : t -> Syscall_ring.cqe list
 
 (** {1 Stats} *)
 
-val in_flight : t -> int
-(** Entries submitted but not yet consumed by the kernel. *)
-
 val enters : t -> int
 val submitted : t -> int
 val completed : t -> int

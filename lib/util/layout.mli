@@ -38,7 +38,6 @@ val kernel_code_end : int64
     remap or write-enable frames mapped here. *)
 
 val kernel_data_start : int64
-val kernel_stack_top : int64
 
 val in_user : int64 -> bool
 val in_ghost : int64 -> bool
@@ -51,5 +50,4 @@ val mask_kernel_target : int64 -> int64
     check "masks the target address to ensure that it is not a
     user-space address"). *)
 
-val page_size : int
 val page_shift : int

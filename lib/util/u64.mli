@@ -27,14 +27,9 @@ val to_hex : int64 -> string
 (** [to_hex a] is ["0x%016x"]-style rendering. *)
 
 val of_int : int -> int64
-val to_int_trunc : int64 -> int
-(** Truncate to an OCaml [int] (loses the top bit on 64-bit platforms);
-    fine for sizes and offsets known to be small. *)
 
 val add : int64 -> int64 -> int64
 val sub : int64 -> int64 -> int64
 val logand : int64 -> int64 -> int64
 val logor : int64 -> int64 -> int64
 
-val truncate_to_width : int64 -> bits:int -> int64
-(** Keep the low [bits] bits, zero-extending. [bits] in 1..64. *)

@@ -1,4 +1,4 @@
-(* Tests for the userland runtime (ghost malloc, wrapper library,
+(* Tests for the userland runtime (ghost heap, wrapper library,
    signal wrappers) and the application suite (OpenSSH programs,
    thttpd, Postmark, LMBench drivers). *)
 
@@ -431,129 +431,20 @@ let test_ghosting_ssh_fetch () =
           Alcotest.(check bytes) "decrypted payload" expected got)
 
 (* ------------------------------------------------------------------ *)
-(* Ghost malloc (the modified C-library allocator)                     *)
+(* Ghost malloc ([Runtime.galloc], the paper's modified allocator)     *)
 
 let test_malloc_basic () =
   let k = boot () in
   Runtime.launch k ~ghosting:true (fun ctx ->
-      let heap = Ghost_malloc.create ctx in
-      let a = Ghost_malloc.malloc heap 100 in
-      let b = Ghost_malloc.malloc heap 200 in
+      let a = Runtime.galloc ctx 100 in
+      let b = Runtime.galloc ctx 200 in
       Alcotest.(check bool) "ghost pointers" true (Layout.in_ghost a && Layout.in_ghost b);
-      Alcotest.(check bool) "distinct" true (a <> b);
+      Alcotest.(check bool) "no overlap" true
+        (Int64.compare (Int64.add a 100L) b <= 0 || Int64.compare (Int64.add b 200L) a <= 0);
       Runtime.poke ctx a (Bytes.make 100 'A');
       Runtime.poke ctx b (Bytes.make 200 'B');
       Alcotest.(check bytes) "a intact" (Bytes.make 100 'A') (Runtime.peek ctx a 100);
-      Alcotest.(check bytes) "b intact" (Bytes.make 200 'B') (Runtime.peek ctx b 200);
-      Alcotest.(check int) "live" 2 (Ghost_malloc.live_blocks heap);
-      Ghost_malloc.free heap a;
-      Alcotest.(check int) "one live" 1 (Ghost_malloc.live_blocks heap);
-      (match Ghost_malloc.check_integrity heap with
-      | Ok () -> ()
-      | Error msg -> Alcotest.failf "integrity: %s" msg))
-
-let test_malloc_reuses_freed_space () =
-  let k = boot () in
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let heap = Ghost_malloc.create ctx in
-      let a = Ghost_malloc.malloc heap 256 in
-      let _b = Ghost_malloc.malloc heap 64 in
-      Ghost_malloc.free heap a;
-      let c = Ghost_malloc.malloc heap 200 in
-      Alcotest.(check int64) "first-fit reuse" a c)
-
-let test_malloc_coalescing () =
-  let k = boot () in
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let heap = Ghost_malloc.create ctx in
-      (* Three adjacent blocks; freeing all three must coalesce enough
-         for one block bigger than any single piece. *)
-      let a = Ghost_malloc.malloc heap 128 in
-      let b = Ghost_malloc.malloc heap 128 in
-      let c = Ghost_malloc.malloc heap 128 in
-      let barrier = Ghost_malloc.malloc heap 16 in
-      Ghost_malloc.free heap a;
-      Ghost_malloc.free heap b;
-      Ghost_malloc.free heap c;
-      let big = Ghost_malloc.malloc heap 380 in
-      Alcotest.(check int64) "coalesced into the hole" a big;
-      ignore barrier)
-
-let test_malloc_errors () =
-  let k = boot () in
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let heap = Ghost_malloc.create ctx in
-      let a = Ghost_malloc.malloc heap 64 in
-      Ghost_malloc.free heap a;
-      Alcotest.check_raises "double free"
-        (Invalid_argument "Ghost_malloc.free: double free") (fun () ->
-          Ghost_malloc.free heap a);
-      Alcotest.check_raises "wild pointer"
-        (Invalid_argument "Ghost_malloc.free: not a heap pointer") (fun () ->
-          Ghost_malloc.free heap 0x1234L))
-
-let test_malloc_realloc () =
-  let k = boot () in
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let heap = Ghost_malloc.create ctx in
-      let a = Ghost_malloc.malloc heap 32 in
-      Runtime.poke ctx a (Bytes.of_string "keep this prefix");
-      let b = Ghost_malloc.realloc heap a 4096 in
-      Alcotest.(check string) "contents preserved" "keep this prefix"
-        (Bytes.to_string (Runtime.peek ctx b 16)))
-
-let test_malloc_overflow_detected () =
-  let k = boot () in
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let heap = Ghost_malloc.create ctx in
-      let a = Ghost_malloc.malloc heap 32 in
-      let _b = Ghost_malloc.malloc heap 32 in
-      (* Heap overflow: write past the end of [a] over b's header. *)
-      Runtime.poke ctx a (Bytes.make 48 '\xff');
-      match Ghost_malloc.check_integrity heap with
-      | Error _ -> ()
-      | Ok () -> Alcotest.fail "overflow not detected")
-
-(* Random alloc/free sequences against a model: contents never
-   corrupted, integrity always holds. *)
-let prop_malloc_model =
-  QCheck2.Test.make ~name:"malloc model: random alloc/free keeps contents intact"
-    ~count:20
-    QCheck2.Gen.(list_size (int_range 10 60) (pair (int_range 1 600) bool))
-    (fun ops ->
-      let k = boot () in
-      Runtime.launch k ~ghosting:true (fun ctx ->
-          let heap = Ghost_malloc.create ctx in
-          let live = ref [] in
-          let counter = ref 0 in
-          let ok = ref true in
-          List.iter
-            (fun (size, do_free) ->
-              if do_free && !live <> [] then begin
-                match !live with
-                | (p, fill, n) :: rest ->
-                    if Runtime.peek ctx p n <> Bytes.make n fill then ok := false;
-                    Ghost_malloc.free heap p;
-                    live := rest
-                | [] -> ()
-              end
-              else begin
-                incr counter;
-                let fill = Char.chr (33 + (!counter mod 90)) in
-                let p = Ghost_malloc.malloc heap size in
-                Runtime.poke ctx p (Bytes.make size fill);
-                live := (p, fill, size) :: !live
-              end)
-            ops;
-          (* Everything still live must be intact, and the heap sane. *)
-          List.iter
-            (fun (p, fill, n) ->
-              if Runtime.peek ctx p n <> Bytes.make n fill then ok := false)
-            !live;
-          (match Ghost_malloc.check_integrity heap with
-          | Ok () -> ()
-          | Error _ -> ok := false);
-          !ok))
+      Alcotest.(check bytes) "b intact" (Bytes.make 200 'B') (Runtime.peek ctx b 200))
 
 (* ------------------------------------------------------------------ *)
 (* Ghost swapping                                                      *)
@@ -860,14 +751,7 @@ let () =
           Alcotest.test_case "sshd download" `Quick test_sshd_download;
           Alcotest.test_case "ghosting ssh fetch" `Quick test_ghosting_ssh_fetch;
         ] );
-      ( "ghost-malloc",
-        Alcotest.test_case "basic" `Quick test_malloc_basic
-        :: Alcotest.test_case "reuses freed space" `Quick test_malloc_reuses_freed_space
-        :: Alcotest.test_case "coalescing" `Quick test_malloc_coalescing
-        :: Alcotest.test_case "errors" `Quick test_malloc_errors
-        :: Alcotest.test_case "realloc" `Quick test_malloc_realloc
-        :: Alcotest.test_case "overflow detected" `Quick test_malloc_overflow_detected
-        :: List.map QCheck_alcotest.to_alcotest [ prop_malloc_model ] );
+      ("ghost-malloc", [ Alcotest.test_case "basic" `Quick test_malloc_basic ]);
       ( "swapping",
         [
           Alcotest.test_case "explicit round-trip" `Quick test_swap_explicit_roundtrip;

@@ -55,9 +55,9 @@ let interp_env w : Interp.env =
     fence = (fun () -> ());
   }
 
-let exec_env w : Executor.env =
+let exec_env w : Exec_env.env =
   {
-    Executor.null_env with
+    Exec_env.null_env with
     load = world_load w;
     store = world_store w;
     memcpy =
@@ -70,47 +70,6 @@ let exec_env w : Executor.env =
 
 (* ------------------------------------------------------------------ *)
 (* Program fixtures                                                    *)
-
-let rec_sum_program () =
-  let b = Builder.create () in
-  Builder.func b "sum" ~params:[ "n" ];
-  let is_zero = Builder.cmp b Eq (Reg "n") (Imm 0L) in
-  Builder.cbr b is_zero "base" "rec";
-  Builder.block b "base";
-  Builder.ret b (Some (Imm 0L));
-  Builder.block b "rec";
-  let n1 = Builder.bin b Sub (Reg "n") (Imm 1L) in
-  let sub = Builder.call b "sum" [ n1 ] in
-  let total = Builder.bin b Add (Reg "n") sub in
-  Builder.ret b (Some total);
-  Builder.program b
-
-(* Collatz step count: exercises loops, branches, arithmetic. *)
-let collatz_program () =
-  let b = Builder.create () in
-  Builder.func b "collatz" ~params:[ "n" ];
-  Builder.store b ~src:(Imm 0L) ~addr:(Imm 0x2000L) ();
-  Builder.store b ~src:(Reg "n") ~addr:(Imm 0x2008L) ();
-  Builder.br b "loop";
-  Builder.block b "loop";
-  let n = Builder.load b (Imm 0x2008L) in
-  let at_one = Builder.cmp b Ule n (Imm 1L) in
-  Builder.cbr b at_one "done" "step";
-  Builder.block b "step";
-  let odd = Builder.bin b And n (Imm 1L) in
-  let half = Builder.bin b Lshr n (Imm 1L) in
-  let tripled = Builder.bin b Mul n (Imm 3L) in
-  let plus1 = Builder.bin b Add tripled (Imm 1L) in
-  let next = Builder.select b odd plus1 half in
-  Builder.store b ~src:next ~addr:(Imm 0x2008L) ();
-  let count = Builder.load b (Imm 0x2000L) in
-  let count' = Builder.bin b Add count (Imm 1L) in
-  Builder.store b ~src:count' ~addr:(Imm 0x2000L) ();
-  Builder.br b "loop";
-  Builder.block b "done";
-  let count = Builder.load b (Imm 0x2000L) in
-  Builder.ret b (Some count);
-  Builder.program b
 
 (* Function-pointer dispatch through memory: the shape kernel code has
    when calling through an ops table. *)
@@ -240,7 +199,7 @@ let test_sandbox_instruments_all_memory_ops () =
     (Ir.instr_count after)
 
 let test_sandbox_leaves_non_memory_alone () =
-  let p = rec_sum_program () in
+  let p = Fixtures.rec_sum_program () in
   let p' = Sandbox_pass.instrument_program p in
   Alcotest.(check int) "unchanged" (Ir.instr_count p) (Ir.instr_count p')
 
@@ -258,7 +217,7 @@ let run_both program func args =
   (interp_result, exec_result, wi, we)
 
 let test_differential_sum () =
-  let i, e, wi, we = run_both (rec_sum_program ()) "sum" [| 250L |] in
+  let i, e, wi, we = run_both (Fixtures.rec_sum_program ()) "sum" [| 250L |] in
   Alcotest.(check int64) "interp" 31375L i;
   Alcotest.(check int64) "exec agrees" i e;
   Alcotest.(check int) "cycles agree" wi.cycles we.cycles
@@ -266,7 +225,7 @@ let test_differential_sum () =
 let test_differential_collatz () =
   List.iter
     (fun n ->
-      let i, e, wi, we = run_both (collatz_program ()) "collatz" [| n |] in
+      let i, e, wi, we = run_both (Fixtures.collatz_program ()) "collatz" [| n |] in
       Alcotest.(check int64) (Printf.sprintf "collatz %Ld" n) i e;
       Alcotest.(check bytes) "memory agrees" wi.mem we.mem;
       Alcotest.(check int) "cycles agree" wi.cycles we.cycles)
@@ -302,7 +261,7 @@ let test_differential_fptr () =
 let test_differential_instrumented () =
   (* The instrumented program must behave identically on safe
      addresses under both engines. *)
-  let program = Sandbox_pass.instrument_program (collatz_program ()) in
+  let program = Sandbox_pass.instrument_program (Fixtures.collatz_program ()) in
   let wi = make_world () in
   let i = Interp.run (interp_env wi) program "collatz" [| 27L |] in
   let we = make_world () in
@@ -329,7 +288,7 @@ let test_executor_extern () =
   let image = compile_link ~cfi:false (Builder.program b) in
   let w = make_world () in
   let env =
-    { (exec_env w) with Executor.extern = (fun name args ->
+    { (exec_env w) with Exec_env.extern = (fun name args ->
           Alcotest.(check string) "extern name" "extern.helper" name;
           Int64.mul args.(0) 3L) }
   in
@@ -347,13 +306,13 @@ let test_executor_fuel () =
     (try
        ignore (Executor.run ~fuel:500 (exec_env w) image "main" [||]);
        false
-     with Executor.Exec_trap _ -> true)
+     with Exec_env.Exec_trap _ -> true)
 
 let test_cycle_accounting () =
   (* The instrumented build must charge strictly more cycles. *)
-  let native = compile_link ~cfi:false (collatz_program ()) in
+  let native = compile_link ~cfi:false (Fixtures.collatz_program ()) in
   let vg =
-    compile_link ~cfi:true (Sandbox_pass.instrument_program (collatz_program ()))
+    compile_link ~cfi:true (Sandbox_pass.instrument_program (Fixtures.collatz_program ()))
   in
   let wn = make_world () in
   ignore (Executor.run (exec_env wn) native "collatz" [| 97L |]);
@@ -385,7 +344,7 @@ let test_native_image_clean () =
     (Cfi_pass.validate_uninstrumented image = Ok ())
 
 let test_cfi_catches_unchecked_ret () =
-  let image = Codegen.compile ~cfi:false (rec_sum_program ()) in
+  let image = Codegen.compile ~cfi:false (Fixtures.rec_sum_program ()) in
   Alcotest.(check bool) "flagged" true (Cfi_pass.validate image <> Ok ())
 
 let test_cfi_indirect_call_works () =
@@ -414,14 +373,14 @@ let test_cfi_blocks_corrupted_fptr () =
     (try
        ignore (Executor.run (exec_env w) image "victim" [||]);
        false
-     with Executor.Cfi_violation _ -> true);
+     with Exec_env.Cfi_violation _ -> true);
   (* Native build: the foreign call goes through — hijack succeeds. *)
   let image_native = compile_link ~cfi:false program in
   let hijacked = ref false in
   let w2 = make_world () in
   world_store w2 0x3000L W64 0x400000L;
   let env =
-    { (exec_env w2) with Executor.call_foreign = (fun addr _ ->
+    { (exec_env w2) with Exec_env.call_foreign = (fun addr _ ->
           Alcotest.(check int64) "target" 0x400000L addr;
           hijacked := true;
           0L) }
@@ -434,13 +393,13 @@ let test_cfi_blocks_rop_return () =
      point into the middle of a function (a "gadget").  With CFI the
      return is refused because the gadget slot carries no label; the
      uninstrumented kernel happily returns there. *)
-  let program = rec_sum_program () in
+  let program = Fixtures.rec_sum_program () in
   let run_with_tamper (image : Linker.image) =
     let w = make_world () in
     (* Redirect every return into the middle of `sum` (slot 3 — an
        arbitrary non-label slot). *)
     let gadget = Native.addr_of_index image.Linker.native 3 in
-    let env = { (exec_env w) with Executor.tamper_return = Some (fun _ -> gadget) } in
+    let env = { (exec_env w) with Exec_env.tamper_return = Some (fun _ -> gadget) } in
     Executor.run ~fuel:10_000 env image "sum" [| 5L |]
   in
   let vg = compile_link ~cfi:true (Sandbox_pass.instrument_program program) in
@@ -448,15 +407,15 @@ let test_cfi_blocks_rop_return () =
     (try
        ignore (run_with_tamper vg);
        false
-     with Executor.Cfi_violation _ -> true);
+     with Exec_env.Cfi_violation _ -> true);
   let native = compile_link ~cfi:false program in
   Alcotest.(check bool) "native follows corrupted return" true
     (try
        ignore (run_with_tamper native);
        true (* terminated somewhere random but without CFI violation *)
      with
-    | Executor.Cfi_violation _ -> false
-    | Executor.Exec_trap _ -> true)
+    | Exec_env.Cfi_violation _ -> false
+    | Exec_env.Exec_trap _ -> true)
 
 let test_cfi_kernel_masking () =
   (* An indirect call whose target is a *user-space* copy of kernel code
@@ -471,13 +430,13 @@ let test_cfi_kernel_masking () =
   let w = make_world () in
   let foreign_called = ref false in
   let env =
-    { (exec_env w) with Executor.call_foreign = (fun _ _ ->
+    { (exec_env w) with Exec_env.call_foreign = (fun _ _ ->
           foreign_called := true;
           0L) }
   in
   (try ignore (Executor.run env image "victim" [||]) with
-  | Executor.Cfi_violation _ -> ()
-  | Executor.Exec_trap _ -> ());
+  | Exec_env.Cfi_violation _ -> ()
+  | Exec_env.Exec_trap _ -> ());
   Alcotest.(check bool) "never leaves kernel code" false !foreign_called
 
 (* ------------------------------------------------------------------ *)
@@ -712,20 +671,20 @@ let test_indirect_call_to_nonentry_names_owner () =
   in
   match Executor.run (exec_env w) linked "victim" [||] with
   | _ -> Alcotest.fail "expected a trap"
-  | exception Executor.Exec_trap msg ->
+  | exception Exec_env.Exec_trap msg ->
       Alcotest.(check bool)
         (Printf.sprintf "trap names owner: %s" msg)
         true
         (contains ~needle:"caller" msg
         && contains ~needle:"not a function entry" msg)
-  | exception Executor.Cfi_violation msg ->
+  | exception Exec_env.Cfi_violation msg ->
       Alcotest.failf "unexpected CFI violation: %s" msg
 
 let test_checked_return_cycles_unchanged () =
   (* The pre-resolved fast path for checked returns must charge exactly
      what the slow probe does: Cfi_pass.check_extra_cycles per return,
      on top of one cycle per slot. *)
-  let program = Sandbox_pass.instrument_program (rec_sum_program ()) in
+  let program = Sandbox_pass.instrument_program (Fixtures.rec_sum_program ()) in
   let vg = compile_link ~cfi:true program in
   let w = make_world () in
   ignore (Executor.run (exec_env w) vg "sum" [| 10L |]);
@@ -733,13 +692,13 @@ let test_checked_return_cycles_unchanged () =
   (* Force the slow path with an identity tamper hook: same masking and
      label probe, just not pre-resolved. *)
   let w2 = make_world () in
-  let env = { (exec_env w2) with Executor.tamper_return = Some (fun a -> a) } in
+  let env = { (exec_env w2) with Exec_env.tamper_return = Some (fun a -> a) } in
   ignore (Executor.run env vg "sum" [| 10L |]);
   Alcotest.(check int) "fast path charges the same" w2.cycles with_fast_path
 
 let test_trans_cache_roundtrip () =
   let cache = Trans_cache.create ~key:(Bytes.of_string "vm-secret") in
-  let image = compile_link ~cfi:true (rec_sum_program ()) in
+  let image = compile_link ~cfi:true (Fixtures.rec_sum_program ()) in
   Trans_cache.add cache ~name:"kernel" ~instrumented:false image;
   match Trans_cache.find cache ~name:"kernel" with
   | Error e -> Alcotest.failf "image should verify: %s" (Trans_cache.describe_find_error e)
@@ -753,7 +712,7 @@ let test_trans_cache_roundtrip () =
 
 let test_trans_cache_tamper_detected () =
   let cache = Trans_cache.create ~key:(Bytes.of_string "vm-secret") in
-  let image = compile_link ~cfi:true (rec_sum_program ()) in
+  let image = compile_link ~cfi:true (Fixtures.rec_sum_program ()) in
   Trans_cache.add cache ~name:"kernel" ~instrumented:false image;
   Trans_cache.tamper cache ~name:"kernel";
   Alcotest.(check bool) "rejected" true
@@ -761,7 +720,7 @@ let test_trans_cache_tamper_detected () =
 
 let test_trans_cache_wrong_key () =
   let cache = Trans_cache.create ~key:(Bytes.of_string "vm-secret") in
-  let image = compile_link ~cfi:true (rec_sum_program ()) in
+  let image = compile_link ~cfi:true (Fixtures.rec_sum_program ()) in
   let signed = Trans_cache.sign cache ~instrumented:false image in
   let other = Trans_cache.create ~key:(Bytes.of_string "evil-key") in
   Alcotest.(check bool) "foreign signature rejected" true

@@ -74,7 +74,7 @@ let run_native ~vg program args =
   let cycles = ref 0 in
   let env =
     {
-      Executor.null_env with
+      Exec_env.null_env with
       load = w_load w;
       store = w_store w;
       charge = (fun _ n -> cycles := !cycles + n);
@@ -87,14 +87,14 @@ let run_native ~vg program args =
   in
   match Executor.run ~fuel:400_000 env (Linker.link image) "f0" args with
   | v -> Value (v, w.mem, !cycles)
-  | exception Executor.Exec_trap _ -> Trapped
+  | exception Exec_env.Exec_trap _ -> Trapped
 
 let run_compiled ~vg program args =
   let w = make_world () in
   let cycles = ref 0 in
   let env =
     {
-      Executor.null_env with
+      Exec_env.null_env with
       load = w_load w;
       store = w_store w;
       charge = (fun _ n -> cycles := !cycles + n);
@@ -108,7 +108,7 @@ let run_compiled ~vg program args =
   let artifact = Exec_compile.compile (Linker.link image) in
   match Exec_compile.run ~fuel:400_000 env artifact "f0" args with
   | v -> Value (v, w.mem, !cycles)
-  | exception Executor.Exec_trap _ -> Trapped
+  | exception Exec_env.Exec_trap _ -> Trapped
 
 (* Results agree: same trap behaviour, same value, same final memory.
    Cycle counts are compared separately ({!agree_cycles}) because the
@@ -194,7 +194,7 @@ let prop_compiled_trajectory_parity =
         let by_tag = Array.make Obs.Tag.count 0 in
         let env =
           {
-            Executor.null_env with
+            Exec_env.null_env with
             load = w_load w;
             store = w_store w;
             charge =
@@ -208,13 +208,13 @@ let prop_compiled_trajectory_parity =
           if use_compiled then
             match Exec_compile.run ~fuel env artifact "f0" args with
             | v -> TVal v
-            | exception Executor.Exec_trap m -> TTrap m
-            | exception Executor.Cfi_violation m -> TCfi m
+            | exception Exec_env.Exec_trap m -> TTrap m
+            | exception Exec_env.Cfi_violation m -> TCfi m
           else
             match Executor.run ~fuel env image "f0" args with
             | v -> TVal v
-            | exception Executor.Exec_trap m -> TTrap m
-            | exception Executor.Cfi_violation m -> TCfi m
+            | exception Exec_env.Exec_trap m -> TTrap m
+            | exception Exec_env.Cfi_violation m -> TCfi m
         in
         (outcome, by_tag, w.mem)
       in
@@ -243,11 +243,11 @@ let prop_optimizer_preserves_semantics =
       let inst_then_opt = Opt_pass.optimize_program (Sandbox_pass.instrument_program program) in
       let image = Linker.link (Codegen.compile ~cfi:true inst_then_opt) in
       let w = make_world () in
-      let env = { Executor.null_env with load = w_load w; store = w_store w } in
+      let env = { Exec_env.null_env with load = w_load w; store = w_store w } in
       agree reference
         (match Executor.run ~fuel:400_000 env image "f0" args with
         | v -> Value (v, w.mem, 0)
-        | exception Executor.Exec_trap _ -> Trapped))
+        | exception Exec_env.Exec_trap _ -> Trapped))
 
 let prop_optimizer_never_unmasks =
   (* Optimising instrumented code must never let a ghost address reach
@@ -266,7 +266,7 @@ let prop_optimizer_never_unmasks =
       in
       let env =
         {
-          Executor.null_env with
+          Exec_env.null_env with
           load =
             (fun addr _ ->
               check addr;
@@ -282,8 +282,8 @@ let prop_optimizer_never_unmasks =
          ghost partition wherever masking is missing. *)
       let args = [| Int64.add Layout.ghost_start 0x1234L; Layout.ghost_start |] in
       (try ignore (Executor.run ~fuel:400_000 env image "f0" args) with
-      | Executor.Exec_trap _ -> ()
-      | Executor.Cfi_violation _ -> ());
+      | Exec_env.Exec_trap _ -> ()
+      | Exec_env.Cfi_violation _ -> ());
       !safe)
 
 let prop_instrumentation_preserves_size_relation =
@@ -356,7 +356,7 @@ let prop_safe_mask_no_transient_leak =
         let cycles = ref 0 in
         let env =
           {
-            Executor.null_env with
+            Exec_env.null_env with
             load = w_load w;
             store = w_store w;
             charge = (fun _ n -> cycles := !cycles + n);
@@ -370,7 +370,7 @@ let prop_safe_mask_no_transient_leak =
         let args = [| p; Int64.of_int b |] in
         match Executor.run ~fuel:400_000 env image "spec_entry" args with
         | v -> Value (v, w.mem, !cycles)
-        | exception Executor.Exec_trap _ -> Trapped
+        | exception Exec_env.Exec_trap _ -> Trapped
       in
       let r0 = run_at 0 in
       let rd = run_at depth in
@@ -384,7 +384,7 @@ let prop_safe_mask_no_transient_leak =
       in
       let env =
         {
-          Executor.null_env with
+          Exec_env.null_env with
           load =
             (fun addr _ ->
               check addr;
@@ -403,8 +403,8 @@ let prop_safe_mask_no_transient_leak =
       in
       let args = [| Int64.add Layout.ghost_start 0x1234L; Layout.ghost_start |] in
       (try ignore (Executor.run ~fuel:400_000 env image "spec_entry" args) with
-      | Executor.Exec_trap _ -> ()
-      | Executor.Cfi_violation _ -> ());
+      | Exec_env.Exec_trap _ -> ()
+      | Exec_env.Cfi_violation _ -> ());
       !safe)
 
 let prop_cfi_audit_on_random_programs =

@@ -47,9 +47,9 @@ let world_store w addr (width : Ir.width) v =
   | W32 -> Bytes.set_int32_le w.mem i (Int64.to_int32 v)
   | W64 -> Bytes.set_int64_le w.mem i v
 
-let exec_env w : Executor.env =
+let exec_env w : Exec_env.env =
   {
-    Executor.null_env with
+    Exec_env.null_env with
     load = world_load w;
     store = world_store w;
     memcpy =
@@ -64,47 +64,7 @@ let exec_env w : Executor.env =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Fixtures (same programs the slot-executor suite pins).              *)
-
-let rec_sum_program () =
-  let b = Builder.create () in
-  Builder.func b "sum" ~params:[ "n" ];
-  let is_zero = Builder.cmp b Eq (Reg "n") (Imm 0L) in
-  Builder.cbr b is_zero "base" "rec";
-  Builder.block b "base";
-  Builder.ret b (Some (Imm 0L));
-  Builder.block b "rec";
-  let n1 = Builder.bin b Sub (Reg "n") (Imm 1L) in
-  let sub = Builder.call b "sum" [ n1 ] in
-  let total = Builder.bin b Add (Reg "n") sub in
-  Builder.ret b (Some total);
-  Builder.program b
-
-let collatz_program () =
-  let b = Builder.create () in
-  Builder.func b "collatz" ~params:[ "n" ];
-  Builder.store b ~src:(Imm 0L) ~addr:(Imm 0x2000L) ();
-  Builder.store b ~src:(Reg "n") ~addr:(Imm 0x2008L) ();
-  Builder.br b "loop";
-  Builder.block b "loop";
-  let n = Builder.load b (Imm 0x2008L) in
-  let at_one = Builder.cmp b Ule n (Imm 1L) in
-  Builder.cbr b at_one "done" "step";
-  Builder.block b "step";
-  let odd = Builder.bin b And n (Imm 1L) in
-  let half = Builder.bin b Lshr n (Imm 1L) in
-  let tripled = Builder.bin b Mul n (Imm 3L) in
-  let plus1 = Builder.bin b Add tripled (Imm 1L) in
-  let next = Builder.select b odd plus1 half in
-  Builder.store b ~src:next ~addr:(Imm 0x2008L) ();
-  let count = Builder.load b (Imm 0x2000L) in
-  let count' = Builder.bin b Add count (Imm 1L) in
-  Builder.store b ~src:count' ~addr:(Imm 0x2000L) ();
-  Builder.br b "loop";
-  Builder.block b "done";
-  let count = Builder.load b (Imm 0x2000L) in
-  Builder.ret b (Some count);
-  Builder.program b
+(* Fixtures come from [Vg_oracle.Fixtures].                           *)
 
 let compile_link ~cfi program = Linker.link (Codegen.compile ~cfi program)
 
@@ -121,8 +81,8 @@ let show_outcome = function
 let capture f =
   match f () with
   | v -> Value v
-  | exception Executor.Exec_trap m -> Trap m
-  | exception Executor.Cfi_violation m -> Cfi m
+  | exception Exec_env.Exec_trap m -> Trap m
+  | exception Exec_env.Cfi_violation m -> Cfi m
 
 (* Run the same image through both engines (fresh worlds, optionally
    tweaked envs) and demand byte-identical observable behaviour:
@@ -158,14 +118,14 @@ let test_fixture_parity () =
       | Value _ -> ()
       | o -> Alcotest.failf "%s/vg did not terminate: %s" label (show_outcome o)))
     [
-      ("collatz", collatz_program (), "collatz", [| 97L |]);
-      ("recsum", rec_sum_program (), "sum", [| 40L |]);
+      ("collatz", Fixtures.collatz_program (), "collatz", [| 97L |]);
+      ("recsum", Fixtures.rec_sum_program (), "sum", [| 40L |]);
     ]
 
 let test_fuel_exhaustion_parity () =
   (* Starve both engines identically: same trap, same partial cycle
      bill, same partial memory effects. *)
-  let image = compile_link ~cfi:false (collatz_program ()) in
+  let image = compile_link ~cfi:false (Fixtures.collatz_program ()) in
   match check_parity ~fuel:100 "fuel" image "collatz" [| 97L |] with
   | Trap _ -> ()
   | o -> Alcotest.failf "expected fuel trap, got %s" (show_outcome o)
@@ -174,12 +134,12 @@ let test_fuel_exhaustion_parity () =
 (* Attack parity: tampered returns (ROP)                               *)
 
 let test_rop_tamper_parity () =
-  let program = rec_sum_program () in
+  let program = Fixtures.rec_sum_program () in
   let tweak (image : Linker.image) env =
     (* Redirect every return into the middle of `sum` (slot 3 — an
        arbitrary non-label slot), as in the slot-executor ROP test. *)
     let gadget = Native.addr_of_index image.Linker.native 3 in
-    { env with Executor.tamper_return = Some (fun _ -> gadget) }
+    { env with Exec_env.tamper_return = Some (fun _ -> gadget) }
   in
   let vg = compile_link ~cfi:true (Sandbox_pass.instrument_program program) in
   (match check_parity ~fuel:10_000 ~tweak "rop/vg" vg "sum" [| 5L |] with
@@ -231,7 +191,7 @@ let test_corrupted_fptr_parity () =
     let env =
       {
         (exec_env w) with
-        Executor.call_foreign =
+        Exec_env.call_foreign =
           (fun addr _ ->
             hijacked := addr;
             0L);
@@ -261,7 +221,7 @@ let test_kernel_masking_parity () =
     let env =
       {
         (exec_env w) with
-        Executor.call_foreign =
+        Exec_env.call_foreign =
           (fun _ _ ->
             foreign_called := true;
             0L);
@@ -325,7 +285,7 @@ let test_alloc_parity () =
     done;
     w.stores <- [];
     (* genuine_read reports the whole buffer as read *)
-    let env = { (exec_env w) with Executor.extern = (fun _ args -> args.(2)) } in
+    let env = { (exec_env w) with Exec_env.extern = (fun _ args -> args.(2)) } in
     let before = Gc.minor_words () in
     let v = run env in
     let words = Gc.minor_words () -. before in
@@ -343,7 +303,7 @@ let test_alloc_parity () =
 (* Translation cache v4                                                *)
 
 let instrumented_image () =
-  compile_link ~cfi:true (Sandbox_pass.instrument_program (collatz_program ()))
+  compile_link ~cfi:true (Sandbox_pass.instrument_program (Fixtures.collatz_program ()))
 
 let test_cache_find_compiled () =
   let tc = Trans_cache.create ~key:(Bytes.of_string "vm-secret-mac-key") in
@@ -399,7 +359,7 @@ let test_cache_memoization () =
      memo still applies; a different image under the same name is a
      different tag and re-verifies. *)
   Trans_cache.add tc ~name:"other" ~instrumented:true
-    (compile_link ~cfi:true (Sandbox_pass.instrument_program (rec_sum_program ())));
+    (compile_link ~cfi:true (Sandbox_pass.instrument_program (Fixtures.rec_sum_program ())));
   ignore (Trans_cache.find_compiled tc ~name:"other");
   Alcotest.(check int) "distinct image re-verifies" 2 (Trans_cache.verifier_runs tc)
 
@@ -407,12 +367,12 @@ let test_cache_memoization () =
 (* Translator statistics                                               *)
 
 let test_fusion_stats () =
-  let collatz = Exec_compile.compile (compile_link ~cfi:false (collatz_program ())) in
+  let collatz = Exec_compile.compile (compile_link ~cfi:false (Fixtures.collatz_program ())) in
   let s = Exec_compile.stats collatz in
   Alcotest.(check bool) "has slots" true (s.Exec_compile.slots > 0);
   (* collatz has cmp+branch and load+mask adjacencies to fuse. *)
   Alcotest.(check bool) "fuses pairs" true (s.Exec_compile.fused_pairs > 0);
-  let recsum = Exec_compile.compile (compile_link ~cfi:false (rec_sum_program ())) in
+  let recsum = Exec_compile.compile (compile_link ~cfi:false (Fixtures.rec_sum_program ())) in
   let s2 = Exec_compile.stats recsum in
   (* the recursive call is statically pre-resolved *)
   Alcotest.(check bool) "static calls" true (s2.Exec_compile.static_calls > 0)

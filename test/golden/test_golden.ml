@@ -12,48 +12,6 @@
    LMBench null-syscall pins the whole-kernel path in both build
    modes. *)
 
-(* --- fixtures (same shapes as bench/main.ml) ---------------------- *)
-
-let collatz_program () =
-  let b = Builder.create () in
-  Builder.func b "collatz" ~params:[ "n" ];
-  Builder.store b ~src:(Ir.Imm 0L) ~addr:(Ir.Imm 0x2000L) ();
-  Builder.store b ~src:(Ir.Reg "n") ~addr:(Ir.Imm 0x2008L) ();
-  Builder.br b "loop";
-  Builder.block b "loop";
-  let n = Builder.load b (Ir.Imm 0x2008L) in
-  let at_one = Builder.cmp b Ule n (Ir.Imm 1L) in
-  Builder.cbr b at_one "done" "step";
-  Builder.block b "step";
-  let odd = Builder.bin b And n (Ir.Imm 1L) in
-  let half = Builder.bin b Lshr n (Ir.Imm 1L) in
-  let tripled = Builder.bin b Mul n (Ir.Imm 3L) in
-  let plus1 = Builder.bin b Add tripled (Ir.Imm 1L) in
-  let next = Builder.select b odd plus1 half in
-  Builder.store b ~src:next ~addr:(Ir.Imm 0x2008L) ();
-  let count = Builder.load b (Ir.Imm 0x2000L) in
-  let count' = Builder.bin b Add count (Ir.Imm 1L) in
-  Builder.store b ~src:count' ~addr:(Ir.Imm 0x2000L) ();
-  Builder.br b "loop";
-  Builder.block b "done";
-  let count = Builder.load b (Ir.Imm 0x2000L) in
-  Builder.ret b (Some count);
-  Builder.program b
-
-let rec_sum_program () =
-  let b = Builder.create () in
-  Builder.func b "sum" ~params:[ "n" ];
-  let is_zero = Builder.cmp b Eq (Ir.Reg "n") (Ir.Imm 0L) in
-  Builder.cbr b is_zero "base" "rec";
-  Builder.block b "base";
-  Builder.ret b (Some (Ir.Imm 0L));
-  Builder.block b "rec";
-  let n1 = Builder.bin b Sub (Ir.Reg "n") (Ir.Imm 1L) in
-  let sub = Builder.call b "sum" [ n1 ] in
-  let total = Builder.bin b Add (Ir.Reg "n") sub in
-  Builder.ret b (Some total);
-  Builder.program b
-
 (* Runs the fixture and returns per-tag cycle totals: the grand total is
    the golden, and summing a tagged breakdown proves charge tagging is a
    pure relabelling (nothing double- or under-counted). *)
@@ -67,7 +25,7 @@ let run_tagged_cycles ?(compiled = false) ~cfi ~sandbox program entry arg =
   let by_tag = Array.make Obs.Tag.count 0 in
   let env =
     {
-      Vg_compiler.Executor.null_env with
+      Vg_compiler.Exec_env.null_env with
       load =
         (fun addr _ ->
           Bytes.get_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)));
@@ -85,7 +43,7 @@ let run_tagged_cycles ?(compiled = false) ~cfi ~sandbox program entry arg =
        (Vg_compiler.Exec_compile.run env
           (Vg_compiler.Exec_compile.compile image)
           entry [| arg |])
-   else ignore (Vg_compiler.Executor.run env image entry [| arg |]));
+   else ignore (Executor.run env image entry [| arg |]));
   by_tag
 
 let run_cycles ?compiled ~cfi ~sandbox program entry arg =
@@ -109,11 +67,11 @@ let check_modes name program entry arg ~plain ~cfi ~sandbox ~full =
     [ true; false ]
 
 let test_collatz_cycles () =
-  check_modes "collatz(97)" (collatz_program ()) "collatz" 97L ~plain:1543
+  check_modes "collatz(97)" (Fixtures.collatz_program ()) "collatz" 97L ~plain:1543
     ~cfi:1544 ~sandbox:4875 ~full:4876
 
 let test_recsum_cycles () =
-  check_modes "recsum(40)" (rec_sum_program ()) "sum" 40L ~plain:244 ~cfi:445
+  check_modes "recsum(40)" (Fixtures.rec_sum_program ()) "sum" 40L ~plain:244 ~cfi:445
     ~sandbox:244 ~full:445
 
 (* --- whole-kernel golden: LMBench null syscall -------------------- *)
@@ -251,14 +209,14 @@ let test_executor_obs_parity () =
     Array.fold_left ( + ) 0 (run_tagged_cycles ~cfi ~sandbox program entry arg)
   in
   Alcotest.(check int) "collatz full (tagged)" 4876
-    (total ~cfi:true ~sandbox:true (collatz_program ()) "collatz" 97L);
+    (total ~cfi:true ~sandbox:true (Fixtures.collatz_program ()) "collatz" 97L);
   Alcotest.(check int) "recsum full (tagged)" 445
-    (total ~cfi:true ~sandbox:true (rec_sum_program ()) "sum" 40L);
+    (total ~cfi:true ~sandbox:true (Fixtures.rec_sum_program ()) "sum" 40L);
   (* And the CFI component is separable: the 40 checked returns of
      recsum(40) each pay check_extra_cycles.  (The rest of the cfi-mode
      delta is the extra *instructions* the instrumentation executes,
      which stay under the Exec tag.) *)
-  let by_tag = run_tagged_cycles ~cfi:true ~sandbox:true (rec_sum_program ()) "sum" 40L in
+  let by_tag = run_tagged_cycles ~cfi:true ~sandbox:true (Fixtures.rec_sum_program ()) "sum" 40L in
   let cfi_cycles = by_tag.(Obs.Tag.index Obs.Tag.Cfi) in
   Alcotest.(check int) "recsum cfi component"
     (40 * Vg_compiler.Cfi_pass.check_extra_cycles)

@@ -22,20 +22,6 @@ let mem_mix_program () =
   Builder.ret b (Some v);
   Builder.program b
 
-let rec_sum_program () =
-  let b = Builder.create () in
-  Builder.func b "sum" ~params:[ "n" ];
-  let z = Builder.cmp b Eq (Reg "n") (Imm 0L) in
-  Builder.cbr b z "base" "rec";
-  Builder.block b "base";
-  Builder.ret b (Some (Imm 0L));
-  Builder.block b "rec";
-  let m = Builder.bin b Sub (Reg "n") (Imm 1L) in
-  let s = Builder.call b "sum" [ m ] in
-  let r = Builder.bin b Add (Reg "n") s in
-  Builder.ret b (Some r);
-  Builder.program b
-
 (* Two functions laid out back to back: forged direct jumps and
    boundary fall-throughs need a neighbour to cross into. *)
 let two_func_program () =
@@ -158,7 +144,7 @@ let find_slot_in image fid p =
   !found
 
 let test_evil_unchecked_return () =
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let slot =
     find_slot image (function Linker.LRetChecked _ -> true | _ -> false)
   in
@@ -175,7 +161,7 @@ let test_evil_unchecked_return () =
   | Error vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
 let test_evil_entry_label_removed () =
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let fid =
     match Linker.find_func image "sum" with Some i -> i | None -> Alcotest.fail "sum?"
   in
@@ -192,7 +178,7 @@ let test_evil_entry_label_removed () =
            vs)
 
 let test_evil_stray_label () =
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let slot =
     find_slot image (function
       | Linker.LBin { op = Ir.Sub; _ } -> true
@@ -212,7 +198,7 @@ let test_evil_stray_label () =
 let test_evil_label_metadata_mismatch () =
   (* The executor trusts [label_of] without reading the code: forging
      the metadata alone must already be fatal. *)
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let slot =
     find_slot image (function
       | Linker.LBin { op = Ir.Sub; _ } -> true
@@ -229,7 +215,7 @@ let test_evil_label_metadata_mismatch () =
            vs)
 
 let test_evil_privileged_op () =
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let slot =
     find_slot image (function
       | Linker.LBin { op = Ir.Sub; _ } -> true
@@ -246,7 +232,7 @@ let test_evil_privileged_op () =
   | Error vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
 let test_evil_unvetted_extern () =
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let slot =
     find_slot image (function
       | Linker.LBin { op = Ir.Sub; _ } -> true
@@ -285,7 +271,7 @@ let test_evil_cross_function_jump () =
   | Error vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
 let test_evil_jump_outside_image () =
-  let image = with_mutable_arrays (compile_vg (rec_sum_program ())) in
+  let image = with_mutable_arrays (compile_vg (Fixtures.rec_sum_program ())) in
   let slot = find_slot image (function Linker.LJmp _ -> true | _ -> false) in
   image.Linker.lcode.(slot) <- Linker.LJmp (Array.length image.Linker.lcode + 7);
   match Image_verify.check image with
@@ -462,7 +448,7 @@ let test_fixtures_prove_clean () =
         [ false; true ])
     [
       ("mem_mix", mem_mix_program ());
-      ("rec_sum", rec_sum_program ());
+      ("rec_sum", Fixtures.rec_sum_program ());
       ("two_func", two_func_program ());
       ("dead_store", dead_store_program ());
       ("kernel_image", Vg_kernel.Kernel_image.program ());

@@ -43,22 +43,7 @@ let make_mem_env () =
   (env, mem)
 
 (* ------------------------------------------------------------------ *)
-(* Program fixtures                                                    *)
-
-(* Simpler loop via recursion: sum(n) = n = 0 ? 0 : n + sum(n-1) *)
-let rec_sum_program () =
-  let b = Builder.create () in
-  Builder.func b "sum" ~params:[ "n" ];
-  let is_zero = Builder.cmp b Eq (Reg "n") (Imm 0L) in
-  Builder.cbr b is_zero "base" "rec";
-  Builder.block b "base";
-  Builder.ret b (Some (Imm 0L));
-  Builder.block b "rec";
-  let n1 = Builder.bin b Sub (Reg "n") (Imm 1L) in
-  let sub = Builder.call b "sum" [ n1 ] in
-  let total = Builder.bin b Add (Reg "n") sub in
-  Builder.ret b (Some total);
-  Builder.program b
+(* Helpers                                                             *)
 
 (* avoid astring dep: simple substring helper *)
 let contains s sub =
@@ -67,7 +52,7 @@ let contains s sub =
   m = 0 || go 0
 
 let test_pp () =
-  let p = rec_sum_program () in
+  let p = Fixtures.rec_sum_program () in
   let text = Pp.program_to_string p in
   List.iter
     (fun frag -> Alcotest.(check bool) ("contains " ^ frag) true (contains text frag))
@@ -96,7 +81,7 @@ let test_builder_double_terminate () =
 (* Verifier                                                            *)
 
 let test_verify_ok () =
-  match Verify.check (rec_sum_program ()) with
+  match Verify.check (Fixtures.rec_sum_program ()) with
   | Ok () -> ()
   | Error es ->
       Alcotest.failf "unexpected errors: %s"
@@ -189,7 +174,7 @@ let test_verify_duplicate_label () =
 
 let test_interp_recursion () =
   let env, _ = make_mem_env () in
-  let result = Interp.run env (rec_sum_program ()) "sum" [| 100L |] in
+  let result = Interp.run env (Fixtures.rec_sum_program ()) "sum" [| 100L |] in
   Alcotest.(check int64) "sum 1..100" 5050L result
 
 let test_interp_memory () =
@@ -309,7 +294,7 @@ let test_interp_fuel () =
 
 let test_interp_arity_mismatch () =
   let env, _ = make_mem_env () in
-  expect_trap (fun () -> Interp.run env (rec_sum_program ()) "sum" [| 1L; 2L |])
+  expect_trap (fun () -> Interp.run env (Fixtures.rec_sum_program ()) "sum" [| 1L; 2L |])
 
 (* ------------------------------------------------------------------ *)
 (* Semantics properties                                                *)

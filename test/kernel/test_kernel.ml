@@ -788,6 +788,41 @@ let test_module_trap () =
         (expect_ok "read" (Syscalls.read k p ~fd:0 ~buf:user_buf ~len:4)))
     [ Sva.Native_build; Sva.Virtual_ghost ]
 
+(* A verified module copying from a mapped source to an unmapped kernel
+   destination: the sandbox absorbs the fault, and the one Security
+   event names the address that faulted, the destination. *)
+let test_module_memcpy_fault_names_destination () =
+  let dst = Int64.add Layout.kernel_data_start 0x4000_0000L in
+  let copier () =
+    let b = Builder.create () in
+    Builder.func b "sys_read" ~params:[ "fd"; "buf"; "len" ];
+    Builder.memcpy b ~dst:(Imm dst) ~src:(Reg "buf") ~len:(Imm 8L);
+    Builder.ret b (Some (Imm 0L));
+    Builder.program b
+  in
+  let recorder = Vg_obs.Obs_recorder.create () in
+  let k = boot () in
+  let p = init k in
+  user_write k p user_buf (Bytes.of_string "mapped!!");
+  (match Machine.read_virt k.Kernel.machine dst ~len:8 with
+  | _ -> Alcotest.fail "destination must be unmapped"
+  | exception Machine.Page_fault _ -> ());
+  (match Module_loader.load k ~name:"copier" (copier ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
+  Vg_obs.Obs.with_sink Vg_obs.Obs.default
+    (Vg_obs.Obs_recorder.sink recorder)
+    (fun () -> ignore (Syscalls.read k p ~fd:0 ~buf:user_buf ~len:8));
+  match Vg_obs.Obs_recorder.security_events recorder with
+  | [ { event = Vg_obs.Obs.Event.Security { subsystem; detail }; _ } ] ->
+      Alcotest.(check string) "event subsystem" "sandbox" subsystem;
+      Alcotest.(check string) "event detail"
+        (Printf.sprintf "module memcpy at %s denied" (U64.to_hex dst))
+        detail
+  | events ->
+      Alcotest.failf "expected one sandbox event, got %d security events"
+        (List.length events)
+
 (* ------------------------------------------------------------------ *)
 (* Poll readiness                                                      *)
 
@@ -1440,6 +1475,8 @@ let () =
           Alcotest.test_case "override" `Quick test_module_override;
           Alcotest.test_case "refuses unverified" `Quick test_refuses_unverified;
           Alcotest.test_case "trap returns EFAULT" `Quick test_module_trap;
+          Alcotest.test_case "memcpy fault names destination" `Quick
+            test_module_memcpy_fault_names_destination;
           Alcotest.test_case "chains to genuine" `Quick test_module_chains_to_genuine;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_module_rejected;
           Alcotest.test_case "privileged module rejected" `Quick
