@@ -2,9 +2,9 @@
 
     Runs compiled (possibly instrumented) code — in the slot-allocated
     form produced by {!Linker.link} — against the world exposed by an
-    {!env}: the simulated machine's memory, I/O ports, the SVA-OS
-    intrinsics, and kernel helper functions (see {!Exec_env}).  The executor keeps an
-    explicit call stack, so control-data attacks are expressible:
+    {!Exec_env.env}: the simulated machine's memory, I/O ports, the
+    SVA-OS intrinsics, and kernel helper functions.  The executor keeps
+    an explicit call stack, so control-data attacks are expressible:
     [tamper_return] lets a test (or a simulated kernel buffer overflow)
     corrupt a return address the instant it is popped, and indirect
     calls read their targets from data the program computed.  CFI
