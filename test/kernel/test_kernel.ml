@@ -608,6 +608,214 @@ let prop_pipe_model =
         ops;
       !ok)
 
+(* The pipe against a FIFO model with sizes that straddle chunk
+   boundaries: a large write read back in small pieces, a full pipe
+   ([EAGAIN] on write), an empty one ([EAGAIN] on read) and EOF once
+   the writer has gone. *)
+type pipe_op = Pipe_put of int | Pipe_take of int | Pipe_hang_up
+
+let prop_pipe_fifo_sizes =
+  QCheck2.Test.make ~name:"pipe: random sizes against a FIFO model" ~count:300
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity=%d ops=[%s]" cap
+        (String.concat "; "
+           (List.map
+              (function
+                | Pipe_put n -> Printf.sprintf "put %d" n
+                | Pipe_take n -> Printf.sprintf "take %d" n
+                | Pipe_hang_up -> "hang up")
+              ops)))
+    QCheck2.Gen.(
+      pair (int_range 1 700)
+        (list_size (int_range 1 60)
+           (frequency
+              [
+                (5, map (fun n -> Pipe_put n) (int_bound 900));
+                (6, map (fun n -> Pipe_take n) (int_bound 300));
+                (1, return Pipe_hang_up);
+              ])))
+    (fun (capacity, ops) ->
+      let pipe = Pipe_dev.create ~capacity () in
+      Pipe_dev.add_reader pipe;
+      Pipe_dev.add_writer pipe;
+      let model = Queue.create () in
+      let hung_up = ref false in
+      let next = ref 0 in
+      List.for_all
+        (function
+          | Pipe_hang_up ->
+              if not !hung_up then Pipe_dev.drop_writer pipe;
+              hung_up := true;
+              true
+          | Pipe_put _ when !hung_up -> true
+          | Pipe_put n -> (
+              let data = Bytes.init n (fun i -> Char.chr ((!next + i) land 0xff)) in
+              let room = capacity - Queue.length model in
+              match Pipe_dev.write pipe data with
+              | Ok k when room > 0 && k = min room n ->
+                  Bytes.iter (fun c -> Queue.push c model) (Bytes.sub data 0 k);
+                  next := !next + k;
+                  true
+              | Error Errno.EAGAIN -> room = 0
+              | Ok _ | Error _ -> false)
+          | Pipe_take n -> (
+              match Pipe_dev.read pipe n with
+              | Ok b when Queue.is_empty model -> !hung_up && Bytes.length b = 0
+              | Ok b ->
+                  Bytes.length b = min n (Queue.length model)
+                  && Bytes.for_all (fun c -> c = Queue.pop model) b
+              | Error Errno.EAGAIN -> Queue.is_empty model && not !hung_up
+              | Error _ -> false))
+        ops
+      && Pipe_dev.bytes_available pipe = Queue.length model)
+
+(* ------------------------------------------------------------------ *)
+(* Bulk kernel copies                                                  *)
+
+(* [Kmem.read_bytes]/[write_bytes] against byte-at-a-time accesses,
+   under both builds: a six-page user window at [kcopy_base] with a
+   random set of pages present.  Per page chunk the kernel pays the
+   mask (Virtual Ghost), one [Cost.copy_cycles chunk] and one TLB miss
+   (the TLB is flushed first); a chunk on an unmapped page reads as
+   zeros, drops its store, and under Virtual Ghost raises exactly one
+   [Security{sandbox}] event. *)
+let kcopy_pages = 6
+let kcopy_base = 0x400000L
+let kcopy_frame i = 300 + i
+
+let kcopy_world =
+  let make mode =
+    lazy
+      (let obs = Vg_obs.Obs.create () in
+       let recorder = Vg_obs.Obs_recorder.create () in
+       Vg_obs.Obs.attach obs (Vg_obs.Obs_recorder.sink recorder);
+       let m = Machine.create ~obs ~phys_frames:2048 ~disk_sectors:128 ~seed:"kmem-copy" () in
+       let sva = Sva.boot ~vg_key_bits:256 ~mode m in
+       (m, Kmem.create sva, recorder))
+  in
+  let vg = make Sva.Virtual_ghost and native = make Sva.Native_build in
+  function Sva.Virtual_ghost -> Lazy.force vg | Sva.Native_build -> Lazy.force native
+
+let kcopy_pattern seed i = Char.chr (((seed * 5) + (i * 11) + (i / 4096)) land 0xff)
+
+(* Map the window afresh and fill its frames; returns the world. *)
+let kcopy_setup mode ~mapped ~seed =
+  let m, kmem, recorder = kcopy_world mode in
+  for i = 0 to kcopy_pages - 1 do
+    let vpage = Int64.add (Int64.shift_right_logical kcopy_base 12) (Int64.of_int i) in
+    Pagetable.unmap (Machine.current_pt m) ~vpage;
+    if mapped land (1 lsl i) <> 0 then
+      Pagetable.map (Machine.current_pt m) ~vpage
+        { frame = kcopy_frame i; perm = { writable = true; user = true; executable = false } };
+    for b = 0 to 4095 do
+      Phys_mem.write (Machine.mem m)
+        ~addr:(Int64.of_int ((kcopy_frame i * 4096) + b))
+        ~len:1
+        (Int64.of_int (Char.code (kcopy_pattern seed ((i * 4096) + b))))
+    done
+  done;
+  Machine.flush_tlb m;
+  Vg_obs.Obs_recorder.clear recorder;
+  (m, kmem, recorder)
+
+let kcopy_window m =
+  String.init (kcopy_pages * 4096) (fun i ->
+      Char.chr
+        (Int64.to_int
+           (Phys_mem.read (Machine.mem m)
+              ~addr:(Int64.of_int ((kcopy_frame (i / 4096) * 4096) + (i mod 4096)))
+              ~len:1)))
+
+(* Page chunks of [start, start+len) within the window. *)
+let kcopy_chunks ~start ~len =
+  let rec go pos acc =
+    if pos >= start + len then List.rev acc
+    else begin
+      let chunk = min (start + len - pos) (4096 - (pos mod 4096)) in
+      go (pos + chunk) ((pos, chunk) :: acc)
+    end
+  in
+  go start []
+
+let kcopy_page_mapped mapped pos = mapped land (1 lsl (pos / 4096)) <> 0
+
+let kcopy_expected_cycles mode ~start ~len =
+  let mask = match mode with Sva.Virtual_ghost -> Cost.sandbox_mask | Sva.Native_build -> 0 in
+  List.fold_left
+    (fun acc (_, chunk) -> acc + mask + Cost.copy_cycles chunk + Cost.tlb_miss)
+    0 (kcopy_chunks ~start ~len)
+
+let kcopy_expected_events mode ~start ~len ~mapped =
+  match mode with
+  | Sva.Native_build -> 0
+  | Sva.Virtual_ghost ->
+      List.length
+        (List.filter
+           (fun (pos, _) -> not (kcopy_page_mapped mapped pos))
+           (kcopy_chunks ~start ~len))
+
+let sandbox_events recorder =
+  Vg_obs.Obs_recorder.count_matching recorder (function
+    | Vg_obs.Obs.Event.Security { subsystem = "sandbox"; _ } -> true
+    | _ -> false)
+
+let kcopy_gen =
+  QCheck2.Gen.(
+    let* mode = oneofl [ Sva.Virtual_ghost; Sva.Native_build ] in
+    let* start = int_bound (3 * 4096) in
+    let* len = int_bound (3 * 4096) in
+    let* mapped = int_bound ((1 lsl kcopy_pages) - 1) in
+    let* seed = int_bound 1_000_000 in
+    return (mode, start, len, mapped, seed))
+
+let print_kcopy (mode, start, len, mapped, seed) =
+  Printf.sprintf "%s start=%d len=%d mapped=0x%x seed=%d"
+    (match mode with Sva.Virtual_ghost -> "vg" | Sva.Native_build -> "native")
+    start len mapped seed
+
+let prop_kmem_read_matches_bytes =
+  QCheck2.Test.make ~name:"Kmem bulk read = byte reads" ~count:100 ~print:print_kcopy kcopy_gen
+    (fun (mode, start, len, mapped, seed) ->
+      let m, kmem, recorder = kcopy_setup mode ~mapped ~seed in
+      let va = Int64.add kcopy_base (Int64.of_int start) in
+      let c0 = Machine.cycles m in
+      let bulk = Kmem.read_bytes kmem va ~len in
+      let cycles = Machine.cycles m - c0 in
+      let events = sandbox_events recorder in
+      let reference =
+        Bytes.init len (fun i ->
+            if kcopy_page_mapped mapped (start + i) then
+              Char.chr
+                (Int64.to_int (Machine.read_virt m (Int64.add va (Int64.of_int i)) ~len:1))
+            else '\000')
+      in
+      Bytes.equal bulk reference
+      && cycles = kcopy_expected_cycles mode ~start ~len
+      && events = kcopy_expected_events mode ~start ~len ~mapped)
+
+let prop_kmem_write_matches_bytes =
+  QCheck2.Test.make ~name:"Kmem bulk write = byte writes" ~count:100 ~print:print_kcopy kcopy_gen
+    (fun (mode, start, len, mapped, seed) ->
+      let m, kmem, recorder = kcopy_setup mode ~mapped ~seed in
+      let before = kcopy_window m in
+      let va = Int64.add kcopy_base (Int64.of_int start) in
+      let data = Bytes.init len (fun i -> kcopy_pattern (seed + 1) i) in
+      let c0 = Machine.cycles m in
+      Kmem.write_bytes kmem va data;
+      let cycles = Machine.cycles m - c0 in
+      let events = sandbox_events recorder in
+      let expected =
+        String.mapi
+          (fun i c ->
+            if i >= start && i < start + len && kcopy_page_mapped mapped i then
+              Bytes.get data (i - start)
+            else c)
+          before
+      in
+      kcopy_window m = expected
+      && cycles = kcopy_expected_cycles mode ~start ~len
+      && events = kcopy_expected_events mode ~start ~len ~mapped)
+
 (* ------------------------------------------------------------------ *)
 (* Modules                                                             *)
 
@@ -1469,6 +1677,12 @@ let () =
           Alcotest.test_case "select" `Quick test_select;
           Alcotest.test_case "netstack details" `Quick test_netstack_details;
           QCheck_alcotest.to_alcotest prop_pipe_model;
+          QCheck_alcotest.to_alcotest prop_pipe_fifo_sizes;
+        ] );
+      ( "bulk-copy",
+        [
+          QCheck_alcotest.to_alcotest prop_kmem_read_matches_bytes;
+          QCheck_alcotest.to_alcotest prop_kmem_write_matches_bytes;
         ] );
       ( "modules",
         [

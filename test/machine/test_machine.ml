@@ -409,6 +409,164 @@ let prop_disk_persistence =
              = data)
         model true)
 
+(* ------------------------------------------------------------------ *)
+(* Bulk copies against a byte-at-a-time reference                      *)
+
+(* Every bulk primitive must agree with the byte accessors it stands
+   for: the same bytes, the same fault, and the charges of one modelled
+   copy — one [Cost.copy_cycles len], plus one TLB miss per page
+   translated (the TLB is flushed first) up to and including a faulting
+   page.  The window is six pages at [copy_base]; bit [i] of [mapped]
+   maps page [i] to frame [copy_frame i]. *)
+
+let copy_pages = 6
+let copy_base = 0x400000L
+let copy_frame i = 10 + i
+
+let copy_case_gen =
+  QCheck2.Gen.(
+    let* start = int_bound (3 * 4096) in
+    let* len = int_bound (3 * 4096) in
+    let* mapped = int_bound ((1 lsl copy_pages) - 1) in
+    let* seed = int_bound 1_000_000 in
+    return (start, len, mapped, seed))
+
+let print_copy_case (start, len, mapped, seed) =
+  Printf.sprintf "start=%d len=%d mapped=0x%x seed=%d" start len mapped seed
+
+let pattern seed i = Char.chr (((seed * 7) + (i * 13) + (i / 4096)) land 0xff)
+
+let copy_machine ~mapped ~seed =
+  let m = Machine.create ~phys_frames:64 ~disk_sectors:64 ~seed:"copy" () in
+  for i = 0 to copy_pages - 1 do
+    if mapped land (1 lsl i) <> 0 then
+      Pagetable.map (Machine.current_pt m)
+        ~vpage:(Int64.add (Int64.shift_right_logical copy_base 12) (Int64.of_int i))
+        { frame = copy_frame i; perm = perm_user_rw };
+    for b = 0 to 4095 do
+      Phys_mem.write (Machine.mem m)
+        ~addr:(Int64.of_int ((copy_frame i * 4096) + b))
+        ~len:1
+        (Int64.of_int (Char.code (pattern seed ((i * 4096) + b))))
+    done
+  done;
+  Machine.flush_tlb m;
+  m
+
+(* The window's frames, read a byte at a time. *)
+let window_frames m =
+  String.init (copy_pages * 4096) (fun i ->
+      Char.chr
+        (Int64.to_int
+           (Phys_mem.read (Machine.mem m)
+              ~addr:(Int64.of_int ((copy_frame (i / 4096) * 4096) + (i mod 4096)))
+              ~len:1)))
+
+let pages_translated ~start ~len ~mapped =
+  if len = 0 then 0
+  else begin
+    let first = start / 4096 and last = (start + len - 1) / 4096 in
+    let rec go p =
+      if p > last then last - first + 1
+      else if mapped land (1 lsl p) = 0 then p - first + 1
+      else go (p + 1)
+    in
+    go first
+  end
+
+let expected_copy_cycles ~start ~len ~mapped =
+  Cost.copy_cycles len + (Cost.tlb_miss * pages_translated ~start ~len ~mapped)
+
+let fault_outcome f =
+  match f () with v -> Ok v | exception Machine.Page_fault { va; _ } -> Error va
+
+let read_by_bytes m va len =
+  fault_outcome (fun () ->
+      Bytes.init len (fun i ->
+          Char.chr (Int64.to_int (Machine.read_virt m (Int64.add va (Int64.of_int i)) ~len:1))))
+
+let write_by_bytes m va data =
+  fault_outcome (fun () ->
+      Bytes.iteri
+        (fun i c ->
+          Machine.write_virt m (Int64.add va (Int64.of_int i)) ~len:1 (Int64.of_int (Char.code c)))
+        data)
+
+let prop_virt_read_matches_bytes =
+  QCheck2.Test.make ~name:"bulk virtual read = byte reads" ~count:120 ~print:print_copy_case
+    copy_case_gen (fun (start, len, mapped, seed) ->
+      let m = copy_machine ~mapped ~seed in
+      let va = Int64.add copy_base (Int64.of_int start) in
+      let c0 = Machine.cycles m in
+      let bulk = fault_outcome (fun () -> Machine.read_bytes_virt m va ~len) in
+      let cycles = Machine.cycles m - c0 in
+      bulk = read_by_bytes m va len && cycles = expected_copy_cycles ~start ~len ~mapped)
+
+let prop_virt_write_matches_bytes =
+  QCheck2.Test.make ~name:"bulk virtual write = byte writes" ~count:120 ~print:print_copy_case
+    copy_case_gen (fun (start, len, mapped, seed) ->
+      let m = copy_machine ~mapped ~seed and ref_m = copy_machine ~mapped ~seed in
+      let va = Int64.add copy_base (Int64.of_int start) in
+      let data = Bytes.init len (fun i -> pattern (seed + 1) i) in
+      let c0 = Machine.cycles m in
+      let bulk = fault_outcome (fun () -> Machine.write_bytes_virt m va data) in
+      let cycles = Machine.cycles m - c0 in
+      bulk = write_by_bytes ref_m va data
+      && window_frames m = window_frames ref_m
+      && cycles = expected_copy_cycles ~start ~len ~mapped)
+
+(* Physical bulk access over a six-frame memory: ranges may run off the
+   end, where the bulk and byte forms must fail at the same address. *)
+let phys_outcome f =
+  match f () with v -> Ok v | exception Phys_mem.Bad_physical_address a -> Error a
+
+let prop_phys_bulk_matches_bytes =
+  QCheck2.Test.make ~name:"bulk physical read/write = byte access" ~count:150
+    ~print:print_copy_case copy_case_gen (fun (start, len, _, seed) ->
+      let frames = copy_pages in
+      let addr = Int64.of_int (start + (seed mod (3 * 4096))) in
+      let data = Bytes.init len (fun i -> pattern seed i) in
+      let bulk = Phys_mem.create ~frames and by_byte = Phys_mem.create ~frames in
+      let read_by_bytes mem =
+        phys_outcome (fun () ->
+            Bytes.init len (fun i ->
+                Char.chr
+                  (Int64.to_int (Phys_mem.read mem ~addr:(Int64.add addr (Int64.of_int i)) ~len:1))))
+      in
+      let wrote = phys_outcome (fun () -> Phys_mem.write_bytes bulk ~addr data) in
+      let ref_wrote =
+        phys_outcome (fun () ->
+            Bytes.iteri
+              (fun i c ->
+                Phys_mem.write by_byte ~addr:(Int64.add addr (Int64.of_int i)) ~len:1
+                  (Int64.of_int (Char.code c)))
+              data)
+      in
+      let dump mem =
+        String.init (frames * 4096) (fun i ->
+            Char.chr (Int64.to_int (Phys_mem.read mem ~addr:(Int64.of_int i) ~len:1)))
+      in
+      wrote = ref_wrote
+      && dump bulk = dump by_byte
+      && phys_outcome (fun () -> Phys_mem.read_bytes bulk ~addr ~len) = read_by_bytes bulk)
+
+(* memcpy_virt has memmove semantics: overlapping ranges, in either
+   direction, end with the destination holding the source's original
+   bytes. *)
+let test_memcpy_virt_overlap () =
+  List.iter
+    (fun (src, dst) ->
+      let m = copy_machine ~mapped:0b111111 ~seed:7 in
+      let src = Int64.add copy_base (Int64.of_int src)
+      and dst = Int64.add copy_base (Int64.of_int dst) in
+      let len = 9000 in
+      let original = Machine.read_bytes_virt m src ~len in
+      Machine.memcpy_virt m ~dst ~src ~len;
+      match read_by_bytes m dst len with
+      | Ok copied -> Alcotest.(check bytes) "destination holds the source" original copied
+      | Error _ -> Alcotest.fail "window is fully mapped")
+    [ (1000, 4000); (5000, 4300) ]
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -437,6 +595,14 @@ let () =
           Alcotest.test_case "context switch" `Quick test_context_switch_flushes_and_charges;
           Alcotest.test_case "bulk cross-page" `Quick test_bulk_virt_cross_page;
         ] );
+      ( "bulk-copy",
+        Alcotest.test_case "memcpy_virt overlap" `Quick test_memcpy_virt_overlap
+        :: qcheck
+             [
+               prop_phys_bulk_matches_bytes;
+               prop_virt_read_matches_bytes;
+               prop_virt_write_matches_bytes;
+             ] );
       ( "radix-pagetable",
         Alcotest.test_case "basic walk" `Quick test_radix_basic
         :: Alcotest.test_case "sparse levels" `Quick test_radix_sparse_levels

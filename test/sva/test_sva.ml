@@ -122,6 +122,59 @@ let test_mmu_native_mode_unchecked () =
   check_mmu_ok "ghost frame mapped" (Sva.map_page sva pt ~va:0x400000L ~frame:30 ~perm:user_rw);
   check_mmu_ok "ghost range mapped" (Sva.map_page sva pt ~va:(Int64.add ghost_va 0x1000L) ~frame:11 ~perm:user_rw)
 
+(* Kernel code stays fixed: under Virtual Ghost the VM refuses an
+   ordinary frame in the kernel-code range, replacing a native-code
+   translation, and unmapping kernel code; the baseline kernel may do
+   all three. *)
+let code_va = Int64.add Layout.kernel_code_start 0x0800_0000L
+let code_ro : Pagetable.perm = { writable = false; user = false; executable = true }
+
+let expect_mmu mode what ~vg_error result =
+  match (mode, result) with
+  | Sva.Virtual_ghost, Error e when e = vg_error -> ()
+  | Sva.Native_build, Ok () -> ()
+  | _, Ok () -> Alcotest.failf "%s: permitted under Virtual Ghost" what
+  | _, Error e -> Alcotest.failf "%s: %s" what (Format.asprintf "%a" Sva.pp_mmu_error e)
+
+let both_modes f = List.iter f [ Sva.Virtual_ghost; Sva.Native_build ]
+
+let test_mmu_refuses_data_in_kernel_code () =
+  both_modes (fun mode ->
+      let _, sva = boot ~mode () in
+      expect_mmu mode "ordinary frame in kernel code"
+        ~vg_error:(Sva.Protected_range "kernel code")
+        (Sva.map_kernel_page sva ~va:code_va ~frame:14 ~perm:code_ro))
+
+let test_mmu_refuses_native_code_remap () =
+  both_modes (fun mode ->
+      let _, sva = boot ~mode () in
+      Sva.set_code_frame sva 15;
+      Sva.set_code_frame sva 16;
+      check_mmu_ok "map native code" (Sva.map_kernel_page sva ~va:code_va ~frame:15 ~perm:code_ro);
+      expect_mmu mode "native code replaced by other code"
+        ~vg_error:(Sva.Protected_range "remap of native code")
+        (Sva.map_kernel_page sva ~va:code_va ~frame:16 ~perm:code_ro);
+      (* Outside the kernel-code range too: a read-only code mapping in
+         user space cannot be swapped for a data frame. *)
+      let pt = Sva.declare_address_space sva ~pid:1 in
+      check_mmu_ok "map user code"
+        (Sva.map_page sva pt ~va:0x400000L ~frame:15
+           ~perm:{ writable = false; user = true; executable = true });
+      expect_mmu mode "native code replaced by data"
+        ~vg_error:(Sva.Protected_range "remap of native code")
+        (Sva.map_page sva pt ~va:0x400000L ~frame:17 ~perm:user_rw))
+
+let test_mmu_refuses_kernel_code_unmap () =
+  both_modes (fun mode ->
+      let machine, sva = boot ~mode () in
+      Sva.set_code_frame sva 15;
+      check_mmu_ok "map native code" (Sva.map_kernel_page sva ~va:code_va ~frame:15 ~perm:code_ro);
+      expect_mmu mode "unmap kernel code" ~vg_error:(Sva.Protected_range "kernel code")
+        (Sva.unmap_page sva (Machine.kernel_pt machine) ~va:code_va);
+      Alcotest.(check bool) "mapping kept only under Virtual Ghost" (mode = Sva.Virtual_ghost)
+        (Pagetable.lookup (Machine.kernel_pt machine) ~vpage:(Int64.shift_right_logical code_va 12)
+        <> None))
+
 (* ------------------------------------------------------------------ *)
 (* Ghost memory                                                        *)
 
@@ -516,6 +569,12 @@ let () =
           Alcotest.test_case "refuses SVA targets" `Quick test_mmu_refuses_sva_targets;
           Alcotest.test_case "refuses writable code" `Quick test_mmu_refuses_code_writable;
           Alcotest.test_case "native mode unchecked" `Quick test_mmu_native_mode_unchecked;
+          Alcotest.test_case "refuses data in kernel code" `Quick
+            test_mmu_refuses_data_in_kernel_code;
+          Alcotest.test_case "refuses native code remap" `Quick
+            test_mmu_refuses_native_code_remap;
+          Alcotest.test_case "refuses kernel code unmap" `Quick
+            test_mmu_refuses_kernel_code_unmap;
         ] );
       ( "ghost-memory",
         [
