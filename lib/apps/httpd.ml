@@ -5,6 +5,13 @@ let response_header body_len =
 
 let not_found = "HTTP/1.0 404 Not Found\r\n\r\n"
 
+(* "HTTP/1.0 200 ...": the status code is bytes 9-11, read in place. *)
+let status_ok raw =
+  Bytes.length raw >= 12
+  && Bytes.get raw 9 = '2'
+  && Bytes.get raw 10 = '0'
+  && Bytes.get raw 11 = '0'
+
 let handle_connection ctx conn_fd =
   let k = ctx.Runtime.kernel and proc = ctx.Runtime.proc in
   let buf = Runtime.galloc ctx 1024 in
@@ -141,9 +148,7 @@ module Pool = struct
         (fun acc ep ->
           let raw = Netstack.Remote.recv_all_available ep in
           Netstack.Remote.close ep;
-          let s = Bytes.to_string raw in
-          if String.length s >= 12 && String.sub s 9 3 = "200" then acc + 1
-          else acc)
+          if status_ok raw then acc + 1 else acc)
         0 eps
     in
     {
@@ -421,9 +426,7 @@ module Event_loop = struct
         (fun acc ep ->
           let raw = Netstack.Remote.recv_all_available ep in
           Netstack.Remote.close ep;
-          let s = Bytes.to_string raw in
-          if String.length s >= 12 && String.sub s 9 3 = "200" then acc + 1
-          else acc)
+          if status_ok raw then acc + 1 else acc)
         0 eps
     in
     { stats with ok }
@@ -439,14 +442,17 @@ module Client = struct
     let raw = Netstack.Remote.recv_all_available ep in
     Netstack.Remote.close ep;
     (* Split the header from the body. *)
-    let s = Bytes.to_string raw in
     let rec find_body i =
-      if i + 4 > String.length s then None
-      else if String.sub s i 4 = "\r\n\r\n" then Some (i + 4)
+      if i + 4 > Bytes.length raw then None
+      else if
+        Bytes.get raw i = '\r'
+        && Bytes.get raw (i + 1) = '\n'
+        && Bytes.get raw (i + 2) = '\r'
+        && Bytes.get raw (i + 3) = '\n'
+      then Some (i + 4)
       else find_body (i + 1)
     in
     match find_body 0 with
-    | Some start when String.length s >= 12 && String.sub s 9 3 = "200" ->
-        Some (Bytes.sub raw start (Bytes.length raw - start))
+    | Some start when status_ok raw -> Some (Bytes.sub raw start (Bytes.length raw - start))
     | _ -> None
 end

@@ -100,6 +100,10 @@ module Event_loop : sig
       any entry runs. *)
 end
 
+val status_ok : bytes -> bool
+(** The raw response's status line reads 200 (checked in place, without
+    copying the response). *)
+
 (** Client half, run on the remote machine by the benchmark harness. *)
 module Client : sig
   val get :

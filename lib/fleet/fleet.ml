@@ -240,10 +240,6 @@ let mixed_background t i sched =
   st.pending_mixed <-
     Some (fun () -> { postmark_tx = !pm_tx; ssh_ok = !ssh_ok })
 
-let http_ok raw =
-  let s = Bytes.to_string raw in
-  String.length s >= 12 && String.sub s 9 3 = "200"
-
 let serve_wave ?(batch = 8) ?(mixed = false) t ~port ~path ~requests =
   let n = Array.length t.nodes in
   let eps = Array.make n [] in
@@ -292,7 +288,7 @@ let serve_wave ?(batch = 8) ?(mixed = false) t ~port ~path ~requests =
               (fun acc ep ->
                 let raw = Netstack.Remote.recv_all_available ep in
                 Netstack.Remote.close ep;
-                if http_ok raw then acc + 1 else acc)
+                if Httpd.status_ok raw then acc + 1 else acc)
               0 eps.(i)
           in
           for _ = 1 to assigned.(i) do

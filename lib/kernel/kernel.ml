@@ -257,10 +257,7 @@ let resolve_cow t (proc : Proc.t) vpage =
         match Spinlock.with_lock t.frame_lock (fun () -> Frame_alloc.alloc t.frames) with
         | None -> Error Errno.ENOMEM
         | Some fresh -> (
-            let src = Int64.shift_left (Int64.of_int frame) 12 in
-            let dst = Int64.shift_left (Int64.of_int fresh) 12 in
-            Phys_mem.write_bytes (Machine.mem t.machine) ~addr:dst
-              (Phys_mem.read_bytes (Machine.mem t.machine) ~addr:src ~len:4096);
+            Phys_mem.copy_frame (Machine.mem t.machine) ~src:frame ~dst:fresh;
             Machine.charge ~tag:Obs.Tag.Copy t.machine (Cost.copy_cycles 4096);
             match Sva.map_page t.sva proc.Proc.pt ~va ~frame:fresh ~perm:user_perm with
             | Ok () ->

@@ -43,11 +43,23 @@ val load : t -> int64 -> len:int -> int64
 val store : t -> int64 -> len:int -> int64 -> unit
 (** Instrumented kernel store. *)
 
+val read_into : t -> int64 -> bytes -> off:int -> len:int -> unit
+(** [read_into t addr dst ~off ~len] is an instrumented bulk read (a
+    [memcpy] out of somewhere) into [dst] at [off].  The range is taken
+    in page chunks; each chunk pays its own mask (under Virtual Ghost)
+    and its own {!Machine.read_virt_into} copy charge, and lands
+    straight in [dst] — one host copy.  A chunk that faults reads as
+    zeros (with a [Security{sandbox}] event under Virtual Ghost) and
+    later chunks are still copied.
+    @raise Invalid_argument if [off]/[len] do not fit [dst]. *)
+
 val read_bytes : t -> int64 -> len:int -> bytes
-(** Instrumented bulk read (a [memcpy] out of somewhere): masking is
-    applied per page. *)
+(** Allocating form of {!read_into}. *)
 
 val write_bytes : t -> int64 -> bytes -> unit
+(** Instrumented bulk write, chunked, masked and charged as
+    {!read_into}; each chunk is written from its offset in the source
+    (no sub-buffers), and a faulting chunk's store is dropped. *)
 
 val work : t -> int
   -> unit

@@ -8,23 +8,37 @@
 let ty_syn = 0
 let ty_data = 1
 let ty_fin = 2
+let header_bytes = 9
 
-let frame ~ty ~conn ~port payload =
-  let b = Bytes.create (9 + Bytes.length payload) in
+let write_header b ~ty ~conn ~port =
   Bytes.set b 0 (Char.chr ty);
   Bytes.set_int32_le b 1 (Int32.of_int conn);
-  Bytes.set_int32_le b 5 (Int32.of_int port);
-  Bytes.blit payload 0 b 9 (Bytes.length payload);
+  Bytes.set_int32_le b 5 (Int32.of_int port)
+
+let frame ~ty ~conn ~port payload =
+  let b = Bytes.create (header_bytes + Bytes.length payload) in
+  write_header b ~ty ~conn ~port;
+  Bytes.blit payload 0 b header_bytes (Bytes.length payload);
   b
 
-let parse b =
-  if Bytes.length b < 9 then None
+(* The header of the frame starting at [off] in [b]: type, connection
+   and port.  The payload follows at [off + header_bytes]. *)
+let parse_header b ~off =
+  if Bytes.length b - off < header_bytes then None
   else
     Some
-      ( Char.code (Bytes.get b 0),
-        Int32.to_int (Bytes.get_int32_le b 1),
-        Int32.to_int (Bytes.get_int32_le b 5),
-        Bytes.sub b 9 (Bytes.length b - 9) )
+      ( Char.code (Bytes.get b off),
+        Int32.to_int (Bytes.get_int32_le b (off + 1)),
+        Int32.to_int (Bytes.get_int32_le b (off + 5)) )
+
+(* A parsed frame with its payload copied out: one copy, whatever [off]
+   the frame starts at. *)
+let parse b ~off =
+  match parse_header b ~off with
+  | None -> None
+  | Some (ty, conn, port) ->
+      let at = off + header_bytes in
+      Some (ty, conn, port, Bytes.sub b at (Bytes.length b - at))
 
 type addr = Local of int | Peer of { node : int; port : int }
 
@@ -131,7 +145,7 @@ let poll t =
         (* Interrupt handler + demux are instrumented kernel code. *)
         Kmem.fn_entry t.kmem;
         Kmem.work t.kmem 20;
-        match parse raw with
+        match parse raw ~off:0 with
         | None -> ()
         | Some fr -> deliver t ~link:Wire fr)
   done;
@@ -151,7 +165,7 @@ let poll t =
             Kmem.work t.kmem 20;
             if Bytes.length raw > 4 then begin
               let src = Int32.to_int (Bytes.get_int32_le raw 0) in
-              match parse (Bytes.sub raw 4 (Bytes.length raw - 4)) with
+              match parse raw ~off:4 with
               | None -> ()
               | Some fr -> deliver t ~link:(Fabric_link src) fr
             end
@@ -193,13 +207,15 @@ let conn_wq t ~conn =
   | None -> None
   | Some state -> Some (Pipe_dev.read_wq state.inbox)
 
-let send t ~conn data =
+let send t ~conn fr =
+  if Bytes.length fr < header_bytes then invalid_arg "Netstack.send: no header room";
   Kmem.work t.kmem 25;
   match Hashtbl.find_opt t.conns conn with
   | None -> Error Errno.EBADF
   | Some state ->
-      transmit_on t state.link (frame ~ty:ty_data ~conn ~port:state.port data);
-      Ok (Bytes.length data)
+      write_header fr ~ty:ty_data ~conn ~port:state.port;
+      transmit_on t state.link fr;
+      Ok (Bytes.length fr - header_bytes)
 
 let recv t ~conn n =
   poll t;
@@ -251,7 +267,7 @@ module Remote = struct
     nic : Nic.t;
     conn : int;
     port : int;
-    stash : bytes Queue.t; (* frames for us, popped out of order *)
+    stash : bytes Queue.t; (* whole data frames for us, popped out of order *)
   }
 
   let next_conn = ref 1000
@@ -262,10 +278,12 @@ module Remote = struct
      concurrent connections interleave their frames arbitrarily. *)
   let by_conn : (int, endpoint) Hashtbl.t = Hashtbl.create 32
 
-  let stash_for ~conn payload =
+  let stash_for ~conn raw =
     match Hashtbl.find_opt by_conn conn with
-    | Some other -> Queue.push payload other.stash
+    | Some other -> Queue.push raw other.stash
     | None -> () (* connection closed: drop *)
+
+  let payload raw = Bytes.sub raw header_bytes (Bytes.length raw - header_bytes)
 
   let connect nic ~port =
     incr next_conn;
@@ -279,42 +297,66 @@ module Remote = struct
     match Nic.receive nic with
     | None -> None
     | Some raw -> (
-        match parse raw with
-        | Some (ty, conn, port, _) when ty = ty_syn ->
+        match parse_header raw ~off:0 with
+        | Some (ty, conn, port) when ty = ty_syn ->
             let ep = { nic; conn; port; stash = Queue.create () } in
             Hashtbl.replace by_conn conn ep;
             Some ep
-        | Some (ty, conn, _, payload) when ty = ty_data ->
-            stash_for ~conn payload;
+        | Some (ty, conn, _) when ty = ty_data ->
+            stash_for ~conn raw;
             accept nic
         | _ -> accept nic (* stale FIN from a closed connection *))
 
   let send ep payload = Nic.transmit ep.nic (frame ~ty:ty_data ~conn:ep.conn ~port:ep.port payload)
 
+  (* One frame off the wire: a data frame for [ep] is [Mine]; a
+     sibling's data frame goes to its stash and anything else is
+     dropped ([Other]). *)
+  type wire = Empty | Mine of bytes | Other
+
+  let take_wire ep =
+    match Nic.receive ep.nic with
+    | None -> Empty
+    | Some raw -> (
+        match parse_header raw ~off:0 with
+        | Some (ty, conn, _) when conn = ep.conn && ty = ty_data -> Mine raw
+        | Some (ty, conn, _) when ty = ty_data ->
+            stash_for ~conn raw;
+            Other
+        | _ -> Other)
+
   let rec recv ep =
-    if not (Queue.is_empty ep.stash) then Some (Queue.pop ep.stash)
+    if not (Queue.is_empty ep.stash) then Some (payload (Queue.pop ep.stash))
     else begin
-      match Nic.receive ep.nic with
-      | None -> None
-      | Some raw -> (
-          match parse raw with
-          | Some (ty, conn, _, payload) when conn = ep.conn && ty = ty_data -> Some payload
-          | Some (ty, conn, _, payload) when ty = ty_data ->
-              (* a sibling's frame: deliver to its stash, keep looking *)
-              stash_for ~conn payload;
-              recv ep
-          | _ -> recv ep)
+      match take_wire ep with
+      | Empty -> None
+      | Mine raw -> Some (payload raw)
+      | Other -> recv ep
     end
 
+  (* Drain the wire into the stash, then size one buffer from the
+     queued frames and blit each payload into it. *)
   let recv_all_available ep =
-    let out = Buffer.create 4096 in
-    let continue = ref true in
-    while !continue do
-      match recv ep with
-      | Some b -> Buffer.add_bytes out b
-      | None -> continue := false
-    done;
-    Buffer.to_bytes out
+    let rec drain () =
+      match take_wire ep with
+      | Empty -> ()
+      | Mine raw ->
+          Queue.push raw ep.stash;
+          drain ()
+      | Other -> drain ()
+    in
+    drain ();
+    let total = Queue.fold (fun n raw -> n + Bytes.length raw - header_bytes) 0 ep.stash in
+    let out = Bytes.create total in
+    let pos = ref 0 in
+    Queue.iter
+      (fun raw ->
+        let n = Bytes.length raw - header_bytes in
+        Bytes.blit raw header_bytes out !pos n;
+        pos := !pos + n)
+      ep.stash;
+    Queue.clear ep.stash;
+    out
 
   let close ep =
     Hashtbl.remove by_conn ep.conn;

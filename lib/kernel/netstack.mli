@@ -72,9 +72,19 @@ val listen_wq : t -> port:int -> Waitq.t option
 val conn_wq : t -> conn:int -> Waitq.t option
 (** Woken when data or FIN arrives on the connection. *)
 
+val header_bytes : int
+(** Bytes of frame header (type, connection id, port) in front of every
+    payload: 9. *)
+
 val send : t -> conn:int -> bytes -> int Errno.result
-(** Transmit data on a connection (routed over the link — wire or
-    fabric — the connection was made on). *)
+(** [send t ~conn frame] transmits [frame] on a connection (routed over
+    the link — wire or fabric — the connection was made on).  The
+    caller builds the frame in place: {!header_bytes} of header room,
+    then the payload, so user bytes are copied once, straight into the
+    frame; [send] writes the header into that room and returns the
+    payload length.  The NIC then takes its one ownership copy
+    ({!Nic.transmit}).
+    @raise Invalid_argument if [frame] is shorter than the header. *)
 
 val recv : t -> conn:int -> int -> bytes Errno.result
 (** Receive up to [n] bytes; [EAGAIN] when none pending and the peer
@@ -110,6 +120,11 @@ module Remote : sig
   (** Pop the next data frame payload, if any ([None] = nothing yet). *)
 
   val recv_all_available : endpoint -> bytes
+  (** Everything that has arrived for this endpoint, as one buffer.  The
+      endpoint stashes whole frames; this drains the wire, sizes one
+      buffer from the queued frames and blits each payload into it
+      once. *)
+
   val close : endpoint -> unit
   val conn_id : endpoint -> int
 end

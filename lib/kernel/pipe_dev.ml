@@ -1,6 +1,6 @@
 type t = {
   chunks : bytes Queue.t;
-  mutable front : bytes option; (* partially-consumed head chunk *)
+  mutable front : int; (* bytes of the head chunk already read *)
   mutable size : int;
   capacity : int;
   mutable readers : int;
@@ -12,7 +12,7 @@ type t = {
 let create ?(capacity = 65536) () =
   {
     chunks = Queue.create ();
-    front = None;
+    front = 0;
     size = 0;
     capacity;
     readers = 0;
@@ -43,35 +43,33 @@ let writable t = t.size < t.capacity || t.readers = 0
 let read_wq t = t.read_wq
 let write_wq t = t.write_wq
 
-let next_chunk t =
-  match t.front with
-  | Some b -> Some b
-  | None -> if Queue.is_empty t.chunks then None else Some (Queue.pop t.chunks)
-
+(* Copy straight from the queued chunks into one result buffer; a
+   partly read head chunk stays queued with [front] past its consumed
+   bytes, so reading a large chunk in small pieces copies each byte
+   once. *)
 let read t n : bytes Errno.result =
   if n < 0 then Error Errno.EINVAL
   else if t.size = 0 then
     if t.writers > 0 then Error Errno.EAGAIN else Ok Bytes.empty
   else begin
-    let out = Buffer.create (min n t.size) in
-    let continue = ref true in
-    while Buffer.length out < n && !continue do
-      match next_chunk t with
-      | None -> continue := false
-      | Some chunk ->
-          let want = n - Buffer.length out in
-          if Bytes.length chunk <= want then begin
-            Buffer.add_bytes out chunk;
-            t.front <- None
-          end
-          else begin
-            Buffer.add_bytes out (Bytes.sub chunk 0 want);
-            t.front <- Some (Bytes.sub chunk want (Bytes.length chunk - want))
-          end
+    let want = min n t.size in
+    let out = Bytes.create want in
+    let pos = ref 0 in
+    while !pos < want do
+      let chunk = Queue.peek t.chunks in
+      let avail = Bytes.length chunk - t.front in
+      let k = min avail (want - !pos) in
+      Bytes.blit chunk t.front out !pos k;
+      pos := !pos + k;
+      if k = avail then begin
+        ignore (Queue.pop t.chunks);
+        t.front <- 0
+      end
+      else t.front <- t.front + k
     done;
-    t.size <- t.size - Buffer.length out;
-    if Buffer.length out > 0 then Waitq.wake t.write_wq;
-    Ok (Buffer.to_bytes out)
+    t.size <- t.size - want;
+    if want > 0 then Waitq.wake t.write_wq;
+    Ok out
   end
 
 let write t src : int Errno.result =

@@ -53,6 +53,15 @@ let copyin k proc ~src ~len =
   prepare_user_buffer k proc src len;
   Kmem.read_bytes k.Kernel.kmem src ~len
 
+(* send(2) and write(2) on a connected socket: the user's bytes are
+   copied once, straight into the outgoing frame behind its header
+   room. *)
+let sock_send k proc ~conn ~buf ~len =
+  let frame = Bytes.create (Netstack.header_bytes + len) in
+  prepare_user_buffer k proc buf len;
+  Kmem.read_into k.Kernel.kmem buf frame ~off:Netstack.header_bytes ~len;
+  Netstack.send k.Kernel.net ~conn frame
+
 (* Retry an [EAGAIN] attempt after sleeping through the scheduler's
    block hook.  The subscription snapshot is taken before yielding, so
    a wakeup racing the sleep is seen; a resume with no wakeup on the
@@ -128,17 +137,19 @@ let fd_write_kernel k _proc kind data : int Errno.result =
           Ok n
       | Error _ as e -> e)
   | Proc.Pipe_write p -> Pipe_dev.write p data
-  | Proc.Sock_conn conn -> Netstack.send k.Kernel.net ~conn data
   | Proc.Console_out ->
       Console.write (Machine.console k.Kernel.machine) (Bytes.to_string data);
       Ok (Bytes.length data)
-  | Proc.Pipe_read _ | Proc.Sock_listen _ -> Error Errno.EBADF
+  | Proc.Sock_conn _ (* sent by [sock_send], never copied in first *)
+  | Proc.Pipe_read _ | Proc.Sock_listen _ ->
+      Error Errno.EBADF
 
 let genuine_write k proc ~fd ~buf ~len =
   Kmem.fn_entry k.Kernel.kmem;
   Kmem.work k.Kernel.kmem 20;
   match Proc.find_fd proc fd with
   | None -> Error Errno.EBADF
+  | Some (Proc.Sock_conn conn) -> sock_send k proc ~conn ~buf ~len
   | Some kind ->
       let data = copyin k proc ~src:buf ~len in
       fd_write_kernel k proc kind data
@@ -358,9 +369,7 @@ let connect_body k proc addr =
 let send_body k proc ~fd ~buf ~len =
   Kmem.fn_entry k.Kernel.kmem;
   match Proc.find_fd proc fd with
-  | Some (Proc.Sock_conn conn) ->
-      let data = copyin k proc ~src:buf ~len in
-      Netstack.send k.Kernel.net ~conn data
+  | Some (Proc.Sock_conn conn) -> sock_send k proc ~conn ~buf ~len
   | Some _ -> Error Errno.EINVAL
   | None -> Error Errno.EBADF
 

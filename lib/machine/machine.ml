@@ -319,27 +319,38 @@ let iter_pages va len f =
   while !pos < len do
     let page_off = Int64.to_int (Int64.logand (Int64.add va (Int64.of_int !pos)) 0xfffL) in
     let chunk = min (len - !pos) (4096 - page_off) in
-    f ~off:!pos ~va:(Int64.add va (Int64.of_int !pos)) ~len:chunk;
+    f ~pos:!pos ~va:(Int64.add va (Int64.of_int !pos)) ~len:chunk;
     pos := !pos + chunk
   done
 
-let read_bytes_virt t va ~len =
+(* One modelled copy: one [copy_cycles] charge before the first
+   translation, then page by page straight between physical memory and
+   the caller's buffer. *)
+let read_virt_into t va dst ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length dst - len then
+    invalid_arg "Machine.read_virt_into";
   charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
+  iter_pages va len (fun ~pos ~va ~len ->
+      Phys_mem.blit_to t.mem ~addr:(translate t Read va) dst ~off:(off + pos) ~len)
+
+let write_virt_from t va src ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length src - len then
+    invalid_arg "Machine.write_virt_from";
+  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
+  iter_pages va len (fun ~pos ~va ~len ->
+      Phys_mem.blit_from t.mem ~addr:(translate t Write va) src ~off:(off + pos) ~len)
+
+let read_bytes_virt t va ~len =
   let out = Bytes.create len in
-  iter_pages va len (fun ~off ~va ~len ->
-      let chunk = Phys_mem.read_bytes t.mem ~addr:(translate t Read va) ~len in
-      Bytes.blit chunk 0 out off len);
+  read_virt_into t va out ~off:0 ~len;
   out
 
-let write_bytes_virt t va src =
-  let len = Bytes.length src in
-  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
-  iter_pages va len (fun ~off ~va ~len ->
-      Phys_mem.write_bytes t.mem ~addr:(translate t Write va) (Bytes.sub src off len))
+let write_bytes_virt t va src = write_virt_from t va src ~off:0 ~len:(Bytes.length src)
 
-let memcpy_virt t ~dst ~src ~len =
-  let data = read_bytes_virt t src ~len in
-  write_bytes_virt t dst data
+(* Read everything before writing anything: a fault in the source
+   leaves the destination untouched, translations happen in
+   read-then-write order, and overlapping ranges copy as memmove. *)
+let memcpy_virt t ~dst ~src ~len = write_bytes_virt t dst (read_bytes_virt t src ~len)
 
 let mem t = t.mem
 let console t = t.console

@@ -155,12 +155,31 @@ val write_virt : t -> int64 -> len:int -> int64 -> unit
     {!Cost.mem_access} plus translation costs and obey the current
     privilege level. *)
 
+val read_virt_into : t -> int64 -> bytes -> off:int -> len:int -> unit
+(** [read_virt_into t va dst ~off ~len] copies [len] bytes at [va] into
+    [dst] at [off].  One modelled copy: a single [Cost.copy_cycles len]
+    charge before the first translation, then page by page, each page
+    translated and blitted straight into [dst] — one host copy, no
+    intermediate buffer.  A fault on a later page leaves the earlier
+    pages' bytes in [dst].
+    @raise Page_fault as {!translate} does.
+    @raise Invalid_argument if [off]/[len] do not fit [dst]. *)
+
+val write_virt_from : t -> int64 -> bytes -> off:int -> len:int -> unit
+(** [write_virt_from t va src ~off ~len]: the write direction of
+    {!read_virt_into}, from [src] at [off]; pages before a faulting one
+    are already written. *)
+
 val read_bytes_virt : t -> int64 -> len:int -> bytes
+(** Allocating form of {!read_virt_into}. *)
+
 val write_bytes_virt : t -> int64 -> bytes -> unit
-(** Bulk accessors; charge per-byte copy cost and translate page by
-    page. *)
+(** {!write_virt_from} of a whole buffer. *)
 
 val memcpy_virt : t -> dst:int64 -> src:int64 -> len:int -> unit
+(** Read the whole source into one staging buffer, then write it out:
+    two modelled copies with today's translate/fault order (a faulting
+    source writes nothing) and memmove semantics on overlap. *)
 
 val flush_tlb : t -> unit
 (** Flush the current core's TLB only; see {!tlb_shootdown} for the

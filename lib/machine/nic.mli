@@ -17,7 +17,9 @@ val pair : ?charge:(int -> unit) -> unit -> t * t
     time to the same account (the simulated machine's clock). *)
 
 val transmit : t -> bytes -> unit
-(** Send a datagram to the peer. *)
+(** Send a datagram to the peer.  The peer's queue gets its own copy of
+    the frame — the one host copy a transmit makes — so the sender may
+    reuse its buffer and the receiver may rewrite what it pops. *)
 
 val receive : t -> bytes option
 (** Pop the oldest pending datagram, if any. *)

@@ -48,30 +48,45 @@ let write t ~addr ~len v =
   | 8 -> Bytes.set_int64_le b off v
   | _ -> invalid_arg "Phys_mem.write: len must be 1, 2, 4 or 8"
 
-let read_bytes t ~addr ~len =
-  let out = Bytes.create len in
+(* Walk [addr, addr+len) frame by frame, handing [f] each piece as
+   (frame bytes, offset in the frame, offset in the transfer, length). *)
+let walk t ~addr ~len f =
   let pos = ref 0 in
   let addr = ref addr in
   while !pos < len do
     let chunk = min (len - !pos) (frame_bytes - Int64.to_int (Int64.logand !addr 0xfffL)) in
     let frame, off = locate t !addr chunk in
-    Bytes.blit (frame_of t frame) off out !pos chunk;
-    pos := !pos + chunk;
-    addr := Int64.add !addr (Int64.of_int chunk)
-  done;
-  out
-
-let write_bytes t ~addr src =
-  let len = Bytes.length src in
-  let pos = ref 0 in
-  let addr = ref addr in
-  while !pos < len do
-    let chunk = min (len - !pos) (frame_bytes - Int64.to_int (Int64.logand !addr 0xfffL)) in
-    let frame, off = locate t !addr chunk in
-    Bytes.blit src !pos (frame_of t frame) off chunk;
+    f (frame_of t frame) off !pos chunk;
     pos := !pos + chunk;
     addr := Int64.add !addr (Int64.of_int chunk)
   done
+
+let check_range what buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg what
+
+let blit_to t ~addr dst ~off ~len =
+  check_range "Phys_mem.blit_to" dst ~off ~len;
+  walk t ~addr ~len (fun frame foff pos n -> Bytes.blit frame foff dst (off + pos) n)
+
+let blit_from t ~addr src ~off ~len =
+  check_range "Phys_mem.blit_from" src ~off ~len;
+  walk t ~addr ~len (fun frame foff pos n -> Bytes.blit src (off + pos) frame foff n)
+
+let read_bytes t ~addr ~len =
+  let out = Bytes.create len in
+  blit_to t ~addr out ~off:0 ~len;
+  out
+
+let write_bytes t ~addr src = blit_from t ~addr src ~off:0 ~len:(Bytes.length src)
+
+let copy_frame t ~src ~dst =
+  let frame i =
+    if i < 0 || i >= t.nframes then
+      raise (Bad_physical_address (Int64.of_int (i * frame_bytes)));
+    frame_of t i
+  in
+  let from = frame src in
+  Bytes.blit from 0 (frame dst) 0 frame_bytes
 
 let zero_frame t i =
   if i < 0 || i >= t.nframes then

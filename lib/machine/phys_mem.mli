@@ -25,11 +25,28 @@ val read : t -> addr:int64 -> len:int -> int64
 val write : t -> addr:int64 -> len:int -> int64 -> unit
 (** Little-endian truncating store. *)
 
+val blit_to : t -> addr:int64 -> bytes -> off:int -> len:int -> unit
+(** [blit_to t ~addr dst ~off ~len] copies [len] bytes of memory at
+    [addr] into [dst] at [off], frame by frame and straight into [dst]
+    (no intermediate buffer); may cross frame boundaries.  Frames are
+    checked as they are reached, so bytes before a bad frame have
+    already landed.
+    @raise Bad_physical_address on a frame out of range.
+    @raise Invalid_argument if [off]/[len] do not fit [dst]. *)
+
+val blit_from : t -> addr:int64 -> bytes -> off:int -> len:int -> unit
+(** [blit_from t ~addr src ~off ~len] copies [len] bytes of [src] from
+    [off] into memory at [addr]; the write direction of {!blit_to}. *)
+
 val read_bytes : t -> addr:int64 -> len:int -> bytes
-(** Bulk read; may cross frame boundaries. *)
+(** Allocating form of {!blit_to}: a fresh buffer of [len] bytes. *)
 
 val write_bytes : t -> addr:int64 -> bytes -> unit
-(** Bulk write; may cross frame boundaries. *)
+(** {!blit_from} of a whole buffer. *)
+
+val copy_frame : t -> src:int -> dst:int -> unit
+(** Copy frame [src] onto frame [dst] in one blit (the copy-on-write
+    page copy).  @raise Bad_physical_address on a frame out of range. *)
 
 val zero_frame : t -> int -> unit
 (** Clear one frame — used when ghost frames change hands so data never

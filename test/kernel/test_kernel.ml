@@ -817,6 +817,62 @@ let prop_kmem_write_matches_bytes =
       && events = kcopy_expected_events mode ~start ~len ~mapped)
 
 (* ------------------------------------------------------------------ *)
+(* Copy allocation                                                     *)
+
+(* Host words a call allocates: minor words plus direct major
+   allocations (major minus promoted).  A bulk copy should allocate its
+   result and a small per-call constant — one host copy per modelled
+   copy, no intermediate buffers. *)
+let words_allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+
+let copy_slack_words = 64
+let bytes_words n = (n / 8) + 2
+
+let check_budget what ~words ~budget =
+  if words > budget then Alcotest.failf "%s allocated %d words (> %d)" what words budget
+
+let test_kmem_read_allocation () =
+  let _, kmem, _ = kcopy_setup Sva.Virtual_ghost ~mapped:0b1111 ~seed:3 in
+  let len = 4 * 4096 in
+  let warm = Kmem.read_bytes kmem kcopy_base ~len in
+  let data, words = words_allocated (fun () -> Kmem.read_bytes kmem kcopy_base ~len) in
+  Alcotest.(check bytes) "same bytes" warm data;
+  check_budget "16 KiB Kmem.read_bytes" ~words ~budget:(bytes_words len + copy_slack_words)
+
+let test_kmem_write_allocation () =
+  let m, kmem, _ = kcopy_setup Sva.Virtual_ghost ~mapped:0b1111 ~seed:3 in
+  let data = Bytes.init (4 * 4096) (fun i -> Char.chr (i land 0xff)) in
+  Kmem.write_bytes kmem kcopy_base data;
+  let (), words = words_allocated (fun () -> Kmem.write_bytes kmem kcopy_base data) in
+  Alcotest.(check string) "written" (Bytes.to_string data)
+    (String.sub (kcopy_window m) 0 (Bytes.length data));
+  check_budget "16 KiB Kmem.write_bytes" ~words ~budget:copy_slack_words
+
+let test_recv_all_available_allocation () =
+  let m, kmem, _ = kcopy_setup Sva.Virtual_ghost ~mapped:0 ~seed:3 in
+  let net = Netstack.create ~kmem (Machine.nic m) in
+  ignore (expect_ok "listen" (Netstack.listen net ~port:80));
+  let ep = Netstack.Remote.connect (Machine.remote_nic m) ~port:80 in
+  let conn =
+    match Netstack.accept net ~port:80 with Some c -> c | None -> Alcotest.fail "no SYN"
+  in
+  let payload = Bytes.init (64 * 1024) (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let chunk = 4096 in
+  for i = 0 to (Bytes.length payload / chunk) - 1 do
+    let frame = Bytes.create (Netstack.header_bytes + chunk) in
+    Bytes.blit payload (i * chunk) frame Netstack.header_bytes chunk;
+    ignore (expect_ok "send" (Netstack.send net ~conn frame))
+  done;
+  let got, words = words_allocated (fun () -> Netstack.Remote.recv_all_available ep) in
+  Alcotest.(check bool) "payload reassembled" true (Bytes.equal got payload);
+  check_budget "64 KiB Remote.recv_all_available" ~words
+    ~budget:(bytes_words (Bytes.length payload) + copy_slack_words)
+
+(* ------------------------------------------------------------------ *)
 (* Modules                                                             *)
 
 let constant_read_module () =
@@ -1683,6 +1739,13 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_kmem_read_matches_bytes;
           QCheck_alcotest.to_alcotest prop_kmem_write_matches_bytes;
+        ] );
+      ( "copy-allocation",
+        [
+          Alcotest.test_case "Kmem.read_bytes 16 KiB" `Quick test_kmem_read_allocation;
+          Alcotest.test_case "Kmem.write_bytes 16 KiB" `Quick test_kmem_write_allocation;
+          Alcotest.test_case "recv_all_available 64 KiB" `Quick
+            test_recv_all_available_allocation;
         ] );
       ( "modules",
         [
