@@ -78,20 +78,11 @@ let store t addr ~len v =
    charged) on its own and copied straight between memory and the
    caller's buffer.  A faulting chunk reads as zeros or drops its
    store, and the next chunk is still attempted. *)
-let iter_chunks addr len f =
-  let pos = ref 0 in
-  while !pos < len do
-    let va = Int64.add addr (Int64.of_int !pos) in
-    let page_off = Int64.to_int (Int64.logand va 0xfffL) in
-    let chunk = min (len - !pos) (4096 - page_off) in
-    f ~pos:!pos ~va ~len:chunk;
-    pos := !pos + chunk
-  done
 
 let read_into t addr dst ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length dst - len then invalid_arg "Kmem.read_into";
   as_kernel t (fun () ->
-      iter_chunks addr len (fun ~pos ~va ~len ->
+      Machine.iter_pages addr len (fun ~pos ~va ~len ->
           let ea = effective t va in
           try Machine.read_virt_into t.machine ea dst ~off:(off + pos) ~len
           with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
@@ -105,7 +96,7 @@ let read_bytes t addr ~len =
 
 let write_bytes t addr src =
   as_kernel t (fun () ->
-      iter_chunks addr (Bytes.length src) (fun ~pos ~va ~len ->
+      Machine.iter_pages addr (Bytes.length src) (fun ~pos ~va ~len ->
           let ea = effective t va in
           try Machine.write_virt_from t.machine ea src ~off:pos ~len
           with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ -> fault t "write" va))

@@ -314,7 +314,6 @@ let write_virt t va ~len v =
   consult_cache t va
 
 let iter_pages va len f =
-  (* Split [va, va+len) at page boundaries. *)
   let pos = ref 0 in
   while !pos < len do
     let page_off = Int64.to_int (Int64.logand (Int64.add va (Int64.of_int !pos)) 0xfffL) in

@@ -48,29 +48,25 @@ let write t ~addr ~len v =
   | 8 -> Bytes.set_int64_le b off v
   | _ -> invalid_arg "Phys_mem.write: len must be 1, 2, 4 or 8"
 
-(* Walk [addr, addr+len) frame by frame, handing [f] each piece as
-   (frame bytes, offset in the frame, offset in the transfer, length). *)
-let walk t ~addr ~len f =
+(* Copy [len] bytes between memory at [addr] and [buf] at [off], frame
+   by frame and straight from source to destination: into memory when
+   [to_mem], out of it otherwise. *)
+let blit t ~addr buf ~off ~len ~to_mem =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg (if to_mem then "Phys_mem.blit_from" else "Phys_mem.blit_to");
   let pos = ref 0 in
   let addr = ref addr in
   while !pos < len do
     let chunk = min (len - !pos) (frame_bytes - Int64.to_int (Int64.logand !addr 0xfffL)) in
-    let frame, off = locate t !addr chunk in
-    f (frame_of t frame) off !pos chunk;
+    let frame, foff = locate t !addr chunk in
+    if to_mem then Bytes.blit buf (off + !pos) (frame_of t frame) foff chunk
+    else Bytes.blit (frame_of t frame) foff buf (off + !pos) chunk;
     pos := !pos + chunk;
     addr := Int64.add !addr (Int64.of_int chunk)
   done
 
-let check_range what buf ~off ~len =
-  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg what
-
-let blit_to t ~addr dst ~off ~len =
-  check_range "Phys_mem.blit_to" dst ~off ~len;
-  walk t ~addr ~len (fun frame foff pos n -> Bytes.blit frame foff dst (off + pos) n)
-
-let blit_from t ~addr src ~off ~len =
-  check_range "Phys_mem.blit_from" src ~off ~len;
-  walk t ~addr ~len (fun frame foff pos n -> Bytes.blit src (off + pos) frame foff n)
+let blit_to t ~addr dst ~off ~len = blit t ~addr dst ~off ~len ~to_mem:false
+let blit_from t ~addr src ~off ~len = blit t ~addr src ~off ~len ~to_mem:true
 
 let read_bytes t ~addr ~len =
   let out = Bytes.create len in

@@ -765,23 +765,30 @@ let kcopy_gen =
     let* start = int_bound (3 * 4096) in
     let* len = int_bound (3 * 4096) in
     let* mapped = int_bound ((1 lsl kcopy_pages) - 1) in
+    let* off = int_bound 64 in
     let* seed = int_bound 1_000_000 in
-    return (mode, start, len, mapped, seed))
+    return (mode, start, len, mapped, off, seed))
 
-let print_kcopy (mode, start, len, mapped, seed) =
-  Printf.sprintf "%s start=%d len=%d mapped=0x%x seed=%d"
+let print_kcopy (mode, start, len, mapped, off, seed) =
+  Printf.sprintf "%s start=%d len=%d mapped=0x%x off=%d seed=%d"
     (match mode with Sva.Virtual_ghost -> "vg" | Sva.Native_build -> "native")
-    start len mapped seed
+    start len mapped off seed
 
 let prop_kmem_read_matches_bytes =
   QCheck2.Test.make ~name:"Kmem bulk read = byte reads" ~count:100 ~print:print_kcopy kcopy_gen
-    (fun (mode, start, len, mapped, seed) ->
+    (fun (mode, start, len, mapped, off, seed) ->
       let m, kmem, recorder = kcopy_setup mode ~mapped ~seed in
       let va = Int64.add kcopy_base (Int64.of_int start) in
+      (* Into the middle of a larger buffer; its other bytes stay put. *)
+      let dst = Bytes.make (off + len + 7) '\xa5' in
       let c0 = Machine.cycles m in
-      let bulk = Kmem.read_bytes kmem va ~len in
+      Kmem.read_into kmem va dst ~off ~len;
       let cycles = Machine.cycles m - c0 in
       let events = sandbox_events recorder in
+      let bulk = Bytes.sub dst off len in
+      let outside_intact =
+        Bytes.sub_string dst 0 off ^ Bytes.sub_string dst (off + len) 7 = String.make (off + 7) '\xa5'
+      in
       let reference =
         Bytes.init len (fun i ->
             if kcopy_page_mapped mapped (start + i) then
@@ -790,12 +797,14 @@ let prop_kmem_read_matches_bytes =
             else '\000')
       in
       Bytes.equal bulk reference
+      && outside_intact
+      && Bytes.equal (Kmem.read_bytes kmem va ~len) reference
       && cycles = kcopy_expected_cycles mode ~start ~len
       && events = kcopy_expected_events mode ~start ~len ~mapped)
 
 let prop_kmem_write_matches_bytes =
   QCheck2.Test.make ~name:"Kmem bulk write = byte writes" ~count:100 ~print:print_kcopy kcopy_gen
-    (fun (mode, start, len, mapped, seed) ->
+    (fun (mode, start, len, mapped, _, seed) ->
       let m, kmem, recorder = kcopy_setup mode ~mapped ~seed in
       let before = kcopy_window m in
       let va = Int64.add kcopy_base (Int64.of_int start) in

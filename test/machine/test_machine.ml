@@ -417,7 +417,9 @@ let prop_disk_persistence =
    copy — one [Cost.copy_cycles len], plus one TLB miss per page
    translated (the TLB is flushed first) up to and including a faulting
    page.  The window is six pages at [copy_base]; bit [i] of [mapped]
-   maps page [i] to frame [copy_frame i]. *)
+   maps page [i] to frame [copy_frame i].  The blit forms copy at a
+   random offset [off] into a larger buffer whose other bytes must stay
+   untouched. *)
 
 let copy_pages = 6
 let copy_base = 0x400000L
@@ -428,11 +430,27 @@ let copy_case_gen =
     let* start = int_bound (3 * 4096) in
     let* len = int_bound (3 * 4096) in
     let* mapped = int_bound ((1 lsl copy_pages) - 1) in
+    let* off = int_bound 64 in
     let* seed = int_bound 1_000_000 in
-    return (start, len, mapped, seed))
+    return (start, len, mapped, off, seed))
 
-let print_copy_case (start, len, mapped, seed) =
-  Printf.sprintf "start=%d len=%d mapped=0x%x seed=%d" start len mapped seed
+let print_copy_case (start, len, mapped, off, seed) =
+  Printf.sprintf "start=%d len=%d mapped=0x%x off=%d seed=%d" start len mapped off seed
+
+(* A buffer of [off + len + 7] bytes holding [data] at [off], the rest
+   a fill byte; and the [len] bytes at [off] of such a buffer, if every
+   other byte still holds the fill. *)
+let fill = '\xa5'
+
+let framed ~off data =
+  let b = Bytes.make (off + Bytes.length data + 7) fill in
+  Bytes.blit data 0 b off (Bytes.length data);
+  b
+
+let unframe ~off ~len b =
+  let rest_intact = ref true in
+  Bytes.iteri (fun i c -> if (i < off || i >= off + len) && c <> fill then rest_intact := false) b;
+  if !rest_intact then Some (Bytes.sub b off len) else None
 
 let pattern seed i = Char.chr (((seed * 7) + (i * 13) + (i / 4096)) land 0xff)
 
@@ -494,22 +512,27 @@ let write_by_bytes m va data =
 
 let prop_virt_read_matches_bytes =
   QCheck2.Test.make ~name:"bulk virtual read = byte reads" ~count:120 ~print:print_copy_case
-    copy_case_gen (fun (start, len, mapped, seed) ->
+    copy_case_gen (fun (start, len, mapped, off, seed) ->
       let m = copy_machine ~mapped ~seed in
       let va = Int64.add copy_base (Int64.of_int start) in
+      let dst = framed ~off (Bytes.make len fill) in
       let c0 = Machine.cycles m in
-      let bulk = fault_outcome (fun () -> Machine.read_bytes_virt m va ~len) in
+      let into = fault_outcome (fun () -> Machine.read_virt_into m va dst ~off ~len) in
       let cycles = Machine.cycles m - c0 in
-      bulk = read_by_bytes m va len && cycles = expected_copy_cycles ~start ~len ~mapped)
+      let reference = read_by_bytes m va len in
+      let into = Result.map (fun () -> unframe ~off ~len dst) into in
+      into = Result.map Option.some reference
+      && fault_outcome (fun () -> Machine.read_bytes_virt m va ~len) = reference
+      && cycles = expected_copy_cycles ~start ~len ~mapped)
 
 let prop_virt_write_matches_bytes =
   QCheck2.Test.make ~name:"bulk virtual write = byte writes" ~count:120 ~print:print_copy_case
-    copy_case_gen (fun (start, len, mapped, seed) ->
+    copy_case_gen (fun (start, len, mapped, off, seed) ->
       let m = copy_machine ~mapped ~seed and ref_m = copy_machine ~mapped ~seed in
       let va = Int64.add copy_base (Int64.of_int start) in
       let data = Bytes.init len (fun i -> pattern (seed + 1) i) in
       let c0 = Machine.cycles m in
-      let bulk = fault_outcome (fun () -> Machine.write_bytes_virt m va data) in
+      let bulk = fault_outcome (fun () -> Machine.write_virt_from m va (framed ~off data) ~off ~len) in
       let cycles = Machine.cycles m - c0 in
       bulk = write_by_bytes ref_m va data
       && window_frames m = window_frames ref_m
@@ -522,7 +545,7 @@ let phys_outcome f =
 
 let prop_phys_bulk_matches_bytes =
   QCheck2.Test.make ~name:"bulk physical read/write = byte access" ~count:150
-    ~print:print_copy_case copy_case_gen (fun (start, len, _, seed) ->
+    ~print:print_copy_case copy_case_gen (fun (start, len, _, off, seed) ->
       let frames = copy_pages in
       let addr = Int64.of_int (start + (seed mod (3 * 4096))) in
       let data = Bytes.init len (fun i -> pattern seed i) in
@@ -533,7 +556,7 @@ let prop_phys_bulk_matches_bytes =
                 Char.chr
                   (Int64.to_int (Phys_mem.read mem ~addr:(Int64.add addr (Int64.of_int i)) ~len:1))))
       in
-      let wrote = phys_outcome (fun () -> Phys_mem.write_bytes bulk ~addr data) in
+      let wrote = phys_outcome (fun () -> Phys_mem.blit_from bulk ~addr (framed ~off data) ~off ~len) in
       let ref_wrote =
         phys_outcome (fun () ->
             Bytes.iteri
@@ -546,9 +569,13 @@ let prop_phys_bulk_matches_bytes =
         String.init (frames * 4096) (fun i ->
             Char.chr (Int64.to_int (Phys_mem.read mem ~addr:(Int64.of_int i) ~len:1)))
       in
+      let dst = framed ~off (Bytes.make len fill) in
+      let read_into = phys_outcome (fun () -> Phys_mem.blit_to bulk ~addr dst ~off ~len) in
+      let reference = read_by_bytes bulk in
       wrote = ref_wrote
       && dump bulk = dump by_byte
-      && phys_outcome (fun () -> Phys_mem.read_bytes bulk ~addr ~len) = read_by_bytes bulk)
+      && Result.map (fun () -> unframe ~off ~len dst) read_into = Result.map Option.some reference
+      && phys_outcome (fun () -> Phys_mem.read_bytes bulk ~addr ~len) = reference)
 
 (* memcpy_virt has memmove semantics: overlapping ranges, in either
    direction, end with the destination holding the source's original
