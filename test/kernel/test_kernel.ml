@@ -787,7 +787,8 @@ let prop_kmem_read_matches_bytes =
       let events = sandbox_events recorder in
       let bulk = Bytes.sub dst off len in
       let outside_intact =
-        Bytes.sub_string dst 0 off ^ Bytes.sub_string dst (off + len) 7 = String.make (off + 7) '\xa5'
+        Bytes.sub_string dst 0 off ^ Bytes.sub_string dst (off + len) 7
+        = String.make (off + 7) '\xa5'
       in
       let reference =
         Bytes.init len (fun i ->
@@ -1749,7 +1750,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_kmem_read_matches_bytes;
           QCheck_alcotest.to_alcotest prop_kmem_write_matches_bytes;
         ] );
-      ( "copy-allocation",
+      ( "copy-alloc",
         [
           Alcotest.test_case "Kmem.read_bytes 16 KiB" `Quick test_kmem_read_allocation;
           Alcotest.test_case "Kmem.write_bytes 16 KiB" `Quick test_kmem_write_allocation;

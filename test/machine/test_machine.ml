@@ -532,7 +532,9 @@ let prop_virt_write_matches_bytes =
       let va = Int64.add copy_base (Int64.of_int start) in
       let data = Bytes.init len (fun i -> pattern (seed + 1) i) in
       let c0 = Machine.cycles m in
-      let bulk = fault_outcome (fun () -> Machine.write_virt_from m va (framed ~off data) ~off ~len) in
+      let bulk =
+        fault_outcome (fun () -> Machine.write_virt_from m va (framed ~off data) ~off ~len)
+      in
       let cycles = Machine.cycles m - c0 in
       bulk = write_by_bytes ref_m va data
       && window_frames m = window_frames ref_m
@@ -556,7 +558,9 @@ let prop_phys_bulk_matches_bytes =
                 Char.chr
                   (Int64.to_int (Phys_mem.read mem ~addr:(Int64.add addr (Int64.of_int i)) ~len:1))))
       in
-      let wrote = phys_outcome (fun () -> Phys_mem.blit_from bulk ~addr (framed ~off data) ~off ~len) in
+      let wrote =
+        phys_outcome (fun () -> Phys_mem.blit_from bulk ~addr (framed ~off data) ~off ~len)
+      in
       let ref_wrote =
         phys_outcome (fun () ->
             Bytes.iteri
