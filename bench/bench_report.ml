@@ -68,11 +68,12 @@ let finish t =
   Sys.rename tmp path;
   Printf.printf "wrote %s\n" path
 
-(* Run [f] with a fresh stats sink attached to [Obs.default] (which all
-   machines booted by the harness observe); returns the result and the
+(* Run [f] with a fresh hub carrying a stats sink; [f] boots the
+   machines it measures on that hub.  Returns the result and the
    per-tag attribution.  Attaching a sink never changes simulated
    cycles. *)
 let with_stats f =
   let st = Obs_stats.create () in
-  let result = Obs.with_sink Obs.default (Obs_stats.sink st) f in
+  let obs = Obs.create () in
+  let result = Obs.with_sink obs (Obs_stats.sink st) (fun () -> f obs) in
   (result, st)

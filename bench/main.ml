@@ -25,7 +25,8 @@ let bench_config ?(seed = "bench") ?(cpus = 1) ?(spec_depth = 0) mode =
     |> with_disk_sectors 131072 |> with_seed seed |> with_mode mode
     |> with_spec_depth spec_depth)
 
-let boot_fresh ?seed mode = Node.kernel (Node.boot (bench_config ?seed mode))
+let boot config = Node.kernel (Node.boot config)
+let boot_fresh mode = boot (bench_config mode)
 
 let with_ctx mode ~ghosting f =
   let k = boot_fresh mode in
@@ -69,8 +70,9 @@ let lmbench_rows k =
       paper_native_us = 3.05; paper_vg_us = 10.3; paper_inktag_x = None };
   ]
 
-let run_lm_row mode (row : lm_row) =
-  with_ctx mode ~ghosting:false (fun _k ctx -> row.run ctx ~iterations:row.iterations)
+let run_lm_row obs mode (row : lm_row) =
+  Runtime.launch (boot (bench_config mode |> Node_config.with_obs obs)) ~ghosting:false
+    (fun ctx -> row.run ctx ~iterations:row.iterations)
 
 (* Overhead attribution: the per-tag cycle deltas between the VG and
    native legs decompose a Table 2 row into the paper's cost sources —
@@ -124,10 +126,10 @@ let table2 () =
   List.iter
     (fun row ->
       let native, st_native =
-        Bench_report.with_stats (fun () -> run_lm_row Sva.Native_build row)
+        Bench_report.with_stats (fun obs -> run_lm_row obs Sva.Native_build row)
       in
       let vg, st_vg =
-        Bench_report.with_stats (fun () -> run_lm_row Sva.Virtual_ghost row)
+        Bench_report.with_stats (fun obs -> run_lm_row obs Sva.Virtual_ghost row)
       in
       let paper_x = row.paper_vg_us /. row.paper_native_us in
       Bench_report.linef r "%-18s %8.3f(%.3f) %8.3f(%.3f) %8.2fx %8.2fx %s\n" row.name
@@ -278,7 +280,7 @@ let sshd_bandwidth mode size =
       | Ok listen_fd ->
           let machine = k.Kernel.machine in
           let run () =
-            let ep = Netstack.Remote.connect (Machine.remote_nic machine) ~port:22 in
+            let ep = Netstack.Remote.connect machine ~port:22 in
             (match Ssh_suite.sshd_serve_file ctx ~listen_fd ~path:"/file" ~session_key with
             | Ok _ -> ()
             | Error msg -> failwith msg);
@@ -375,8 +377,8 @@ let figure4 () =
 (* ------------------------------------------------------------------ *)
 (* Table 5: Postmark                                                   *)
 
-let postmark_time mode ~transactions =
-  let k = boot_fresh mode in
+let postmark_time obs mode ~transactions =
+  let k = boot (bench_config mode |> Node_config.with_obs obs) in
   Runtime.launch k ~ghosting:false (fun ctx ->
       let machine = k.Kernel.machine in
       let config =
@@ -395,10 +397,10 @@ let table5 () =
   in
   let transactions = 20_000 in
   let native, st_native =
-    Bench_report.with_stats (fun () -> postmark_time Sva.Native_build ~transactions)
+    Bench_report.with_stats (fun obs -> postmark_time obs Sva.Native_build ~transactions)
   in
   let vg, st_vg =
-    Bench_report.with_stats (fun () -> postmark_time Sva.Virtual_ghost ~transactions)
+    Bench_report.with_stats (fun obs -> postmark_time obs Sva.Virtual_ghost ~transactions)
   in
   let paper_x = 67.50 /. 14.30 in
   Bench_report.linef r "%-14s %10s %10s %8s %10s\n" "benchmark" "native(s)" "vg(s)"
@@ -476,7 +478,7 @@ let security () =
   List.iter
     (fun (mode, attack) ->
       let o, sec =
-        observed (fun () -> Vg_attacks.Rootkit.run_experiment ~mode ~attack ())
+        observed (fun obs -> Vg_attacks.Rootkit.run_experiment ~obs ~mode ~attack ())
       in
       Bench_report.line r
         (Format.asprintf "  %a@." Vg_attacks.Rootkit.pp_outcome o);
@@ -504,8 +506,8 @@ let security () =
       (Sva.Virtual_ghost, Vg_attacks.Rootkit.Signal_inject);
     ];
   let vector name f =
-    let native, native_sec = observed (fun () -> f ~mode:Sva.Native_build) in
-    let vg, vg_sec = observed (fun () -> f ~mode:Sva.Virtual_ghost) in
+    let native, native_sec = observed (fun obs -> f ~obs ~mode:Sva.Native_build) in
+    let vg, vg_sec = observed (fun obs -> f ~obs ~mode:Sva.Virtual_ghost) in
     Bench_report.linef r "  %-28s native:%-9s vg:%s\n" name
       (if native then "STOLEN" else "blocked")
       (if vg then "STOLEN" else "blocked");
@@ -523,13 +525,13 @@ let security () =
   vector "swap tamper" Vg_attacks.Other_attacks.swap_tamper_attack;
   vector "file replay" Vg_attacks.Other_attacks.file_replay_attack;
   let unmasked, unmasked_sec =
-    observed (fun () ->
-        Vg_attacks.Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost
+    observed (fun obs ->
+        Vg_attacks.Other_attacks.iago_mmap_attack ~obs ~mode:Sva.Virtual_ghost
           ~ghosting:false)
   in
   let masked, masked_sec =
-    observed (fun () ->
-        Vg_attacks.Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost
+    observed (fun obs ->
+        Vg_attacks.Other_attacks.iago_mmap_attack ~obs ~mode:Sva.Virtual_ghost
           ~ghosting:true)
   in
   Bench_report.linef r "  %-28s unmasked:%-7s masked:%s\n" "iago mmap (on vg kernel)"
@@ -1065,7 +1067,7 @@ let executor = bench_json
 let smp_cpu_counts = [ 1; 2; 4; 8 ]
 
 let smp_pool_throughput mode ~cpus ~requests =
-  let k = Node.kernel (Node.boot (bench_config ~seed:"bench-smp" ~cpus mode)) in
+  let k = boot (bench_config ~seed:"bench-smp" ~cpus mode) in
   make_fs_file k "/index.html" (8 * kb);
   let stats =
     Httpd.Pool.run k ~workers:cpus ~requests ~port:80 ~path:"/index.html"
@@ -1136,8 +1138,8 @@ let trap_protocol_cycles st =
   + Obs_stats.cycles st Obs.Tag.Trap_save
   + Obs_stats.cycles st Obs.Tag.Trap_return
 
-let ring_serve ?sfip mode ~batch ~requests =
-  let k = Node.kernel (Node.boot (bench_config ~seed:"bench-ring" mode)) in
+let ring_serve ?sfip obs mode ~batch ~requests =
+  let k = boot (bench_config ~seed:"bench-ring" mode |> Node_config.with_obs obs) in
   make_fs_file k "/index.html" (8 * kb);
   Httpd.Event_loop.run k ~batch ?sfip ~requests ~port:80 ~path:"/index.html"
 
@@ -1146,7 +1148,7 @@ let ring_serve ?sfip mode ~batch ~requests =
    administrator performs before signing the image. *)
 let ring_profile mode ~batch ~requests =
   let recorder = Syscall_policy.record () in
-  ignore (ring_serve ~sfip:recorder mode ~batch ~requests);
+  ignore (ring_serve ~sfip:recorder (Obs.create ()) mode ~batch ~requests);
   Syscall_policy.enforce (Syscall_policy.graph recorder)
 
 let ring () =
@@ -1164,20 +1166,20 @@ let ring () =
   List.iter
     (fun batch ->
       let n_stats, st_n =
-        Bench_report.with_stats (fun () ->
-            ring_serve Sva.Native_build ~batch ~requests)
+        Bench_report.with_stats (fun obs ->
+            ring_serve obs Sva.Native_build ~batch ~requests)
       in
       let v_stats, st_v =
-        Bench_report.with_stats (fun () ->
-            ring_serve Sva.Virtual_ghost ~batch ~requests)
+        Bench_report.with_stats (fun obs ->
+            ring_serve obs Sva.Virtual_ghost ~batch ~requests)
       in
       (* Third configuration: the same vg serve under its own recorded
          SFIP profile (enforced).  The profiling run happens outside
          the stats window. *)
       let sfip = ring_profile Sva.Virtual_ghost ~batch ~requests in
       let s_stats, st_s =
-        Bench_report.with_stats (fun () ->
-            ring_serve ~sfip Sva.Virtual_ghost ~batch ~requests)
+        Bench_report.with_stats (fun obs ->
+            ring_serve ~sfip obs Sva.Virtual_ghost ~batch ~requests)
       in
       let per_req st (stats : Httpd.Event_loop.stats) =
         float_of_int (trap_protocol_cycles st)
@@ -1248,13 +1250,13 @@ let swap_marker i = Printf.sprintf "ghost-%09d!" i
    on the way in, seal the evicted page on the way out.  The swapd
    daemon fiber shares the scheduler and keeps availability above the
    low watermark. *)
-let swap_walker mode ~ratio =
+let swap_walker obs mode ~ratio =
   let k =
-    Node.kernel
-      (Node.boot
-         (bench_config ~seed:"bench-swap" ~cpus:2 mode
-         |> Node_config.with_phys_frames 8192
-         |> Node_config.with_frame_limit swap_frame_limit))
+    boot
+      (bench_config ~seed:"bench-swap" ~cpus:2 mode
+      |> Node_config.with_phys_frames 8192
+      |> Node_config.with_frame_limit swap_frame_limit
+      |> Node_config.with_obs obs)
   in
   let machine = k.Kernel.machine in
   let sched = Sched.create k in
@@ -1309,13 +1311,13 @@ let swap_walker mode ~ratio =
    and a Postmark run compete for memory — their allocations push the
    hog out through the sealed path.  The hog's final walk proves every
    secret survived the round trip through the untrusted swap store. *)
-let swap_apps mode =
+let swap_apps obs mode =
   let k =
-    Node.kernel
-      (Node.boot
-         (bench_config ~seed:"bench-swap-apps" ~cpus:2 mode
-         |> Node_config.with_phys_frames 8192
-         |> Node_config.with_frame_limit swap_frame_limit))
+    boot
+      (bench_config ~seed:"bench-swap-apps" ~cpus:2 mode
+      |> Node_config.with_phys_frames 8192
+      |> Node_config.with_frame_limit swap_frame_limit
+      |> Node_config.with_obs obs)
   in
   let machine = k.Kernel.machine in
   make_fs_file k "/index.html" (8 * kb);
@@ -1371,10 +1373,10 @@ let ghost_swap () =
   List.iter
     (fun ratio ->
       let (n_tput, _, _, n_st), st_n =
-        Bench_report.with_stats (fun () -> swap_walker Sva.Native_build ~ratio)
+        Bench_report.with_stats (fun obs -> swap_walker obs Sva.Native_build ~ratio)
       in
       let (v_tput, capacity, pages, v_st), st_v =
-        Bench_report.with_stats (fun () -> swap_walker Sva.Virtual_ghost ~ratio)
+        Bench_report.with_stats (fun obs -> swap_walker obs Sva.Virtual_ghost ~ratio)
       in
       let overhead = if v_tput > 0.0 then n_tput /. v_tput else 0.0 in
       Bench_report.linef r "%6d %6d %14.0f %14.0f %8.2fx %12d %12d %9d\n" ratio
@@ -1410,7 +1412,7 @@ let ghost_swap () =
   List.iter
     (fun (label, mode) ->
       let (hog_pages, intact, hstats, pm_seconds, st), _ =
-        Bench_report.with_stats (fun () -> swap_apps mode)
+        Bench_report.with_stats (fun obs -> swap_apps obs mode)
       in
       let rps =
         let s = Cost.to_seconds hstats.Httpd.Pool.elapsed_cycles in
@@ -1460,28 +1462,26 @@ let spectre_configs =
     ("safe-mask", spectre_depth, Vg_compiler.Mitigation.Safe_mask);
   ]
 
-let boot_spec ?seed ?cpus ~spec_depth ~mitigation mode =
-  Node.kernel
-    (Node.boot
-       (bench_config ?seed ?cpus ~spec_depth mode
-       |> Node_config.with_spec_mitigation mitigation))
+let boot_spec ?seed ?cpus ~obs ~spec_depth ~mitigation mode =
+  boot
+    (bench_config ?seed ?cpus ~spec_depth mode
+    |> Node_config.with_spec_mitigation mitigation
+    |> Node_config.with_obs obs)
 
-let spectre_lm_leg ~spec_depth ~mitigation (row : lm_row) =
-  let k = boot_spec ~spec_depth ~mitigation Sva.Virtual_ghost in
+let spectre_lm_leg ~obs ~spec_depth ~mitigation (row : lm_row) =
+  let k = boot_spec ~obs ~spec_depth ~mitigation Sva.Virtual_ghost in
   Runtime.launch k ~ghosting:false (fun ctx ->
       row.run ctx ~iterations:row.iterations)
 
-let spectre_httpd_pool ~spec_depth ~mitigation ~requests =
+let spectre_httpd_pool ~obs ~spec_depth ~mitigation ~requests =
   let k =
-    boot_spec ~seed:"bench-smp" ~cpus:2 ~spec_depth ~mitigation Sva.Virtual_ghost
+    boot_spec ~seed:"bench-smp" ~cpus:2 ~obs ~spec_depth ~mitigation Sva.Virtual_ghost
   in
   make_fs_file k "/index.html" (8 * kb);
   Httpd.Pool.run k ~workers:2 ~requests ~port:80 ~path:"/index.html"
 
-let spectre_httpd_ring ~spec_depth ~mitigation ~requests =
-  let k =
-    boot_spec ~seed:"bench-ring" ~spec_depth ~mitigation Sva.Virtual_ghost
-  in
+let spectre_httpd_ring ~obs ~spec_depth ~mitigation ~requests =
+  let k = boot_spec ~seed:"bench-ring" ~obs ~spec_depth ~mitigation Sva.Virtual_ghost in
   make_fs_file k "/index.html" (8 * kb);
   Httpd.Event_loop.run k ~batch:8 ~requests ~port:80 ~path:"/index.html"
 
@@ -1498,7 +1498,7 @@ let spectre_bench () =
   List.iter
     (fun (label, spec_depth, mitigation) ->
       let o =
-        Vg_attacks.Spectre.run_experiment ~spec_depth ~mitigation ()
+        Vg_attacks.Spectre.run_experiment ~spec_depth ~mitigation ~obs:(Obs.create ()) ()
       in
       Bench_report.linef r "%-10s %6d %11s %5d/%d %9d %9d\n" label spec_depth
         (Vg_compiler.Mitigation.to_string mitigation)
@@ -1529,8 +1529,8 @@ let spectre_bench () =
         List.map
           (fun (label, spec_depth, mitigation) ->
             let us, st =
-              Bench_report.with_stats (fun () ->
-                  spectre_lm_leg ~spec_depth ~mitigation row)
+              Bench_report.with_stats (fun obs ->
+                  spectre_lm_leg ~obs ~spec_depth ~mitigation row)
             in
             (label, spec_depth, mitigation, us, st))
           spectre_configs
@@ -1568,12 +1568,12 @@ let spectre_bench () =
   List.iter
     (fun (label, spec_depth, mitigation) ->
       let p_stats, st_p =
-        Bench_report.with_stats (fun () ->
-            spectre_httpd_pool ~spec_depth ~mitigation ~requests)
+        Bench_report.with_stats (fun obs ->
+            spectre_httpd_pool ~obs ~spec_depth ~mitigation ~requests)
       in
       let e_stats, st_e =
-        Bench_report.with_stats (fun () ->
-            spectre_httpd_ring ~spec_depth ~mitigation ~requests)
+        Bench_report.with_stats (fun obs ->
+            spectre_httpd_ring ~obs ~spec_depth ~mitigation ~requests)
       in
       let rps cycles ok =
         let s = Cost.to_seconds cycles in

@@ -80,23 +80,20 @@ let mem_frames_arg =
            swap through the sealed ghost-swap path (encrypted, integrity- \
            and freshness-checked by the VM); see the ghost_swap benchmark.")
 
-let node_config ?frame_limit ?(cpus = 1) ?(spec_depth = 0)
-    ?(spec_mitigation = Vg_compiler.Mitigation.Off) mode =
-  let config =
-    Node_config.(
-      default |> with_cpus cpus |> with_seed "vgsim" |> with_mode mode
-      |> with_spec_depth spec_depth
-      |> with_spec_mitigation spec_mitigation)
+(* The node the run commands boot, from their shared flags. *)
+let config_term =
+  let make mode cpus frame_limit spec_depth spec_mitigation =
+    let config =
+      Node_config.(
+        default |> with_cpus cpus |> with_seed "vgsim" |> with_mode mode
+        |> with_spec_depth spec_depth
+        |> with_spec_mitigation spec_mitigation)
+    in
+    match frame_limit with
+    | None -> config
+    | Some l -> Node_config.with_frame_limit l config
   in
-  match frame_limit with
-  | None -> config
-  | Some l -> Node_config.with_frame_limit l config
-
-let boot ?frame_limit ?cpus ?spec_depth ?spec_mitigation mode =
-  let node =
-    Node.boot (node_config ?frame_limit ?cpus ?spec_depth ?spec_mitigation mode)
-  in
-  (Node.machine node, Node.kernel node)
+  Term.(const make $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg $ mitigation_arg)
 
 (* -- observability flags (shared by the run commands) ---------------- *)
 
@@ -116,17 +113,18 @@ let stats_arg =
     & info [ "stats" ]
         ~doc:"After the run, print per-subsystem cycle attribution and event counts.")
 
-(* Attach the requested sinks to [Obs.default] — which every machine
-   booted in this process reports to — for the duration of [f].  Sinks
-   never change simulated cycle counts. *)
+(* Run [f] on a fresh hub carrying the requested sinks; [f] boots the
+   machine it runs on that hub.  Sinks never change simulated cycle
+   counts. *)
 let with_obs ~trace ~stats f =
+  let obs = Obs.create () in
   let with_stats g =
     if not stats then g ()
     else begin
       let st = Obs_stats.create () in
       Fun.protect
         ~finally:(fun () -> Obs_stats.print st)
-        (fun () -> Obs.with_sink Obs.default (Obs_stats.sink st) g)
+        (fun () -> Obs.with_sink obs (Obs_stats.sink st) g)
     end
   in
   let with_trace g =
@@ -138,9 +136,9 @@ let with_obs ~trace ~stats f =
           ~finally:(fun () ->
             Obs_trace.write_file tr path;
             Printf.printf "trace written to %s\n" path)
-          (fun () -> Obs.with_sink Obs.default (Obs_trace.sink tr) g)
+          (fun () -> Obs.with_sink obs (Obs_trace.sink tr) g)
   in
-  with_trace (fun () -> with_stats f)
+  with_trace (fun () -> with_stats (fun () -> f obs))
 
 (* -- info ----------------------------------------------------------- *)
 
@@ -286,8 +284,8 @@ let attack_cmd =
          & info [ "attack" ] ~doc:"Attack: direct (read victim memory) or inject (signal handler).")
   in
   let run mode cpus attack trace stats =
-    with_obs ~trace ~stats (fun () ->
-        let o = Vg_attacks.Rootkit.run_experiment ~cpus ~mode ~attack () in
+    with_obs ~trace ~stats (fun obs ->
+        let o = Vg_attacks.Rootkit.run_experiment ~cpus ~obs ~mode ~attack () in
         Format.printf "%a@." Vg_attacks.Rootkit.pp_outcome o;
         let stolen =
           o.Vg_attacks.Rootkit.secret_leaked_to_console || o.secret_in_exfil_file
@@ -311,8 +309,8 @@ let spectre_cmd =
              needs at least 8, and 0 disables speculation entirely).")
   in
   let run depth mitigation trace stats =
-    with_obs ~trace ~stats (fun () ->
-        let o = Vg_attacks.Spectre.run_experiment ~spec_depth:depth ~mitigation () in
+    with_obs ~trace ~stats (fun obs ->
+        let o = Vg_attacks.Spectre.run_experiment ~spec_depth:depth ~mitigation ~obs () in
         Format.printf "%a@." Vg_attacks.Spectre.pp_outcome o;
         Format.printf "verdict: the secret was %s@."
           (if o.Vg_attacks.Spectre.success then "STOLEN transiently"
@@ -396,12 +394,9 @@ let lmbench_cmd =
   let iters_arg =
     Arg.(value & opt int 500 & info [ "iterations" ] ~doc:"Iterations.")
   in
-  let run mode cpus mem_frames spec_depth spec_mitigation op iterations trace
-      stats =
-    with_obs ~trace ~stats (fun () ->
-        let _, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~spec_depth ~spec_mitigation mode
-        in
+  let run config op iterations trace stats =
+    with_obs ~trace ~stats (fun obs ->
+        let kernel = Node.kernel (Node.boot (Node_config.with_obs obs config)) in
         Runtime.launch kernel ~ghosting:false (fun ctx ->
             let f = List.assoc op ops in
             Printf.printf "%s: %.3f us per operation (simulated)\n" op
@@ -409,8 +404,7 @@ let lmbench_cmd =
   in
   Cmd.v
     (Cmd.info "lmbench" ~doc:"Run one LMBench micro-operation.")
-    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg
-          $ mitigation_arg $ op_arg $ iters_arg $ trace_arg $ stats_arg)
+    Term.(const run $ config_term $ op_arg $ iters_arg $ trace_arg $ stats_arg)
 
 (* -- httpd worker pool ---------------------------------------------- *)
 
@@ -429,12 +423,10 @@ let httpd_cmd =
          & info [ "batch" ] ~doc:"Ring submissions per ring_enter trap \
                                   (event-loop mode only).")
   in
-  let run mode cpus mem_frames spec_depth spec_mitigation requests event_loop
-      batch trace stats =
-    with_obs ~trace ~stats (fun () ->
-        let machine, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~spec_depth ~spec_mitigation mode
-        in
+  let run config requests event_loop batch trace stats =
+    with_obs ~trace ~stats (fun obs ->
+        let node = Node.boot (Node_config.with_obs obs config) in
+        let machine = Node.machine node and kernel = Node.kernel node in
         (match Diskfs.create kernel.Kernel.fs "/index.html" with
         | Error _ -> failwith "create /index.html"
         | Ok ino ->
@@ -461,7 +453,7 @@ let httpd_cmd =
         end
         else begin
           let st =
-            Httpd.Pool.run kernel ~workers:cpus ~requests ~port:80
+            Httpd.Pool.run kernel ~workers:(Machine.cpus machine) ~requests ~port:80
               ~path:"/index.html"
           in
           let seconds = Cost.to_seconds st.Httpd.Pool.elapsed_cycles in
@@ -481,8 +473,7 @@ let httpd_cmd =
          "Serve an 8KB document under the preemptive scheduler: a worker \
           pool per core, or (with --event-loop) a per-core event loop \
           batching syscalls through the submission ring.")
-    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg
-          $ mitigation_arg $ requests_arg $ event_loop_arg $ batch_arg
+    Term.(const run $ config_term $ requests_arg $ event_loop_arg $ batch_arg
           $ trace_arg $ stats_arg)
 
 (* -- postmark ------------------------------------------------------- *)
@@ -494,12 +485,10 @@ let postmark_cmd =
   let files_arg =
     Arg.(value & opt int 100 & info [ "files" ] ~doc:"Base file count.")
   in
-  let run mode cpus mem_frames spec_depth spec_mitigation transactions
-      base_files trace stats =
-    with_obs ~trace ~stats (fun () ->
-        let machine, kernel =
-          boot ?frame_limit:mem_frames ~cpus ~spec_depth ~spec_mitigation mode
-        in
+  let run config transactions base_files trace stats =
+    with_obs ~trace ~stats (fun obs ->
+        let node = Node.boot (Node_config.with_obs obs config) in
+        let machine = Node.machine node and kernel = Node.kernel node in
         Runtime.launch kernel ~ghosting:false (fun ctx ->
             let config = { Postmark.paper_config with transactions; base_files } in
             let start = Machine.cycles machine in
@@ -514,8 +503,7 @@ let postmark_cmd =
   in
   Cmd.v
     (Cmd.info "postmark" ~doc:"Run the Postmark file-system benchmark.")
-    Term.(const run $ mode_arg $ cpus_arg $ mem_frames_arg $ spec_depth_arg
-          $ mitigation_arg $ tx_arg $ files_arg $ trace_arg $ stats_arg)
+    Term.(const run $ config_term $ tx_arg $ files_arg $ trace_arg $ stats_arg)
 
 (* -- fleet ---------------------------------------------------------- *)
 
@@ -556,8 +544,10 @@ let fleet_cmd =
              key chain) on every serving node alongside the HTTP wave.")
   in
   let run mode cpus nodes requests policy mixed trace stats =
-    with_obs ~trace ~stats (fun () ->
-        let config = node_config ~cpus mode |> Node_config.with_seed "fleet" in
+    (* Fleet nodes report to the fleet's private hubs: --trace and
+       --stats see none of them. *)
+    with_obs ~trace ~stats (fun _ ->
+        let config = Node_config.(default |> with_cpus cpus |> with_mode mode |> with_seed "fleet") in
         let fleet = Fleet.create ~policy ~nodes config in
         Fleet.listen_all fleet ~port:80;
         Fleet.setup_www fleet ~path:"/index.html"
@@ -656,7 +646,7 @@ let policy_cmd =
                      ignore (Ssh_suite.load_private_key ctx ~path:"/id"))))
       | _ -> None
     in
-    let _, k = boot ~cpus Sva.Virtual_ghost in
+    let k = Node.kernel (Node.boot Node_config.(default |> with_cpus cpus |> with_seed "vgsim")) in
     match recorded_app k app with
     | Some pol -> print_policy ~how:"recorded from the workload" app pol
     | None -> (

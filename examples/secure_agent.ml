@@ -21,7 +21,9 @@ let () =
   print_endline "-- Attack 1: direct read of victim memory, printed to syslog --";
   List.iter
     (fun mode ->
-      show_outcome (Vg_attacks.Rootkit.run_experiment ~mode ~attack:Vg_attacks.Rootkit.Direct_read ()))
+      show_outcome
+        (Vg_attacks.Rootkit.run_experiment ~obs:(Obs.create ()) ~mode
+           ~attack:Vg_attacks.Rootkit.Direct_read ()))
     [ Sva.Native_build; Sva.Virtual_ghost ];
   print_endline "";
   print_endline "  Under Virtual Ghost the module's loads were compiled with the";
@@ -33,7 +35,9 @@ let () =
   print_endline "-- Attack 2: signal-handler code injection + exfiltration --";
   List.iter
     (fun mode ->
-      show_outcome (Vg_attacks.Rootkit.run_experiment ~mode ~attack:Vg_attacks.Rootkit.Signal_inject ()))
+      show_outcome
+        (Vg_attacks.Rootkit.run_experiment ~obs:(Obs.create ()) ~mode
+           ~attack:Vg_attacks.Rootkit.Signal_inject ()))
     [ Sva.Native_build; Sva.Virtual_ghost ];
   print_endline "";
   print_endline "  Under Virtual Ghost, sva.ipush.function refuses to dispatch to";

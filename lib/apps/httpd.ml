@@ -126,7 +126,7 @@ module Pool = struct
     let eps =
       List.init requests (fun _ ->
           Machine.charge m Cost.tcp_handshake;
-          let ep = Netstack.Remote.connect (Machine.remote_nic m) ~port in
+          let ep = Netstack.Remote.connect m ~port in
           Netstack.Remote.send ep
             (Bytes.of_string (Printf.sprintf "GET %s HTTP/1.0\r\n" path));
           ep)
@@ -415,7 +415,7 @@ module Event_loop = struct
     let eps =
       List.init requests (fun _ ->
           Machine.charge m Cost.tcp_handshake;
-          let ep = Netstack.Remote.connect (Machine.remote_nic m) ~port in
+          let ep = Netstack.Remote.connect m ~port in
           Netstack.Remote.send ep
             (Bytes.of_string (Printf.sprintf "GET %s HTTP/1.0\r\n" path));
           ep)
@@ -436,7 +436,7 @@ module Client = struct
   let get machine ~port ~path pump =
     (* HTTP/1.0, one connection per request: pay the TCP handshake. *)
     Machine.charge machine Cost.tcp_handshake;
-    let ep = Netstack.Remote.connect (Machine.remote_nic machine) ~port in
+    let ep = Netstack.Remote.connect machine ~port in
     Netstack.Remote.send ep (Bytes.of_string (Printf.sprintf "GET %s HTTP/1.0\r\n" path));
     pump ();
     let raw = Netstack.Remote.recv_all_available ep in

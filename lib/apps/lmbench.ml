@@ -31,16 +31,20 @@ let mmap_bench ctx ~iterations =
           ignore (Syscalls.munmap k proc ~addr:va ~len:65536)
       | Error _ -> ())
 
-(* Each iteration touches a page that has never been mapped; the
-   region advances so the demand-paging path runs every time. *)
-let fault_region = ref 0x0000_0000_2000_0000L
+(* Each iteration touches a page the process has never mapped, the
+   next one up from [fault_base], so the demand-paging path runs every
+   time. *)
+let fault_base = 0x0000_0000_2000_0000L
 
 let page_fault ctx ~iterations =
   let k = ctx.Runtime.kernel and proc = ctx.Runtime.proc in
+  let va = ref fault_base in
+  let mapped va = Hashtbl.mem proc.Proc.user_frames (Int64.shift_right_logical va 12) in
   measure ctx ~iterations (fun _ ->
-      let va = !fault_region in
-      fault_region := Int64.add va 4096L;
-      match Kernel.handle_page_fault k proc va with Ok () | Error _ -> ())
+      while mapped !va do
+        va := Int64.add !va 4096L
+      done;
+      match Kernel.handle_page_fault k proc !va with Ok () | Error _ -> ())
 
 let signal_install ctx ~iterations =
   measure ctx ~iterations (fun i ->

@@ -139,7 +139,7 @@ let fetch_complete ctx ~fd ~len ~session_key =
   end
 
 let remote_file_server machine ~session_key ~len ~chunk =
-  match Netstack.Remote.accept (Machine.remote_nic machine) with
+  match Netstack.Remote.accept machine with
   | None -> false
   | Some ep ->
       let plain = Bytes.init len (fun i -> Char.chr (i mod 256)) in

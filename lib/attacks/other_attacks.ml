@@ -1,12 +1,13 @@
 let secret = "ghost-page-secret-value!"
 
-let boot_config ?(cpus = 1) ~seed mode =
+let boot_config ?(cpus = 1) ~obs ~seed mode =
   Vg_fleet.Node_config.(
     default |> with_cpus cpus |> with_phys_frames 8192
-    |> with_disk_sectors 8192 |> with_seed seed |> with_mode mode)
+    |> with_disk_sectors 8192 |> with_seed seed |> with_mode mode
+    |> with_obs obs)
 
-let boot mode =
-  Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ~seed:"oatk" mode))
+let boot ~obs mode =
+  Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ~obs ~seed:"oatk" mode))
 
 (* Plant the secret in a fresh process's ghost page; return everything
    the attacks need. *)
@@ -32,8 +33,8 @@ let plant k =
   in
   (proc, va, frame)
 
-let mmu_remap_attack ~mode =
-  let k = boot mode in
+let mmu_remap_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let proc, _va, frame = plant k in
   (* Map the ghost frame at a kernel-accessible user address and read
      it with an ordinary (instrumented) kernel access. *)
@@ -48,8 +49,8 @@ let mmu_remap_attack ~mode =
       let data = Kmem.read_bytes k.Kernel.kmem attack_va ~len:(String.length secret) in
       Bytes.to_string data = secret
 
-let dma_attack ~mode =
-  let k = boot mode in
+let dma_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let _proc, _va, frame = plant k in
   (* First, try to strip IOMMU protection through its control port (a
      native kernel can; the VM refuses the port write). *)
@@ -64,8 +65,8 @@ let dma_attack ~mode =
   | exception Iommu.Dma_blocked _ -> false
   | data -> Bytes.to_string data = secret
 
-let icontext_tamper_attack ~mode =
-  let k = boot mode in
+let icontext_tamper_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let init = Kernel.init_process k in
   let proc =
     match Kernel.create_process k ~parent:init with
@@ -97,8 +98,8 @@ let evil_mmap_program () =
   Builder.ret b (Some (Ir.Imm (Int64.add Layout.ghost_start 0x1000_0000L)));
   Builder.program b
 
-let iago_mmap_attack ~mode ~ghosting:masked =
-  let k = boot mode in
+let iago_mmap_attack ~obs ~mode ~ghosting:masked =
+  let k = boot ~obs mode in
   Syscalls.register_builtin_externs k;
   (match Module_loader.load k ~name:"iago" (evil_mmap_program ()) with
   | Ok () -> ()
@@ -133,8 +134,8 @@ let iago_mmap_attack ~mode ~ghosting:masked =
    direct syscall.  Under Virtual Ghost the kernel's instrumented
    copyin masks the access: the exfil file fills with zeros, not the
    secret, and the sandbox announces itself on the event stream. *)
-let ring_ghost_buffer_attack ~mode =
-  let k = boot mode in
+let ring_ghost_buffer_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let leaked = ref false in
   Runtime.launch k ~ghosting:true (fun ctx ->
       let secret_va = Runtime.galloc ctx 32 in
@@ -182,8 +183,8 @@ let write_raw_file k path data =
       ignore (Diskfs.truncate k.Kernel.fs ~ino ~len:0);
       ignore (Diskfs.write k.Kernel.fs ~ino ~off:0 data)
 
-let file_replay_attack ~mode =
-  let k = Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ~seed:"replay" mode)) in
+let file_replay_attack ~obs ~mode =
+  let k = Vg_fleet.Node.kernel (Vg_fleet.Node.boot (boot_config ~obs ~seed:"replay" mode)) in
   match mode with
   | Sva.Native_build ->
       (* Baseline: plain files, nothing versioned.  The OS keeps v1,
@@ -230,8 +231,8 @@ let file_replay_attack ~mode =
           | Error _ -> accepted_stale := false);
       !accepted_stale
 
-let swap_tamper_attack ~mode =
-  let k = boot mode in
+let swap_tamper_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let proc, va, frame = plant k in
   match mode with
   | Sva.Native_build ->
@@ -278,8 +279,8 @@ let write_ghost k (proc : Proc.t) va data =
   Machine.write_bytes_virt k.Kernel.machine va data;
   Machine.set_privilege k.Kernel.machine Machine.Kernel
 
-let swap_replay_attack ~mode =
-  let k = boot mode in
+let swap_replay_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let proc, va, _frame = plant k in
   let path = swap_blob_path proc va in
   let fail msg = failwith ("swap_replay_attack: " ^ msg) in
@@ -302,8 +303,8 @@ let swap_replay_attack ~mode =
   | Error _ -> false (* the VM spotted the stale version *)
   | Ok () -> Bytes.to_string (read_ghost k proc va (String.length secret)) = secret
 
-let swap_substitution_attack ~mode =
-  let k = boot mode in
+let swap_substitution_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let victim, va, _frame = plant k in
   let fail msg = failwith ("swap_substitution_attack: " ^ msg) in
   (* A colluding process with its own ghost page at the same address —
@@ -328,8 +329,8 @@ let swap_substitution_attack ~mode =
   | Error _ -> false (* the VM spotted the foreign header *)
   | Ok () -> Bytes.to_string (read_ghost k mule va (String.length secret)) = secret
 
-let swap_thrash_attack ~mode =
-  let k = boot mode in
+let swap_thrash_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let proc, va, _frame = plant k in
   let fail msg = failwith ("swap_thrash_attack: " ^ msg) in
   (* Thrash-bomb: victimise the same hot page over and over (the
@@ -405,8 +406,8 @@ let sfip_exfil ctx =
       | Ok n -> n > 0
       | Error _ -> false)
 
-let sfip_sequence_attack ~mode =
-  let k = boot mode in
+let sfip_sequence_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let sfip =
     match mode with
     | Sva.Native_build -> None (* no profile deployed: nothing to sign it with *)
@@ -423,8 +424,8 @@ let sfip_sequence_attack ~mode =
 (* Ring variant: the out-of-policy call hides in the middle of an
    otherwise-benign batch.  The whole batch is vetted before any entry
    runs, so under enforcement even the benign prefix never executes. *)
-let sfip_ring_sequence_attack ~mode =
-  let k = boot mode in
+let sfip_ring_sequence_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let benign_batches ring =
     for _ = 1 to 2 do
       for _ = 1 to 2 do
@@ -472,8 +473,8 @@ let sfip_ring_sequence_attack ~mode =
    from the attack itself) breaks the signature and [execve] refuses
    the image.  The baseline performs no signature check — the
    permissive profile loads and the exfiltration runs in-"policy". *)
-let sfip_profile_swap_attack ~mode =
-  let k = boot mode in
+let sfip_profile_swap_attack ~obs ~mode =
+  let k = boot ~obs mode in
   let strict = sfip_record k sfip_victim_workload in
   let vg_key = Sva.vg_private_key_for_installer k.Kernel.sva in
   let rng = Vg_crypto.Drbg.create ~seed:(Bytes.of_string "sfip-swap") in
@@ -500,8 +501,8 @@ let sfip_profile_swap_attack ~mode =
    with Runtime.App_crash _ -> () (* vg: execve refused the broken signature *));
   !exfiltrated
 
-let smp_remap_race_attack ~mode =
-  let node = Vg_fleet.Node.boot (boot_config ~cpus:2 ~seed:"smp-race" mode) in
+let smp_remap_race_attack ~obs ~mode =
+  let node = Vg_fleet.Node.boot (boot_config ~cpus:2 ~obs ~seed:"smp-race" mode) in
   let machine = Vg_fleet.Node.machine node in
   let k = Vg_fleet.Node.kernel node in
   (* Core 0: the victim is live, mid-access to its ghost page. *)

@@ -197,10 +197,11 @@ let infect k ~attack =
     victim_survived = !survived;
   }
 
-let run_experiment ?(cpus = 1) ~mode ~attack () =
+let run_experiment ?(cpus = 1) ~obs ~mode ~attack () =
   let config =
     Vg_fleet.Node_config.(
       default |> with_cpus cpus |> with_phys_frames 16384
-      |> with_disk_sectors 16384 |> with_seed "sec-exp" |> with_mode mode)
+      |> with_disk_sectors 16384 |> with_seed "sec-exp" |> with_mode mode
+      |> with_obs obs)
   in
   infect (Vg_fleet.Node.kernel (Vg_fleet.Node.boot config)) ~attack

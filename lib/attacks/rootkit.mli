@@ -61,6 +61,7 @@ val infect : Kernel.t -> attack:attack -> outcome
 
 val run_experiment :
   ?cpus:int ->
+  obs:Vg_obs.Obs.t ->
   mode:Sva.mode ->
   attack:attack ->
   unit ->
@@ -69,7 +70,7 @@ val run_experiment :
     [cpus] cores — default 1; the attack itself runs on the boot
     core), start the ghosting ssh-agent holding a known secret, load
     the malicious module, trigger the victim's [read], and inspect the
-    aftermath. *)
+    aftermath.  The machine reports to the hub [obs]. *)
 
 val secret_string : string
 (** The planted secret the attacks hunt for. *)

@@ -83,13 +83,13 @@ let pp_outcome fmt o =
 let align64 va = Int64.logand (Int64.add va 63L) (Int64.lognot 63L)
 
 let run_experiment ?(cpus = 1) ?(spec_depth = 12)
-    ?(mitigation = Vg_compiler.Mitigation.Off) () =
+    ?(mitigation = Vg_compiler.Mitigation.Off) ~obs () =
   let config =
     Vg_fleet.Node_config.(
       default |> with_cpus cpus |> with_phys_frames 16384
       |> with_disk_sectors 16384 |> with_spec_depth spec_depth
       |> with_seed "spectre" |> with_mode Sva.Virtual_ghost
-      |> with_spec_mitigation mitigation)
+      |> with_spec_mitigation mitigation |> with_obs obs)
   in
   let node = Vg_fleet.Node.boot config in
   let machine = Vg_fleet.Node.machine node in

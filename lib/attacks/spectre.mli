@@ -3,7 +3,7 @@
     The sandboxing pass is architecturally sound: every kernel access
     to a ghost address is escaped before it issues.  But the escape is
     computed with conditional selects, and on a machine with a
-    speculative window ([Machine.create ~spec_depth]) the mispredicted
+    speculative window ([Node_config.with_spec_depth]) the mispredicted
     select transiently forwards the {e raw} ghost address to the load
     behind it.  The squashed load leaves its cache line warm; a
     flush+reload prober (timing a one-load [sys_lseek] override against
@@ -48,10 +48,12 @@ val run_experiment :
   ?cpus:int ->
   ?spec_depth:int ->
   ?mitigation:Vg_compiler.Mitigation.t ->
+  obs:Vg_obs.Obs.t ->
   unit ->
   outcome
 (** Boot a Virtual Ghost kernel on a machine with the given transient
     budget (default 12) and mitigation (default [Off]), load the
     hostile module through the instrumenting compiler and signed
     translation cache, and run the byte-at-a-time oracle over the whole
-    secret.  Deterministic: same configuration, same outcome. *)
+    secret.  The machine reports to the hub [obs].  Deterministic: same
+    configuration, same outcome. *)

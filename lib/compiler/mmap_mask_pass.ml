@@ -3,13 +3,14 @@ let masked_return v =
     Int64.logor v Layout.ghost_escape_bit
   else v
 
-let fresh_counter = ref 0
+(* Fresh register names, numbered from 1 for each function. *)
+let namer () =
+  let n = ref 0 in
+  fun prefix ->
+    incr n;
+    Printf.sprintf "%%iago.%s%d" prefix !n
 
-let fresh prefix =
-  incr fresh_counter;
-  Printf.sprintf "%%iago.%s%d" prefix !fresh_counter
-
-let mask_into (dst : Ir.reg) : Ir.instr list =
+let mask_into fresh (dst : Ir.reg) : Ir.instr list =
   let above = fresh "ge" and below = fresh "lt" and inside = fresh "in" in
   let ored = fresh "or" in
   [
@@ -21,20 +22,21 @@ let mask_into (dst : Ir.reg) : Ir.instr list =
   ]
 
 let instrument_program ~mmap_callees program =
-  let instrument_instr (instr : Ir.instr) =
+  let instrument_instr fresh (instr : Ir.instr) =
     match instr with
     | Call { dst = Some dst; callee; _ } when List.mem callee mmap_callees ->
-        instr :: mask_into dst
+        instr :: mask_into fresh dst
     | _ -> [ instr ]
   in
   Ir.map_funcs
     (fun f ->
+      let fresh = namer () in
       {
         f with
         blocks =
           List.map
             (fun (b : Ir.block) ->
-              { b with instrs = List.concat_map instrument_instr b.instrs })
+              { b with instrs = List.concat_map (instrument_instr fresh) b.instrs })
             f.Ir.blocks;
       })
     program

@@ -8,18 +8,19 @@ let masked_address addr =
 
 let added_instructions_per_operand = 7
 
-(* Counter for fresh register names; instrumentation registers are
-   prefixed "%sbx" so they can never collide with Builder-generated
-   ("%t..") or hand-written registers. *)
-let fresh_counter = ref 0
-
-let fresh prefix =
-  incr fresh_counter;
-  Printf.sprintf "%%sbx.%s%d" prefix !fresh_counter
+(* Fresh register names, numbered from 1 for each function (or each
+   [instrument_instr] call); instrumentation registers are prefixed
+   "%sbx" so they can never collide with Builder-generated ("%t..") or
+   hand-written registers. *)
+let namer () =
+  let n = ref 0 in
+  fun prefix ->
+    incr n;
+    Printf.sprintf "%%sbx.%s%d" prefix !n
 
 (* Emit the masking sequence for [addr]; returns the instructions (in
    order) and the value holding the safe address. *)
-let mask_sequence (addr : Ir.value) : Ir.instr list * Ir.value =
+let mask_sequence fresh (addr : Ir.value) : Ir.instr list * Ir.value =
   let is_high = fresh "hi" in
   let ored = fresh "or" in
   let escaped = fresh "esc" in
@@ -44,7 +45,7 @@ let mask_sequence (addr : Ir.value) : Ir.instr list * Ir.value =
    a mispredictor could resolve the wrong way.  A transient load
    downstream of this sequence still sees the {e masked} address, so
    speculation leaks nothing the architectural access would not. *)
-let safe_mask_sequence (addr : Ir.value) : Ir.instr list * Ir.value =
+let safe_mask_sequence fresh (addr : Ir.value) : Ir.instr list * Ir.value =
   let is_high = fresh "hi" in
   let high_mask = fresh "hm" in
   let escape = fresh "eb" in
@@ -79,9 +80,8 @@ let sequence_for = function
   | Mitigation.Off | Mitigation.Fence -> mask_sequence
   | Mitigation.Safe_mask -> safe_mask_sequence
 
-let instrument_instr ?(mitigation = Mitigation.Off) (instr : Ir.instr) :
-    Ir.instr list =
-  let mask_sequence = sequence_for mitigation in
+let instrument_with ~mitigation fresh (instr : Ir.instr) : Ir.instr list =
+  let mask_sequence = sequence_for mitigation fresh in
   match instr with
   | Load { dst; addr; width } ->
       let seq, safe = mask_sequence addr in
@@ -100,11 +100,15 @@ let instrument_instr ?(mitigation = Mitigation.Off) (instr : Ir.instr) :
   | Fence ->
       [ instr ]
 
-let instrument_block ?mitigation (b : Ir.block) : Ir.block =
-  { b with instrs = List.concat_map (instrument_instr ?mitigation) b.instrs }
+let instrument_instr ?(mitigation = Mitigation.Off) instr =
+  instrument_with ~mitigation (namer ()) instr
 
-let instrument_func ?mitigation (f : Ir.func) : Ir.func =
-  { f with blocks = List.map (instrument_block ?mitigation) f.blocks }
+let instrument_func ?(mitigation = Mitigation.Off) (f : Ir.func) : Ir.func =
+  let fresh = namer () in
+  let block (b : Ir.block) =
+    { b with instrs = List.concat_map (instrument_with ~mitigation fresh) b.instrs }
+  in
+  { f with blocks = List.map block f.blocks }
 
 let instrument_program ?mitigation p =
   Ir.map_funcs (instrument_func ?mitigation) p

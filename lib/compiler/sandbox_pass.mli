@@ -24,12 +24,14 @@ val instrument_program : ?mitigation:Mitigation.t -> Ir.program -> Ir.program
     data-dependency sequence. *)
 
 val instrument_func : ?mitigation:Mitigation.t -> Ir.func -> Ir.func
+(** The inserted registers are numbered afresh in each function. *)
 
 val instrument_instr : ?mitigation:Mitigation.t -> Ir.instr -> Ir.instr list
 (** The per-instruction transform: a memory operation becomes the mask
     sequence(s) plus the rewritten operation; anything else is returned
-    unchanged.  Exposed so tests can build deliberately de-instrumented
-    "evil pass" variants that {!Image_verify} must catch. *)
+    unchanged; its registers are numbered afresh in each call.  Exposed
+    so tests can build deliberately de-instrumented "evil pass"
+    variants that {!Image_verify} must catch. *)
 
 val safe_mask_instructions : int
 (** Length of the branchless [Safe_mask] sequence (9). *)

@@ -9,10 +9,11 @@
    wire time is charged by each fabric NIC on transmit, exactly like
    the harness wire.
 
-   The switch is stateless: connection ids are globally unique in the
-   process (kernel-outbound ids and harness ids draw from disjoint
-   counters), so forwarding needs only the 4-byte destination-node
-   header, which it rewrites to the source node in flight. *)
+   The switch is stateless: every node names its outbound connections
+   from the fleet's one allocator ([conn_ids]), so no two connections
+   reaching a node over the fabric share an id, and forwarding needs
+   only the 4-byte destination-node header, which it rewrites to the
+   source node in flight. *)
 
 type mixed_stats = { postmark_tx : int; ssh_ok : bool }
 
@@ -31,6 +32,7 @@ type t = {
   lb : Lb.t;
   nodes : node_state array;
   wire_log : Buffer.t;  (* every frame the switch forwarded, verbatim *)
+  conn_ids : Netstack.ids;  (* every node's kernel connection ids *)
   mutable listening : int list;
   mutable www_files : (string * bytes) list;
 }
@@ -73,11 +75,16 @@ let pump t =
       done)
     t.nodes
 
-let per_node_config t i obs =
-  t.config
-  |> Node_config.with_seed
-       (Printf.sprintf "%s-n%d" t.config.Node_config.seed i)
-  |> Node_config.with_obs obs
+(* Node [i] boots with seed "<seed>-n<i>" and a private hub carrying
+   its stats sink and security log (see fleet.mli). *)
+let boot_node config i ~stats ~security =
+  let obs = Obs.create () in
+  Obs.attach obs (Obs_stats.sink stats);
+  Obs.attach obs (security_sink security);
+  Node.boot
+    (config
+    |> Node_config.with_seed (Printf.sprintf "%s-n%d" config.Node_config.seed i)
+    |> Node_config.with_obs obs)
 
 (* (Re)wire node [i]'s fabric: fresh NIC pair, near end into the
    node's netstack, far end as our switch port.  Wire time charges the
@@ -86,7 +93,7 @@ let wire t i =
   let st = t.nodes.(i) in
   let m = Node.machine st.node in
   let near, far = Nic.pair ~charge:(Machine.charge ~tag:Obs.Tag.Net m) () in
-  Netstack.attach_fabric (Node.net st.node) ~node:i near ~pump:(fun () -> pump t);
+  Netstack.attach_fabric (Node.net st.node) near ~pump:(fun () -> pump t) ~ids:t.conn_ids;
   st.switch_port <- far
 
 let apply_node_setup t i =
@@ -105,16 +112,7 @@ let create ?(policy = Lb.Round_robin) ~nodes:n config =
   let mk_state i =
     let stats = Obs_stats.create () in
     let security = ref [] in
-    let obs = Obs.create () in
-    Obs.attach obs (Obs_stats.sink stats);
-    Obs.attach obs (security_sink security);
-    let cfg =
-      config
-      |> Node_config.with_seed
-           (Printf.sprintf "%s-n%d" config.Node_config.seed i)
-      |> Node_config.with_obs obs
-    in
-    let node = Node.boot ~id:i cfg in
+    let node = boot_node config i ~stats ~security in
     let dummy, _ = Nic.pair () in
     {
       node;
@@ -132,6 +130,7 @@ let create ?(policy = Lb.Round_robin) ~nodes:n config =
       lb = Lb.create ~nodes:n policy;
       nodes = Array.init n mk_state;
       wire_log = Buffer.create 4096;
+      conn_ids = Netstack.kernel_ids ();
       listening = [];
       www_files = [];
     }
@@ -142,11 +141,8 @@ let create ?(policy = Lb.Round_robin) ~nodes:n config =
 let restart_node t i =
   let st = t.nodes.(i) in
   Lb.set_up t.lb i false;
-  let obs = Obs.create () in
-  Obs.attach obs (Obs_stats.sink st.stats);
   st.security := [];
-  Obs.attach obs (security_sink st.security);
-  st.node <- Node.boot ~id:i (per_node_config t i obs);
+  st.node <- boot_node t.config i ~stats:st.stats ~security:st.security;
   st.restarts <- st.restarts + 1;
   wire t i;
   apply_node_setup t i;
@@ -252,7 +248,7 @@ let serve_wave ?(batch = 8) ?(mixed = false) t ~port ~path ~requests =
         assigned.(i) <- assigned.(i) + 1;
         let m = Node.machine t.nodes.(i).node in
         Machine.charge m Cost.tcp_handshake;
-        let ep = Netstack.Remote.connect (Machine.remote_nic m) ~port in
+        let ep = Netstack.Remote.connect m ~port in
         Netstack.Remote.send ep
           (Bytes.of_string (Printf.sprintf "GET %s HTTP/1.0\r\n" path));
         eps.(i) <- ep :: eps.(i)

@@ -6,21 +6,22 @@
     [Machine.remote_nic]) for clients; cross-node traffic rides a
     dedicated fabric {!Nic.pair} per node, so the historical wire
     format — and every cycle golden over it — is untouched.  The
-    switch is stateless (connection ids are globally unique) and
-    zero-cost; wire time is charged by the fabric NICs on transmit.
+    switch is stateless and zero-cost: every node names its outbound
+    connections from one fleet-owned allocator, so ids reaching a node
+    over the fabric from different peers never coincide.  Wire time is
+    charged by the fabric NICs on transmit.
 
-    Observability is per node: each node boots with a private
-    {!Obs.t} carrying an {!Obs_stats} sink (accumulating across
-    restarts) and a security-event log (cleared when the node is
-    re-imaged), so a hostile backend's [Security] events are
-    attributable in fleet reporting. *)
+    Observability is per node, because a hostile backend's [Security]
+    events must be attributed to it: the fleet boots each node with a
+    private {!Obs.t} of its own making, carrying an {!Obs_stats} sink
+    (accumulating across restarts) and a security-event log (cleared
+    when the node is re-imaged).  The config's [obs] is not used. *)
 
 type t
 
 val create : ?policy:Lb.policy -> nodes:int -> Node_config.t -> t
 (** Boot [nodes] nodes from the config ([policy] defaults to
-    round-robin).  Node [i] gets seed ["<seed>-n<i>"] and a fresh
-    private [Obs.t]; the config's own [obs] field is ignored. *)
+    round-robin).  Node [i] gets seed ["<seed>-n<i>"]. *)
 
 val size : t -> int
 val node : t -> int -> Node.t

@@ -1,25 +1,23 @@
 type t = {
-  id : int;
   config : Node_config.t;
   machine : Machine.t;
   kernel : Kernel.t;
 }
 
-let boot ?(id = 0) (config : Node_config.t) =
-  let machine = Node_config.create_machine config in
-  let kernel =
-    Kernel.boot ?frame_limit:config.Node_config.frame_limit
-      ~spec_mitigation:config.Node_config.spec_mitigation
-      ~mode:config.Node_config.mode machine
-  in
-  { id; config; machine; kernel }
+let boot_kernel (config : Node_config.t) machine =
+  Kernel.boot ~frame_limit:config.frame_limit
+    ~spec_mitigation:config.spec_mitigation ~mode:config.mode machine
 
-let id t = t.id
+let boot config =
+  let machine = Node_config.create_machine config in
+  { config; machine; kernel = boot_kernel config machine }
+
+let reboot t = { t with kernel = boot_kernel t.config t.machine }
+
 let config t = t.config
 let machine t = t.machine
 let kernel t = t.kernel
 let net t = t.kernel.Kernel.net
-let mode t = t.config.Node_config.mode
 
 let launch t ?image ?sfip ~ghosting body =
   Runtime.launch t.kernel ?image ?sfip ~ghosting body

@@ -1,21 +1,21 @@
-(** A booted machine + kernel pair: the single entry point replacing
-    direct [Machine.create] / [Kernel.boot] call chains.  {!boot} is
-    cycle-identical to the two-call form for equal configuration —
-    the compat contract the golden tests pin. *)
+(** A booted machine + kernel pair.  {!boot} and {!reboot} are the
+    only callers of [Machine.create] (through
+    {!Node_config.create_machine}) and [Kernel.boot]. *)
 
 type t
 
-val boot : ?id:int -> Node_config.t -> t
-(** Create the machine and boot the kernel described by the config.
-    [id] (default 0) is the node's fleet-wide identity; standalone
-    callers never need it. *)
+val boot : Node_config.t -> t
+(** Create the machine and boot the kernel described by the config. *)
 
-val id : t -> int
+val reboot : t -> t
+(** Boot a fresh kernel from the node's config on the same machine:
+    the disk (and so the file system) and the TPM persist; processes
+    and sockets do not.  Use the returned node from then on. *)
+
 val config : t -> Node_config.t
 val machine : t -> Machine.t
 val kernel : t -> Kernel.t
 val net : t -> Netstack.t
-val mode : t -> Sva.mode
 
 val launch :
   t -> ?image:Appimage.t -> ?sfip:Syscall_policy.t -> ghosting:bool ->

@@ -1,8 +1,5 @@
-(* One record replaces the optional-argument sprawl of
-   [Machine.create] + [Kernel.boot].  Every default here is the
-   corresponding historical default, so [Node.boot default] is
-   cycle-identical to the bare two-call boot — golden-pinned by
-   test/fleet. *)
+(* The one place a node's defaults are stated: [Machine.create] and
+   [Kernel.boot] take every argument from this record. *)
 
 type t = {
   cpus : int;
@@ -40,9 +37,9 @@ let with_spec_mitigation spec_mitigation t = { t with spec_mitigation }
 let with_frame_limit limit t = { t with frame_limit = Some limit }
 
 let create_machine t =
+  let obs = match t.obs with Some obs -> obs | None -> Obs.create () in
   Machine.create ~cpus:t.cpus ~phys_frames:t.phys_frames
-    ~disk_sectors:t.disk_sectors ?obs:t.obs ~spec_depth:t.spec_depth
-    ~seed:t.seed ()
+    ~disk_sectors:t.disk_sectors ~obs ~spec_depth:t.spec_depth ~seed:t.seed
 
 let describe t =
   Printf.sprintf "%s cpus=%d frames=%d depth=%d mitigation=%s%s"

@@ -1,6 +1,7 @@
-(** One configuration record for one node, subsuming the
-    optional-argument sprawl of {!Vg_machine.Machine.create} plus
-    {!Vg_kernel.Kernel.boot}.
+(** One configuration record for one node: the only place the
+    defaults of {!Vg_machine.Machine.create} and
+    {!Vg_kernel.Kernel.boot} are stated.  Neither takes an optional
+    argument; {!Node.boot} and {!create_machine} fill them from here.
 
     Build a config from {!default} with the [with_*] combinators
     (designed for [|>] chains):
@@ -12,10 +13,9 @@
       |> Node.boot
     ]}
 
-    Every default equals the corresponding historical default of the
-    two-call form, and booting through {!Node.boot} is cycle-identical
-    to calling the two functions directly (golden-pinned in
-    test/fleet). *)
+    The defaults are the paper's testbed in miniature; the cycle
+    goldens of test/golden, which boot through {!Node.boot}, pin
+    them. *)
 
 type t = {
   cpus : int;  (** default 1 *)
@@ -23,7 +23,9 @@ type t = {
   disk_sectors : int;  (** default 65536 (32 MiB) *)
   spec_depth : int;  (** speculative window in macro-ops; default 0 *)
   seed : string;  (** determinises TPM + entropy; default ["node"] *)
-  obs : Obs.t option;  (** default: the process-wide {!Obs.default} *)
+  obs : Obs.t option;
+      (** the hub the machine reports to; default [None], a private hub
+          of its own (read it back with {!Vg_machine.Machine.obs}) *)
   mode : Sva.mode;  (** default [Virtual_ghost] *)
   spec_mitigation : Vg_compiler.Mitigation.t;  (** default [Off] *)
   frame_limit : int option;  (** kernel frame-allocator cap; default none *)
@@ -42,9 +44,9 @@ val with_spec_mitigation : Vg_compiler.Mitigation.t -> t -> t
 val with_frame_limit : int -> t -> t
 
 val create_machine : t -> Machine.t
-(** The machine half of a boot — for callers that need a bare machine
-    (no kernel), e.g. attack harnesses that boot the kernel
-    themselves. *)
+(** The machine half of a boot, for callers that need a bare machine
+    with no kernel (machine, SVA and SMP tests).  The kernel fields
+    ([mode], [spec_mitigation], [frame_limit]) are unused. *)
 
 val describe : t -> string
 (** One-line human summary for logs and CLI output. *)

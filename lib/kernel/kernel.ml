@@ -58,7 +58,7 @@ let verify_kernel_image machine sva ~mitigation =
         ("Kernel.boot: kernel image failed load-time verification: "
         ^ Vg_compiler.Trans_cache.describe_find_error e)
 
-let boot ?frame_limit ?(spec_mitigation = Vg_compiler.Mitigation.Off) ~mode machine =
+let boot ~frame_limit ~spec_mitigation ~mode machine =
   let sva = Sva.boot ~mode machine in
   (* Bind the syscall table into the translation cache so any signed
      blob carrying a syscall-flow graph can be re-proven against its

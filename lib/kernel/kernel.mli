@@ -69,8 +69,8 @@ and syscall_override = {
 }
 
 val boot :
-  ?frame_limit:int ->
-  ?spec_mitigation:Vg_compiler.Mitigation.t ->
+  frame_limit:int option ->
+  spec_mitigation:Vg_compiler.Mitigation.t ->
   mode:Sva.mode ->
   Machine.t ->
   t
@@ -80,17 +80,13 @@ val boot :
     allocator — a memory-constrained machine that forces ghost
     swapping.  Module override code always runs on the
     closure-compiled translation ({!Vg_compiler.Exec_compile}) of its
-    verified image.  [spec_mitigation] (default [Off])
-    selects the Spectre hardening of the sandbox: the kernel image and
-    every module are compiled under it and the translation cache is
-    bound to it ({!Vg_compiler.Trans_cache.set_mitigation}).
+    verified image.  [spec_mitigation] selects the Spectre hardening of
+    the sandbox: the kernel image and every module are compiled under
+    it and the translation cache is bound to it
+    ({!Vg_compiler.Trans_cache.set_mitigation}).
 
-    Compatibility note: the optional-argument form is the low-level
-    path, kept for booting onto an existing machine (reboot tests,
-    attack harnesses that pre-stage machine state).  New code should
-    describe the node with [Vg_fleet.Node_config] and boot through
-    [Vg_fleet.Node.boot], which is cycle-identical and subsumes the
-    [Machine.create] + [boot] argument sprawl in one record. *)
+    Only [Vg_fleet.Node.boot] and [Node.reboot] call this, with every
+    argument from the node's [Vg_fleet.Node_config]. *)
 
 val mode : t -> Sva.mode
 val init_process : t -> Proc.t

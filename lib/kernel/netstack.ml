@@ -68,9 +68,15 @@ type conn_state = {
   link : link;
 }
 
+(* The last connection id a kernel named: even, so it never meets the
+   harness's odd ones.  A fleet gives all its nodes one allocator. *)
+type ids = int ref
+
+let kernel_ids () = ref 5000
+
 type listener = { backlog : int Queue.t; wq : Waitq.t }
 
-type fabric = { node : int; fnic : Nic.t; pump : unit -> unit }
+type fabric = { fnic : Nic.t; pump : unit -> unit }
 
 type t = {
   nic : Nic.t;
@@ -78,13 +84,16 @@ type t = {
   listeners : (int, listener) Hashtbl.t;
   conns : (int, conn_state) Hashtbl.t;
   mutable fabric : fabric option;
+  mutable ids : ids;
 }
 
 let create ~kmem nic =
-  { nic; kmem; listeners = Hashtbl.create 8; conns = Hashtbl.create 32; fabric = None }
+  { nic; kmem; listeners = Hashtbl.create 8; conns = Hashtbl.create 32; fabric = None;
+    ids = kernel_ids () }
 
-let attach_fabric t ~node fnic ~pump = t.fabric <- Some { node; fnic; pump }
-let node_id t = Option.map (fun f -> f.node) t.fabric
+let attach_fabric t fnic ~pump ~ids =
+  t.fabric <- Some { fnic; pump };
+  t.ids <- ids
 
 let fabric_frame ~peer inner =
   let b = Bytes.create (4 + Bytes.length inner) in
@@ -228,11 +237,9 @@ let recv t ~conn n =
       | Error Errno.EAGAIN when state.peer_closed -> Ok Bytes.empty
       | r -> r)
 
-let next_outbound = ref 5000
-
 let connect_link t ~link ~port =
-  incr next_outbound;
-  let conn = !next_outbound in
+  t.ids := !(t.ids) + 2;
+  let conn = !(t.ids) in
   let state =
     { inbox = Pipe_dev.create ~capacity:(1 lsl 22) (); peer_closed = false; port; link }
   in
@@ -243,11 +250,9 @@ let connect_link t ~link ~port =
   transmit_on t link (frame ~ty:ty_syn ~conn ~port Bytes.empty);
   conn
 
-let connect t ~port = connect_link t ~link:Wire ~port
-
 let connect_to t addr =
   match addr with
-  | Local port -> Ok (connect t ~port)
+  | Local port -> Ok (connect_link t ~link:Wire ~port)
   | Peer { node; port } -> (
       match t.fabric with
       | None -> Error Errno.ECONNREFUSED (* no fabric: the peer is unreachable *)
@@ -264,50 +269,48 @@ let close t ~conn =
 
 module Remote = struct
   type endpoint = {
-    nic : Nic.t;
+    m : Machine.t;
     conn : int;
     port : int;
     stash : bytes Queue.t; (* whole data frames for us, popped out of order *)
   }
 
-  let next_conn = ref 1000
-
-  (* Live endpoints by connection id (ids are globally unique), so a
-     frame popped off the shared NIC queue by one endpoint can be
-     delivered to the sibling it belongs to instead of being lost —
-     concurrent connections interleave their frames arbitrarily. *)
-  let by_conn : (int, endpoint) Hashtbl.t = Hashtbl.create 32
-
-  let stash_for ~conn raw =
-    match Hashtbl.find_opt by_conn conn with
-    | Some other -> Queue.push raw other.stash
+  (* A frame popped off the shared NIC queue by one endpoint goes to
+     the stash of the sibling it belongs to instead of being lost:
+     concurrent connections interleave their frames. *)
+  let stash_for (h : Machine.harness) ~conn raw =
+    match Hashtbl.find_opt h.stashes conn with
+    | Some stash -> Queue.push raw stash
     | None -> () (* connection closed: drop *)
 
   let payload raw = Bytes.sub raw header_bytes (Bytes.length raw - header_bytes)
 
-  let connect nic ~port =
-    incr next_conn;
-    let conn = !next_conn in
-    Nic.transmit nic (frame ~ty:ty_syn ~conn ~port Bytes.empty);
-    let ep = { nic; conn; port; stash = Queue.create () } in
-    Hashtbl.replace by_conn conn ep;
+  let register m ~conn ~port =
+    let ep = { m; conn; port; stash = Queue.create () } in
+    Hashtbl.replace (Machine.harness m).stashes conn ep.stash;
     ep
 
-  let rec accept nic =
-    match Nic.receive nic with
+  (* Harness ids are odd, so they never meet a kernel's even ones. *)
+  let connect m ~port =
+    let h = Machine.harness m in
+    h.last_conn <- h.last_conn + 2;
+    let ep = register m ~conn:h.last_conn ~port in
+    Nic.transmit (Machine.remote_nic m) (frame ~ty:ty_syn ~conn:ep.conn ~port Bytes.empty);
+    ep
+
+  let rec accept m =
+    match Nic.receive (Machine.remote_nic m) with
     | None -> None
     | Some raw -> (
         match parse_header raw ~off:0 with
-        | Some (ty, conn, port) when ty = ty_syn ->
-            let ep = { nic; conn; port; stash = Queue.create () } in
-            Hashtbl.replace by_conn conn ep;
-            Some ep
+        | Some (ty, conn, port) when ty = ty_syn -> Some (register m ~conn ~port)
         | Some (ty, conn, _) when ty = ty_data ->
-            stash_for ~conn raw;
-            accept nic
-        | _ -> accept nic (* stale FIN from a closed connection *))
+            stash_for (Machine.harness m) ~conn raw;
+            accept m
+        | _ -> accept m (* stale FIN from a closed connection *))
 
-  let send ep payload = Nic.transmit ep.nic (frame ~ty:ty_data ~conn:ep.conn ~port:ep.port payload)
+  let send ep payload =
+    Nic.transmit (Machine.remote_nic ep.m) (frame ~ty:ty_data ~conn:ep.conn ~port:ep.port payload)
 
   (* One frame off the wire: a data frame for [ep] is [Mine]; a
      sibling's data frame goes to its stash and anything else is
@@ -315,13 +318,13 @@ module Remote = struct
   type wire = Empty | Mine of bytes | Other
 
   let take_wire ep =
-    match Nic.receive ep.nic with
+    match Nic.receive (Machine.remote_nic ep.m) with
     | None -> Empty
     | Some raw -> (
         match parse_header raw ~off:0 with
         | Some (ty, conn, _) when conn = ep.conn && ty = ty_data -> Mine raw
         | Some (ty, conn, _) when ty = ty_data ->
-            stash_for ~conn raw;
+            stash_for (Machine.harness ep.m) ~conn raw;
             Other
         | _ -> Other)
 
@@ -359,7 +362,7 @@ module Remote = struct
     out
 
   let close ep =
-    Hashtbl.remove by_conn ep.conn;
-    Nic.transmit ep.nic (frame ~ty:ty_fin ~conn:ep.conn ~port:ep.port Bytes.empty)
+    Hashtbl.remove (Machine.harness ep.m).stashes ep.conn;
+    Nic.transmit (Machine.remote_nic ep.m) (frame ~ty:ty_fin ~conn:ep.conn ~port:ep.port Bytes.empty)
   let conn_id ep = ep.conn
 end

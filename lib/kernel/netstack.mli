@@ -36,15 +36,22 @@ val addr_of_wire : int64 -> addr
 (** Inverse of {!addr_to_wire}. *)
 
 val create : kmem:Kmem.t -> Nic.t -> t
+(** Whoever opens a connection names it: the {!module:Remote} harness
+    with odd ids, kernels with even ones from their stack's allocator,
+    so the two never coincide on one wire. *)
 
-val attach_fabric : t -> node:int -> Nic.t -> pump:(unit -> unit) -> unit
-(** Plug this stack into a fleet fabric: [node] is our fleet-wide node
-    id, the NIC is our side of a dedicated {!Nic.pair} into the switch,
-    and [pump] runs the switch's forwarding loop (called from {!poll}
-    before draining the fabric port). *)
+type ids
 
-val node_id : t -> int option
-(** Our fleet node id, when a fabric is attached. *)
+val kernel_ids : unit -> ids
+(** A fresh allocator of kernel connection ids. *)
+
+val attach_fabric : t -> Nic.t -> pump:(unit -> unit) -> ids:ids -> unit
+(** Plug this stack into a fleet fabric: the NIC is our side of a
+    dedicated {!Nic.pair} into the switch, and [pump] runs the switch's forwarding loop (called from {!poll}
+    before draining the fabric port).  The stack then names its
+    connections from [ids], the fleet's one allocator, so ids reaching
+    a node from different peers never coincide.  Attach before the
+    first connect. *)
 
 val listen : t -> port:int -> unit Errno.result
 (** Open a listener; [EEXIST] if the port is taken. *)
@@ -96,22 +103,17 @@ val close : t -> conn:int -> unit
 val connect_to : t -> addr -> int Errno.result
 (** Outbound connection to a unified address: allocate a connection id
     and send SYN over the right link.  [Peer _] with no fabric attached
-    is [ECONNREFUSED].  [Local port] never fails and is
-    cycle-identical to the historical {!connect}. *)
-
-val connect : t -> port:int -> int
-(** [connect t ~port] = [connect_to t (Local port)], kept as a compat
-    shim for the pre-fleet API; the remote harness answers via
-    {!Remote.accept}. *)
+    is [ECONNREFUSED].  [Local port] never fails. *)
 
 (** Client-side endpoint helpers (run "on the other machine"): they
-    speak the same frame format directly on the remote NIC endpoint. *)
+    speak the same frame format directly on the machine's
+    {!Machine.remote_nic}, keeping their state in {!Machine.harness}. *)
 module Remote : sig
   type endpoint
 
-  val connect : Nic.t -> port:int -> endpoint
+  val connect : Machine.t -> port:int -> endpoint
 
-  val accept : Nic.t -> endpoint option
+  val accept : Machine.t -> endpoint option
   (** Server side of an outbound kernel connection: harvest a SYN
       frame, if one arrived. *)
 

@@ -1059,14 +1059,17 @@ let () =
   let iarg args n = Int64.to_int (arg args n) in
   let int_of r = Result.map Int64.of_int r in
   let unit_of r = Result.map (fun () -> 0L) r in
-  reg A.sys_read
-    (Some
-       (fun k proc a ->
-         int_of (read_body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len:(iarg a 2))));
-  reg A.sys_write
-    (Some
-       (fun k proc a ->
-         int_of (write_body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len:(iarg a 2))));
+  (* read, write, send and recv take (fd, buf, len) and refuse a
+     negative length before any copy or charge. *)
+  let io body =
+    Some
+      (fun k proc a ->
+        let len = iarg a 2 in
+        if len < 0 then Error Errno.EINVAL
+        else int_of (body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len))
+  in
+  reg A.sys_read (io read_body);
+  reg A.sys_write (io write_body);
   reg A.sys_open None;
   reg A.sys_close (Some (fun k proc a -> unit_of (close_body k proc (iarg a 0))));
   reg A.sys_lseek
@@ -1124,14 +1127,8 @@ let () =
   reg A.sys_accept (Some (fun k proc a -> int_of (accept_body k proc ~fd:(iarg a 0))));
   reg A.sys_connect
     (Some (fun k proc a -> int_of (connect_body k proc (Netstack.addr_of_wire a.(0)))));
-  reg A.sys_send
-    (Some
-       (fun k proc a ->
-         int_of (send_body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len:(iarg a 2))));
-  reg A.sys_recv
-    (Some
-       (fun k proc a ->
-         int_of (recv_body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len:(iarg a 2))));
+  reg A.sys_send (io send_body);
+  reg A.sys_recv (io recv_body);
   reg A.sys_select None;
   reg A.sys_poll None;
   reg A.sys_set_blocking

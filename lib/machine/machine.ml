@@ -20,6 +20,8 @@ type core = {
   mutable ipis_received : int;
 }
 
+type harness = { mutable last_conn : int; stashes : (int, bytes Queue.t) Hashtbl.t }
+
 type t = {
   mem : Phys_mem.t;
   kernel_pt : Pagetable.t;
@@ -29,6 +31,7 @@ type t = {
   disk : Disk.t;
   nic : Nic.t;
   remote_nic : Nic.t;
+  harness : harness;
   iommu : Iommu.t;
   tpm : Tpm.t;
   obs : Obs.t;
@@ -93,8 +96,7 @@ let make_core id =
     ipis_received = 0;
   }
 
-let create ?(cpus = 1) ?(phys_frames = 32768) ?(disk_sectors = 65536)
-    ?(obs = Obs.default) ?(spec_depth = 0) ~seed () =
+let create ~cpus ~phys_frames ~disk_sectors ~obs ~spec_depth ~seed =
   if cpus < 1 then invalid_arg "Machine.create: cpus must be >= 1";
   let mem = Phys_mem.create ~frames:phys_frames in
   let rec t =
@@ -110,6 +112,7 @@ let create ?(cpus = 1) ?(phys_frames = 32768) ?(disk_sectors = 65536)
          disk = Disk.create ~charge:(charge_as Obs.Tag.Disk) ~sectors:disk_sectors ();
          nic;
          remote_nic;
+         harness = { last_conn = 999; stashes = Hashtbl.create 32 };
          iommu = Iommu.create ();
          tpm = Tpm.create ~seed;
          obs;
@@ -356,6 +359,7 @@ let console t = t.console
 let disk t = t.disk
 let nic t = t.nic
 let remote_nic t = t.remote_nic
+let harness t = t.harness
 let iommu t = t.iommu
 let tpm t = t.tpm
 let hw_random t n = Tpm.random t.tpm n

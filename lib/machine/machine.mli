@@ -13,7 +13,7 @@
     scheduler interleaving cores deterministically on the simulated
     clock (always resuming the most-behind core), so wall-clock time is
     the {e maximum} over the per-core clocks ({!max_cycles}).  A
-    machine created with the default [cpus:1] behaves exactly as the
+    machine created with [cpus:1] behaves exactly as the
     single-CPU machine always has — same charges, same clock.
 
     Virtual-memory accessors perform the full translation and
@@ -35,22 +35,19 @@ exception
 type t
 
 val create :
-  ?cpus:int ->
-  ?phys_frames:int ->
-  ?disk_sectors:int ->
-  ?obs:Vg_obs.Obs.t ->
-  ?spec_depth:int ->
+  cpus:int ->
+  phys_frames:int ->
+  disk_sectors:int ->
+  obs:Vg_obs.Obs.t ->
+  spec_depth:int ->
   seed:string ->
-  unit ->
   t
-(** [create ~seed ()] builds a machine.  Defaults: 1 CPU, 32768 frames
-    (128 MiB), 65536 sectors (32 MiB disk).  The seed determinises the
-    TPM and entropy source so experiments are reproducible.  [obs]
-    defaults to {!Vg_obs.Obs.default}, so sinks attached to the
-    process-wide instance observe every machine.  [spec_depth]
-    (default 0) is the speculative-window budget in macro-ops; at 0 the
-    machine has no speculation, no cache side channel, and cycle counts
-    identical to the pre-speculation cost model. *)
+(** Build a machine; [Vg_fleet.Node_config] holds the defaults.  The
+    seed determinises the TPM and entropy source.  The machine reports
+    to [obs] and to no other hub.  [spec_depth] is the speculative-window
+    budget in macro-ops; at 0 the machine has no speculation, no cache
+    side channel, and cycle counts identical to the pre-speculation
+    cost model. *)
 
 (** {1 Cores} *)
 
@@ -238,6 +235,13 @@ val nic : t -> Nic.t
 val remote_nic : t -> Nic.t
 (** The far end of the wire — the "client machine" in the network
     benchmarks. *)
+
+type harness = { mutable last_conn : int; stashes : (int, bytes Queue.t) Hashtbl.t }
+(** The client machine's connection state, kept by
+    [Vg_kernel.Netstack.Remote]: the last (odd) id it named and the
+    frames received for each open connection.  It dies with the machine. *)
+
+val harness : t -> harness
 
 val iommu : t -> Iommu.t
 val tpm : t -> Tpm.t

@@ -205,12 +205,6 @@ type t = { mutable sinks : sink list; mutable armed : bool }
 
 let create () = { sinks = []; armed = false }
 
-(* The process-wide instance.  Machines default to it, so sinks attached
-   here observe every machine booted while they are attached — the
-   attack suite and the CLI both rely on this, because experiments boot
-   their machines internally. *)
-let default = create ()
-
 let is_armed t = t.armed
 
 let attach t sink =

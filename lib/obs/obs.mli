@@ -97,13 +97,10 @@ type sink = {
 }
 
 type t
+(** A hub: the sinks observing one machine.  There is no shared hub;
+    each machine reports to the one it was created with. *)
 
 val create : unit -> t
-
-val default : t
-(** The process-wide instance every {!Machine.create} uses unless given
-    its own.  Sinks attached here observe all machines, including the
-    ones experiments boot internally. *)
 
 val is_armed : t -> bool
 (** True iff at least one sink is attached.  Hot paths check this

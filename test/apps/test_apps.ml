@@ -2,12 +2,12 @@
    signal wrappers) and the application suite (OpenSSH programs,
    thttpd, Postmark, LMBench drivers). *)
 
-let boot ?(mode = Sva.Virtual_ghost) ?(seed = "apps") () =
-  Node.kernel
-    (Node.boot
-       Node_config.(
-         default |> with_phys_frames 16384 |> with_disk_sectors 32768
-         |> with_seed seed |> with_mode mode))
+let config ?(mode = Sva.Virtual_ghost) ?(seed = "apps") () =
+  Node_config.(
+    default |> with_phys_frames 16384 |> with_disk_sectors 32768
+    |> with_seed seed |> with_mode mode)
+
+let boot ?mode ?seed () = Node.kernel (Node.boot (config ?mode ?seed ()))
 
 let expect_ok msg = function
   | Ok v -> v
@@ -312,8 +312,8 @@ let test_sealed_requires_identity () =
       | Ok () -> Alcotest.fail "unsigned process must have no sealed identity")
 
 let test_sealed_survives_reboot () =
-  let machine = Machine.create ~phys_frames:16384 ~disk_sectors:32768 ~seed:"sealed-reboot" () in
-  let k1 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let node = Node.boot (config ~seed:"sealed-reboot" ()) in
+  let k1 = Node.kernel node in
   let _, _, image1 = Ssh_suite.install_images k1 ~app_key in
   Runtime.launch k1 ~image:image1 ~ghosting:true (fun ctx ->
       match Sealed_store.save ctx ~path:"/state" (Bytes.of_string "before reboot") with
@@ -321,7 +321,7 @@ let test_sealed_survives_reboot () =
       | Error _ -> Alcotest.fail "save");
   ignore (Syscalls.fsync k1 (Kernel.init_process k1));
   (* Reboot: same machine (TPM, disk), fresh kernel. *)
-  let k2 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let k2 = Node.kernel (Node.reboot node) in
   let _, _, image2 = Ssh_suite.install_images k2 ~app_key in
   Runtime.launch k2 ~image:image2 ~ghosting:true (fun ctx ->
       match Sealed_store.load ctx ~path:"/state" with
@@ -399,7 +399,7 @@ let test_sshd_download () =
   Runtime.launch k ~ghosting:false (fun ctx ->
       let listen_fd = expect_ok "listen" (Syscalls.listen k (Kernel.current_proc k) ~port:22) in
       (* Remote scp client connects, then the server streams. *)
-      let ep = Netstack.Remote.connect (Machine.remote_nic k.Kernel.machine) ~port:22 in
+      let ep = Netstack.Remote.connect k.Kernel.machine ~port:22 in
       (match Ssh_suite.sshd_serve_file ctx ~listen_fd ~path:"/payload" ~session_key with
       | Ok sent -> Alcotest.(check int) "bytes sent" 50000 sent
       | Error msg -> Alcotest.failf "serve: %s" msg);
@@ -625,10 +625,10 @@ let test_lmbench_vg_slower () =
    applications keep working" half of the SFIP acceptance — the attack
    suite holds the other half. *)
 
-let with_sfip_events f =
+let with_sfip_events k f =
   let recorder = Vg_obs.Obs_recorder.create () in
   let result =
-    Vg_obs.Obs.with_sink Vg_obs.Obs.default
+    Vg_obs.Obs.with_sink (Machine.obs k.Kernel.machine)
       (Vg_obs.Obs_recorder.sink recorder)
       f
   in
@@ -651,7 +651,7 @@ let test_sfip_httpd_pool_profiled () =
   ignore (serve k1 (Some recorder));
   let k2 = boot () in
   make_file k2 "/index.html" body;
-  let stats, kills = with_sfip_events (fun () -> serve k2 (Some (enforced_from recorder))) in
+  let stats, kills = with_sfip_events k2 (fun () -> serve k2 (Some (enforced_from recorder))) in
   Alcotest.(check int) "all requests 200" 8 stats.Httpd.Pool.ok;
   Alcotest.(check int) "no sfip kills" 0 kills
 
@@ -666,7 +666,7 @@ let test_sfip_httpd_event_loop_profiled () =
   ignore (serve k1 (Some recorder));
   let k2 = boot () in
   make_file k2 "/index.html" body;
-  let stats, kills = with_sfip_events (fun () -> serve k2 (Some (enforced_from recorder))) in
+  let stats, kills = with_sfip_events k2 (fun () -> serve k2 (Some (enforced_from recorder))) in
   Alcotest.(check int) "all requests 200" 8 stats.Httpd.Event_loop.ok;
   Alcotest.(check int) "no sfip kills" 0 kills
 
@@ -684,7 +684,7 @@ let test_sfip_postmark_profiled () =
   let recorder = Syscall_policy.record () in
   ignore (run k1 (Some recorder));
   let k2 = boot () in
-  let stats, kills = with_sfip_events (fun () -> run k2 (Some (enforced_from recorder))) in
+  let stats, kills = with_sfip_events k2 (fun () -> run k2 (Some (enforced_from recorder))) in
   Alcotest.(check bool) "full run" true (stats.Postmark.created >= 10);
   Alcotest.(check int) "no sfip kills" 0 kills
 
@@ -704,7 +704,7 @@ let test_sfip_ssh_profiled () =
   phases k1 (Some rec_keygen) (Some rec_ssh);
   let k2 = boot () in
   let (), kills =
-    with_sfip_events (fun () ->
+    with_sfip_events k2 (fun () ->
         phases k2 (Some (enforced_from rec_keygen)) (Some (enforced_from rec_ssh)))
   in
   Alcotest.(check int) "no sfip kills" 0 kills

@@ -8,12 +8,12 @@ let check msg expected actual = Alcotest.(check bool) msg expected actual
 (* Rootkit attack 1: direct read of victim memory                      *)
 
 let test_direct_read_native () =
-  let o = Rootkit.run_experiment ~mode:Sva.Native_build ~attack:Rootkit.Direct_read () in
+  let o = Rootkit.run_experiment ~obs:(Obs.create ()) ~mode:Sva.Native_build ~attack:Rootkit.Direct_read () in
   check "secret printed to system log" true o.Rootkit.secret_leaked_to_console;
   check "victim survived" true o.Rootkit.victim_survived
 
 let test_direct_read_vg () =
-  let o = Rootkit.run_experiment ~mode:Sva.Virtual_ghost ~attack:Rootkit.Direct_read () in
+  let o = Rootkit.run_experiment ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost ~attack:Rootkit.Direct_read () in
   check "secret NOT in system log" false o.Rootkit.secret_leaked_to_console;
   (* The paper: "the kernel simply reads unknown data out of its own
      address space" — the module runs on, the victim is unaffected. *)
@@ -23,11 +23,11 @@ let test_direct_read_vg () =
 (* Rootkit attack 2: signal-handler code injection                     *)
 
 let test_signal_inject_native () =
-  let o = Rootkit.run_experiment ~mode:Sva.Native_build ~attack:Rootkit.Signal_inject () in
+  let o = Rootkit.run_experiment ~obs:(Obs.create ()) ~mode:Sva.Native_build ~attack:Rootkit.Signal_inject () in
   check "secret written to exfil file" true o.Rootkit.secret_in_exfil_file
 
 let test_signal_inject_vg () =
-  let o = Rootkit.run_experiment ~mode:Sva.Virtual_ghost ~attack:Rootkit.Signal_inject () in
+  let o = Rootkit.run_experiment ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost ~attack:Rootkit.Signal_inject () in
   check "exfil file empty" false o.Rootkit.secret_in_exfil_file;
   check "VM refused the dispatch" true o.Rootkit.vm_refusal_logged;
   check "victim continues unaffected" true o.Rootkit.victim_survived
@@ -36,37 +36,37 @@ let test_signal_inject_vg () =
 (* Other vectors                                                       *)
 
 let test_mmu_remap () =
-  check "native succeeds" true (Other_attacks.mmu_remap_attack ~mode:Sva.Native_build);
-  check "vg blocked" false (Other_attacks.mmu_remap_attack ~mode:Sva.Virtual_ghost)
+  check "native succeeds" true (Other_attacks.mmu_remap_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
+  check "vg blocked" false (Other_attacks.mmu_remap_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_dma () =
-  check "native succeeds" true (Other_attacks.dma_attack ~mode:Sva.Native_build);
-  check "vg blocked" false (Other_attacks.dma_attack ~mode:Sva.Virtual_ghost)
+  check "native succeeds" true (Other_attacks.dma_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
+  check "vg blocked" false (Other_attacks.dma_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_icontext_tamper () =
   check "native succeeds" true
-    (Other_attacks.icontext_tamper_attack ~mode:Sva.Native_build);
-  check "vg blocked" false (Other_attacks.icontext_tamper_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.icontext_tamper_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
+  check "vg blocked" false (Other_attacks.icontext_tamper_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_iago_mmap () =
   (* Unmasked application on either kernel: corruptible. *)
   check "unmasked app corrupted" true
-    (Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost ~ghosting:false);
+    (Other_attacks.iago_mmap_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost ~ghosting:false);
   (* Ghosting application (compiled with the masking pass): immune. *)
   check "masked app immune" false
-    (Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost ~ghosting:true)
+    (Other_attacks.iago_mmap_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost ~ghosting:true)
 
 let test_file_replay () =
   check "baseline accepts stale config" true
-    (Other_attacks.file_replay_attack ~mode:Sva.Native_build);
+    (Other_attacks.file_replay_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "sealed store detects replay" false
-    (Other_attacks.file_replay_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.file_replay_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_swap_tamper () =
   check "native page plainly readable" true
-    (Other_attacks.swap_tamper_attack ~mode:Sva.Native_build);
+    (Other_attacks.swap_tamper_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg detects tampering" false
-    (Other_attacks.swap_tamper_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.swap_tamper_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 (* ------------------------------------------------------------------ *)
 (* Security-event observability: every blocked attack must announce
@@ -75,7 +75,8 @@ let test_swap_tamper () =
 
 let record f =
   let recorder = Obs_recorder.create () in
-  let result = Obs.with_sink Obs.default (Obs_recorder.sink recorder) f in
+  let obs = Obs.create () in
+  let result = Obs.with_sink obs (Obs_recorder.sink recorder) (fun () -> f obs) in
   (result, recorder)
 
 let has_security recorder subsystem =
@@ -89,35 +90,35 @@ let no_security_events msg recorder =
 
 let test_events_direct_read () =
   let _, native =
-    record (fun () ->
-        Rootkit.run_experiment ~mode:Sva.Native_build ~attack:Rootkit.Direct_read ())
+    record (fun obs ->
+        Rootkit.run_experiment ~obs ~mode:Sva.Native_build ~attack:Rootkit.Direct_read ())
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () ->
-        Rootkit.run_experiment ~mode:Sva.Virtual_ghost ~attack:Rootkit.Direct_read ())
+    record (fun obs ->
+        Rootkit.run_experiment ~obs ~mode:Sva.Virtual_ghost ~attack:Rootkit.Direct_read ())
   in
   check "vg: sandbox fault reported" true (has_security vg "sandbox")
 
 let test_events_signal_inject () =
   let _, native =
-    record (fun () ->
-        Rootkit.run_experiment ~mode:Sva.Native_build ~attack:Rootkit.Signal_inject ())
+    record (fun obs ->
+        Rootkit.run_experiment ~obs ~mode:Sva.Native_build ~attack:Rootkit.Signal_inject ())
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () ->
-        Rootkit.run_experiment ~mode:Sva.Virtual_ghost ~attack:Rootkit.Signal_inject ())
+    record (fun obs ->
+        Rootkit.run_experiment ~obs ~mode:Sva.Virtual_ghost ~attack:Rootkit.Signal_inject ())
   in
   check "vg: dispatch refusal reported" true (has_security vg "sva.ipush")
 
 let test_events_mmu_remap () =
   let _, native =
-    record (fun () -> Other_attacks.mmu_remap_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.mmu_remap_attack ~obs ~mode:Sva.Native_build)
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () -> Other_attacks.mmu_remap_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.mmu_remap_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: denied mapping reported" true
     (Obs_recorder.count_matching vg (function
@@ -126,36 +127,36 @@ let test_events_mmu_remap () =
     > 0)
 
 let test_events_dma () =
-  let _, native = record (fun () -> Other_attacks.dma_attack ~mode:Sva.Native_build) in
+  let _, native = record (fun obs -> Other_attacks.dma_attack ~obs ~mode:Sva.Native_build) in
   no_security_events "native: silent" native;
-  let _, vg = record (fun () -> Other_attacks.dma_attack ~mode:Sva.Virtual_ghost) in
+  let _, vg = record (fun obs -> Other_attacks.dma_attack ~obs ~mode:Sva.Virtual_ghost) in
   check "vg: blocked DMA reported" true (has_security vg "iommu")
 
 let test_events_iago_mmap () =
   let _, unmasked =
-    record (fun () ->
-        Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost ~ghosting:false)
+    record (fun obs ->
+        Other_attacks.iago_mmap_attack ~obs ~mode:Sva.Virtual_ghost ~ghosting:false)
   in
   check "unmasked app: no mask event" false (has_security unmasked "iago-mask");
   let _, masked =
-    record (fun () ->
-        Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost ~ghosting:true)
+    record (fun obs ->
+        Other_attacks.iago_mmap_attack ~obs ~mode:Sva.Virtual_ghost ~ghosting:true)
   in
   check "masked app: defused pointer reported" true (has_security masked "iago-mask")
 
 let test_smp_remap_race () =
   check "native succeeds" true
-    (Other_attacks.smp_remap_race_attack ~mode:Sva.Native_build);
+    (Other_attacks.smp_remap_race_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg blocked" false
-    (Other_attacks.smp_remap_race_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.smp_remap_race_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_events_smp_remap_race () =
   let _, native =
-    record (fun () -> Other_attacks.smp_remap_race_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.smp_remap_race_attack ~obs ~mode:Sva.Native_build)
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () -> Other_attacks.smp_remap_race_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.smp_remap_race_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: cross-core remap denial reported" true (has_security vg "sva.mmu")
 
@@ -163,18 +164,18 @@ let test_events_smp_remap_race () =
    the batched path must defuse it exactly like a direct call would. *)
 let test_ring_ghost_buffer () =
   check "native leaks through the ring" true
-    (Other_attacks.ring_ghost_buffer_attack ~mode:Sva.Native_build);
+    (Other_attacks.ring_ghost_buffer_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg defuses the ring entry" false
-    (Other_attacks.ring_ghost_buffer_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.ring_ghost_buffer_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_events_ring_ghost_buffer () =
   let leaked_native, native =
-    record (fun () -> Other_attacks.ring_ghost_buffer_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.ring_ghost_buffer_attack ~obs ~mode:Sva.Native_build)
   in
   check "native: secret leaked" true leaked_native;
   no_security_events "native: silent" native;
   let leaked_vg, vg =
-    record (fun () -> Other_attacks.ring_ghost_buffer_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.ring_ghost_buffer_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: no leak" false leaked_vg;
   check "vg: sandbox fault reported" true (has_security vg "sandbox")
@@ -192,51 +193,51 @@ let count_swap recorder =
 
 let test_swap_replay () =
   check "native accepts the stale page" true
-    (Other_attacks.swap_replay_attack ~mode:Sva.Native_build);
+    (Other_attacks.swap_replay_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg refuses the stale version" false
-    (Other_attacks.swap_replay_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.swap_replay_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_swap_substitution () =
   check "native hands over the victim's page" true
-    (Other_attacks.swap_substitution_attack ~mode:Sva.Native_build);
+    (Other_attacks.swap_substitution_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg refuses the foreign blob" false
-    (Other_attacks.swap_substitution_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.swap_substitution_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_swap_thrash () =
   check "native blobs leak the plaintext" true
-    (Other_attacks.swap_thrash_attack ~mode:Sva.Native_build);
+    (Other_attacks.swap_thrash_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg blobs leak nothing" false
-    (Other_attacks.swap_thrash_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.swap_thrash_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_events_swap_tamper () =
   let _, native =
-    record (fun () -> Other_attacks.swap_tamper_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.swap_tamper_attack ~obs ~mode:Sva.Native_build)
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () -> Other_attacks.swap_tamper_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.swap_tamper_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: exactly one swap refusal reported" true (count_swap vg = 1)
 
 let test_events_swap_replay () =
   let _, native =
-    record (fun () -> Other_attacks.swap_replay_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.swap_replay_attack ~obs ~mode:Sva.Native_build)
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () -> Other_attacks.swap_replay_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.swap_replay_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: exactly one swap refusal reported" true (count_swap vg = 1)
 
 let test_events_swap_substitution () =
   let _, native =
-    record (fun () ->
-        Other_attacks.swap_substitution_attack ~mode:Sva.Native_build)
+    record (fun obs ->
+        Other_attacks.swap_substitution_attack ~obs ~mode:Sva.Native_build)
   in
   no_security_events "native: silent" native;
   let _, vg =
-    record (fun () ->
-        Other_attacks.swap_substitution_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs ->
+        Other_attacks.swap_substitution_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: exactly one swap refusal reported" true (count_swap vg = 1)
 
@@ -245,11 +246,11 @@ let test_events_swap_thrash () =
      so neither build reports anything — the defense here is that the
      blobs carry no signal, not that the VM refuses. *)
   let _, native =
-    record (fun () -> Other_attacks.swap_thrash_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.swap_thrash_attack ~obs ~mode:Sva.Native_build)
   in
   no_security_events "native: silent" native;
   let leaked, vg =
-    record (fun () -> Other_attacks.swap_thrash_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.swap_thrash_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: no leak" false leaked;
   check "vg: silent (nothing was refused)" true (count_swap vg = 0)
@@ -266,36 +267,36 @@ let count_sfip recorder =
 
 let test_sfip_sequence () =
   check "native exfiltrates" true
-    (Other_attacks.sfip_sequence_attack ~mode:Sva.Native_build);
+    (Other_attacks.sfip_sequence_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg kills the sequence" false
-    (Other_attacks.sfip_sequence_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.sfip_sequence_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_sfip_ring_sequence () =
   check "native connects through the ring" true
-    (Other_attacks.sfip_ring_sequence_attack ~mode:Sva.Native_build);
+    (Other_attacks.sfip_ring_sequence_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg refuses the whole batch" false
-    (Other_attacks.sfip_ring_sequence_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.sfip_ring_sequence_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_sfip_profile_swap () =
   check "baseline loads the forged profile" true
-    (Other_attacks.sfip_profile_swap_attack ~mode:Sva.Native_build);
+    (Other_attacks.sfip_profile_swap_attack ~obs:(Obs.create ()) ~mode:Sva.Native_build);
   check "vg refuses the tampered image" false
-    (Other_attacks.sfip_profile_swap_attack ~mode:Sva.Virtual_ghost)
+    (Other_attacks.sfip_profile_swap_attack ~obs:(Obs.create ()) ~mode:Sva.Virtual_ghost)
 
 let test_events_sfip () =
   let _, native =
-    record (fun () -> Other_attacks.sfip_sequence_attack ~mode:Sva.Native_build)
+    record (fun obs -> Other_attacks.sfip_sequence_attack ~obs ~mode:Sva.Native_build)
   in
   check "native: silent" true (count_sfip native = 0);
   let _, vg =
-    record (fun () -> Other_attacks.sfip_sequence_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs -> Other_attacks.sfip_sequence_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   check "vg: exactly one sfip kill reported" true (count_sfip vg = 1)
 
 let test_events_sfip_ring () =
   let _, vg =
-    record (fun () ->
-        Other_attacks.sfip_ring_sequence_attack ~mode:Sva.Virtual_ghost)
+    record (fun obs ->
+        Other_attacks.sfip_ring_sequence_attack ~obs ~mode:Sva.Virtual_ghost)
   in
   (* One violation, one event — the benign entries sharing the batch
      must not multiply the report. *)
@@ -306,7 +307,7 @@ let test_events_sfip_ring () =
    that is architecturally sound; both mitigations close the channel. *)
 
 let test_spectre_leaks_unmitigated () =
-  let o = Spectre.run_experiment ~spec_depth:12 () in
+  let o = Spectre.run_experiment ~obs:(Obs.create ()) ~spec_depth:12 () in
   check "full secret recovered through the cache channel" true
     o.Spectre.success;
   check "transient loads happened" true (o.Spectre.transient_loads > 0)
@@ -314,19 +315,19 @@ let test_spectre_leaks_unmitigated () =
 let test_spectre_depth_threshold () =
   (* The transient stream from the mispredicted select to the probe
      access is exactly 8 macro-ops: one short of that, nothing. *)
-  let at d = Spectre.run_experiment ~spec_depth:d () in
+  let at d = Spectre.run_experiment ~obs:(Obs.create ()) ~spec_depth:d () in
   check "depth 8 leaks" true (at 8).Spectre.success;
   check "depth 7 recovers nothing" true ((at 7).Spectre.bytes_recovered = 0)
 
 let test_spectre_depth0_noop () =
-  let o = Spectre.run_experiment ~spec_depth:0 () in
+  let o = Spectre.run_experiment ~obs:(Obs.create ()) ~spec_depth:0 () in
   check "no bytes recovered" true (o.Spectre.bytes_recovered = 0);
   check "no windows opened" true (o.Spectre.windows = 0);
   check "no transient loads" true (o.Spectre.transient_loads = 0)
 
 let test_spectre_fence_mitigation () =
   let o =
-    Spectre.run_experiment ~spec_depth:12
+    Spectre.run_experiment ~obs:(Obs.create ()) ~spec_depth:12
       ~mitigation:Vg_compiler.Mitigation.Fence ()
   in
   check "fence: nothing recovered" true (o.Spectre.bytes_recovered = 0);
@@ -337,7 +338,7 @@ let test_spectre_fence_mitigation () =
 
 let test_spectre_safe_mask_mitigation () =
   let o =
-    Spectre.run_experiment ~spec_depth:12
+    Spectre.run_experiment ~obs:(Obs.create ()) ~spec_depth:12
       ~mitigation:Vg_compiler.Mitigation.Safe_mask ()
   in
   check "safe-mask: nothing recovered" true (o.Spectre.bytes_recovered = 0);
@@ -367,7 +368,7 @@ let check_trajectory name recorder ~events ~hash =
 let test_pinned_rootkit () =
   List.iter
     (fun (name, attack, mode, (console, exfil, refusal), events, hash) ->
-      let o, r = record (fun () -> Rootkit.run_experiment ~mode ~attack ()) in
+      let o, r = record (fun obs -> Rootkit.run_experiment ~obs ~mode ~attack ()) in
       check (name ^ ": leaked to console") console o.Rootkit.secret_leaked_to_console;
       check (name ^ ": exfil file") exfil o.Rootkit.secret_in_exfil_file;
       check (name ^ ": refusal logged") refusal o.Rootkit.vm_refusal_logged;
@@ -389,8 +390,8 @@ let test_pinned_iago () =
     (fun (ghosting, corrupted, events, hash) ->
       let name = Printf.sprintf "ghosting=%b" ghosting in
       let c, r =
-        record (fun () ->
-            Other_attacks.iago_mmap_attack ~mode:Sva.Virtual_ghost ~ghosting)
+        record (fun obs ->
+            Other_attacks.iago_mmap_attack ~obs ~mode:Sva.Virtual_ghost ~ghosting)
       in
       check (name ^ ": corrupted") corrupted c;
       check_trajectory name r ~events ~hash)
@@ -400,7 +401,7 @@ let test_pinned_iago () =
     ]
 
 let test_pinned_spectre () =
-  let o = Spectre.run_experiment ~spec_depth:12 () in
+  let o = Spectre.run_experiment ~obs:(Obs.create ()) ~spec_depth:12 () in
   Alcotest.(check string) "leaked" "gh0st-SPECTRE-key!47" o.Spectre.leaked;
   Alcotest.(check int) "bytes recovered" 20 o.Spectre.bytes_recovered;
   check "success" true o.Spectre.success;

@@ -1,8 +1,7 @@
-(* The fleet subsystem: Node_config/Node.boot redesign (cycle-identical
-   to the raw two-call boot), the unified connect address type, the
-   NIC-to-NIC fabric, the load balancer, serving waves, rolling
-   restarts, the hostile-backend quarantine and cross-node key
-   distribution. *)
+(* The fleet subsystem: Node_config builders, the unified connect
+   address type, the NIC-to-NIC fabric, the load balancer, serving
+   waves, rolling restarts, the hostile-backend quarantine and
+   cross-node key distribution. *)
 
 let expect_ok msg = function
   | Ok v -> v
@@ -37,53 +36,6 @@ let test_config_builders () =
   Alcotest.(check string) "describe"
     "native cpus=4 frames=32768 depth=8 mitigation=off frame_limit=512"
     (Node_config.describe c)
-
-(* ------------------------------------------------------------------ *)
-(* Cycle identity: Node.boot vs the raw two-call boot                  *)
-
-(* A deterministic workload touching files, sockets and ghost memory,
-   so any divergence in boot parameters shows up in the clock. *)
-let workload k =
-  let m = k.Kernel.machine in
-  (match Netstack.listen k.Kernel.net ~port:80 with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "listen: %s" (Errno.to_string e));
-  Runtime.launch k ~ghosting:true (fun ctx ->
-      let fd = expect_ok "open" (Runtime.sys_open ctx "/w" Syscalls.creat_trunc) in
-      let src = Runtime.galloc ctx 256 in
-      Runtime.poke ctx src (Bytes.make 256 'w');
-      ignore (expect_ok "write" (Runtime.sys_write ctx ~fd ~src ~len:256));
-      ignore (Runtime.sys_close ctx fd);
-      let conn =
-        expect_ok "connect"
-          (Syscalls.connect_to k ctx.Runtime.proc (Netstack.Local 9999))
-      in
-      let buf = Runtime.galloc ctx 64 in
-      Runtime.poke ctx buf (Bytes.of_string "ping");
-      ignore (expect_ok "send" (Runtime.sys_send ctx ~fd:conn ~buf ~len:4)));
-  Machine.cycles m
-
-let test_cycle_identity () =
-  List.iter
-    (fun mode ->
-      let raw =
-        let machine =
-          Machine.create ~phys_frames:8192 ~disk_sectors:8192
-            ~seed:"fleet-golden" ()
-        in
-        workload (Kernel.boot ~mode machine)
-      in
-      let via_node =
-        workload
-          (Node.kernel
-             (Node.boot
-                (small_config ~seed:"fleet-golden" |> Node_config.with_mode mode)))
-      in
-      Alcotest.(check int)
-        (Printf.sprintf "cycles identical (%s)"
-           (match mode with Sva.Native_build -> "native" | _ -> "vg"))
-        raw via_node)
-    [ Sva.Native_build; Sva.Virtual_ghost ]
 
 (* The historical port-only connect and the unified Local address take
    the same path, bit for bit. *)
@@ -231,6 +183,34 @@ let test_peer_without_fabric_refused () =
       | Error Errno.ECONNREFUSED -> ()
       | Error e -> Alcotest.failf "expected ECONNREFUSED, got %s" (Errno.to_string e)
       | Ok _ -> Alcotest.fail "peer connect succeeded without a fabric")
+
+(* Nodes 0 and 1 each connect to a listener on node 2.  The fleet names
+   both connections, so neither overwrites the other on node 2 and each
+   delivers its own bytes. *)
+let test_fabric_two_peers () =
+  let fleet = Fleet.create ~nodes:3 (small_config ~seed:"peers") in
+  let server = Fleet.node fleet 2 in
+  ignore (expect_ok "listen" (Node.listen server ~port:7002));
+  List.iter
+    (fun i ->
+      let k = Node.kernel (Fleet.node fleet i) in
+      Runtime.launch k ~ghosting:false (fun ctx ->
+          let fd =
+            expect_ok "connect"
+              (Syscalls.connect_to k ctx.Runtime.proc
+                 (Netstack.Peer { node = 2; port = 7002 }))
+          in
+          ignore (Runtime.write_string ctx ~fd (Printf.sprintf "from-%d" i))))
+    [ 0; 1 ];
+  let net = Node.net server in
+  let got =
+    List.init 2 (fun _ ->
+        match Netstack.accept net ~port:7002 with
+        | None -> Alcotest.fail "a connection is missing"
+        | Some conn -> Bytes.to_string (expect_ok "recv" (Netstack.recv net ~conn 64)))
+  in
+  Alcotest.(check (list string)) "each connection its own bytes"
+    [ "from-0"; "from-1" ] (List.sort compare got)
 
 (* ------------------------------------------------------------------ *)
 (* Load balancer                                                       *)
@@ -483,13 +463,108 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_rr_fairness; prop_lc_fairness; prop_nic_pair_delivery ]
 
+(* ------------------------------------------------------------------ *)
+(* Determinism: a run depends only on its own node                      *)
+
+(* A module function that loads and stores through its argument, so the
+   sandbox pass instruments it; its name overrides no syscall. *)
+let probe_module () =
+  let open Vg_ir in
+  let b = Builder.create () in
+  Builder.func b "probe" ~params:[ "p" ];
+  let v = Builder.load b (Ir.Reg "p") in
+  Builder.store b ~src:v ~addr:(Ir.Reg "p") ();
+  Builder.ret b (Some v);
+  Builder.program b
+
+let conn_of (proc : Proc.t) fd =
+  match Proc.find_fd proc fd with
+  | Some (Proc.Sock_conn conn) -> conn
+  | _ -> Alcotest.fail "not a connection"
+
+(* Scenario A: serve three harness requests, make one kernel outbound
+   connection, take 8 demand-paging faults and load one module through
+   the compiler pipeline.  The digest covers every event with its cycle
+   stamp (the faults' Mmu events carry their addresses), every
+   connection id either end saw, and the module image's HMAC. *)
+let scenario_a () =
+  let obs = Obs.create () and recorder = Obs_recorder.create () in
+  Obs.attach obs (Obs_recorder.sink recorder);
+  let node = Node.boot (small_config ~seed:"determinism" |> Node_config.with_obs obs) in
+  let k = Node.kernel node and m = Node.machine node in
+  let ids = ref [] in
+  let saw id = ids := string_of_int id :: !ids in
+  Runtime.launch k ~ghosting:false (fun ctx ->
+      let proc = ctx.Runtime.proc in
+      let lfd = expect_ok "listen" (Syscalls.listen k proc ~port:80) in
+      let buf = Runtime.ualloc ctx 64 in
+      for _ = 1 to 3 do
+        let ep = Netstack.Remote.connect m ~port:80 in
+        Netstack.Remote.send ep (Bytes.of_string "GET /");
+        let fd = expect_ok "accept" (Syscalls.accept k proc ~fd:lfd) in
+        saw (Netstack.Remote.conn_id ep);
+        saw (conn_of proc fd);
+        ignore (expect_ok "recv" (Runtime.sys_recv ctx ~fd ~buf ~len:64));
+        ignore (expect_ok "send" (Runtime.write_string ctx ~fd "200 OK"));
+        ignore (Runtime.sys_close ctx fd);
+        ignore (Netstack.Remote.recv_all_available ep);
+        Netstack.Remote.close ep
+      done;
+      let out = expect_ok "connect" (Syscalls.connect k proc ~port:7070) in
+      saw (conn_of proc out);
+      (match Netstack.Remote.accept m with
+      | Some ep -> saw (Netstack.Remote.conn_id ep)
+      | None -> Alcotest.fail "no SYN on the wire");
+      ignore (Runtime.sys_close ctx out);
+      ignore (Lmbench.page_fault ctx ~iterations:8));
+  (match Module_loader.load k ~name:"probe" (probe_module ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
+  let cache = Sva.translation_cache k.Kernel.sva in
+  let hmac =
+    match Vg_compiler.Trans_cache.find cache ~name:"probe" with
+    | Ok image -> (Vg_compiler.Trans_cache.sign cache ~instrumented:true image).tag
+    | Error e -> Alcotest.failf "find: %s" (Vg_compiler.Trans_cache.describe_find_error e)
+  in
+  let events =
+    List.map
+      (fun (e : Obs_recorder.entry) ->
+        Printf.sprintf "%d %s" e.Obs_recorder.cycles (Obs.Event.describe e.Obs_recorder.event))
+      (Obs_recorder.events recorder)
+  in
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (events @ List.rev !ids @ [ Bytes.to_string hmac ])))
+
+(* Scenario B, on a node of its own: advance every id counter (harness
+   and kernel connections, left open), the page-fault cursor, and the
+   register numbering of both compiler passes that add registers. *)
+let scenario_b () =
+  let node = Node.boot (small_config ~seed:"churn") in
+  let k = Node.kernel node and m = Node.machine node in
+  Runtime.launch k ~ghosting:false (fun ctx ->
+      for _ = 1 to 50 do
+        ignore (Netstack.Remote.connect m ~port:9);
+        ignore (Syscalls.connect k ctx.Runtime.proc ~port:9)
+      done;
+      ignore (Lmbench.page_fault ctx ~iterations:8));
+  ignore (Module_loader.load k ~name:"probe" (probe_module ()));
+  let open Vg_ir in
+  let b = Builder.create () in
+  Builder.func b "main" ~params:[];
+  Builder.ret b (Some (Builder.call b "extern.mmap" [ Ir.Imm 4096L ]));
+  ignore (Vg_compiler.Pipeline.compile_application_code (Builder.program b))
+
+let test_run_order_independence () =
+  let alone = scenario_a () in
+  scenario_b ();
+  Alcotest.(check string) "A after B digests as A alone" alone (scenario_a ())
+
 let () =
   Alcotest.run "vg_fleet"
     [
       ( "node",
         [
           Alcotest.test_case "config-builders" `Quick test_config_builders;
-          Alcotest.test_case "cycle-identity" `Quick test_cycle_identity;
           Alcotest.test_case "connect-local-parity" `Quick
             test_connect_local_parity;
           Alcotest.test_case "addr-codec" `Quick test_addr_codec;
@@ -500,6 +575,7 @@ let () =
           Alcotest.test_case "fifo" `Quick test_fabric_fifo;
           Alcotest.test_case "no-fabric-refused" `Quick
             test_peer_without_fabric_refused;
+          Alcotest.test_case "two-peers" `Quick test_fabric_two_peers;
         ] );
       ( "lb",
         [
@@ -519,4 +595,6 @@ let () =
           Alcotest.test_case "key-distribution" `Quick test_key_distribution;
         ] );
       ("properties", qcheck_cases);
+      ( "determinism",
+        [ Alcotest.test_case "run-order" `Quick test_run_order_independence ] );
     ]

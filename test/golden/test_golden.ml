@@ -76,16 +76,16 @@ let test_recsum_cycles () =
 
 (* --- whole-kernel golden: LMBench null syscall -------------------- *)
 
-(* The bench-profile node, built through the fleet config — the golden
-   numbers below pin that this path stays cycle-identical to the raw
-   Machine.create + Kernel.boot it replaced. *)
+(* The bench-profile node, built through the fleet config: every boot
+   takes its defaults from [Node_config.default], and the golden numbers
+   below pin them. *)
 let golden_config ?(spec_depth = 0) mode =
   Node_config.(
     default |> with_phys_frames 65536 |> with_disk_sectors 131072
     |> with_seed "bench" |> with_mode mode |> with_spec_depth spec_depth)
 
-let null_syscall_cycles mode =
-  let node = Node.boot (golden_config mode) in
+let null_syscall_cycles config =
+  let node = Node.boot config in
   let machine = Node.machine node and k = Node.kernel node in
   Runtime.launch k ~ghosting:false (fun ctx ->
       let proc = ctx.Runtime.proc in
@@ -97,9 +97,9 @@ let null_syscall_cycles mode =
 
 let test_null_syscall_cycles () =
   Alcotest.(check int) "native build" 71600
-    (null_syscall_cycles Sva.Native_build);
+    (null_syscall_cycles (golden_config Sva.Native_build));
   Alcotest.(check int) "virtual ghost" 261000
-    (null_syscall_cycles Sva.Virtual_ghost)
+    (null_syscall_cycles (golden_config Sva.Virtual_ghost))
 
 (* --- speculation model off: cycle identity ------------------------ *)
 (* The speculation era must be pay-for-what-you-use: a machine built
@@ -110,19 +110,8 @@ let test_null_syscall_cycles () =
    branchless-mask instructions) cannot drift silently. *)
 
 let null_syscall_cycles_spec ~spec_depth ~mitigation mode =
-  let node =
-    Node.boot
-      (golden_config ~spec_depth mode
-      |> Node_config.with_spec_mitigation mitigation)
-  in
-  let machine = Node.machine node and k = Node.kernel node in
-  Runtime.launch k ~ghosting:false (fun ctx ->
-      let proc = ctx.Runtime.proc in
-      let start = Machine.cycles machine in
-      for _ = 1 to 200 do
-        ignore (Syscalls.getpid k proc)
-      done;
-      Machine.cycles machine - start)
+  null_syscall_cycles
+    (golden_config ~spec_depth mode |> Node_config.with_spec_mitigation mitigation)
 
 let test_spec_depth0_cycle_identity () =
   let off = Vg_compiler.Mitigation.Off in
@@ -153,8 +142,9 @@ let test_spec_mitigation_goldens () =
 
 let boot_verify_cycles mode =
   let stats = Obs_stats.create () in
-  Obs.with_sink Obs.default (Obs_stats.sink stats) (fun () ->
-      ignore (Node.boot (golden_config mode)));
+  let obs = Obs.create () in
+  Obs.with_sink obs (Obs_stats.sink stats) (fun () ->
+      ignore (Node.boot (golden_config mode |> Node_config.with_obs obs)));
   Obs_stats.cycles stats Obs.Tag.Verify
 
 let test_boot_verify_cycles () =
@@ -165,27 +155,24 @@ let test_boot_verify_cycles () =
 
 (* --- observability parity ----------------------------------------- *)
 (* The zero-overhead-off guarantee, pinned: simulated cycle counts must
-   be byte-identical whether sinks are attached or not.  The machines
-   these paths boot observe the process-wide [Obs.default]. *)
+   be byte-identical whether sinks are attached or not. *)
 
-let with_sinks f =
+let with_sinks mode =
   let stats = Obs_stats.create () in
   let recorder = Obs_recorder.create () in
+  let obs = Obs.create () in
   let result =
-    Obs.with_sink Obs.default (Obs_stats.sink stats) (fun () ->
-        Obs.with_sink Obs.default (Obs_recorder.sink recorder) f)
+    Obs.with_sink obs (Obs_stats.sink stats) (fun () ->
+        Obs.with_sink obs (Obs_recorder.sink recorder) (fun () ->
+            null_syscall_cycles (golden_config mode |> Node_config.with_obs obs)))
   in
   (result, stats, recorder)
 
 let test_null_syscall_obs_parity () =
-  let bare_native = null_syscall_cycles Sva.Native_build in
-  let bare_vg = null_syscall_cycles Sva.Virtual_ghost in
-  let observed_native, stats_native, _ =
-    with_sinks (fun () -> null_syscall_cycles Sva.Native_build)
-  in
-  let observed_vg, stats_vg, recorder =
-    with_sinks (fun () -> null_syscall_cycles Sva.Virtual_ghost)
-  in
+  let bare_native = null_syscall_cycles (golden_config Sva.Native_build) in
+  let bare_vg = null_syscall_cycles (golden_config Sva.Virtual_ghost) in
+  let observed_native, stats_native, _ = with_sinks Sva.Native_build in
+  let observed_vg, stats_vg, recorder = with_sinks Sva.Virtual_ghost in
   Alcotest.(check int) "native: sinks do not change cycles" bare_native
     observed_native;
   Alcotest.(check int) "vg: sinks do not change cycles" bare_vg observed_vg;

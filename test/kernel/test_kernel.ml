@@ -54,8 +54,8 @@ let test_boot () =
   Alcotest.(check int) "current" 1 (Kernel.current_proc k).Proc.pid
 
 let test_fs_persists_across_reboot () =
-  let machine = Machine.create ~phys_frames:8192 ~disk_sectors:16384 ~seed:"persist" () in
-  let k1 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let node = Node.boot (kconfig () |> Node_config.with_seed "persist") in
+  let k1 = Node.kernel node in
   let p = init k1 in
   let fd = expect_ok "open" (Syscalls.open_ k1 p "/boot.txt" Syscalls.creat_trunc) in
   user_write k1 p user_buf (Bytes.of_string "survives");
@@ -63,7 +63,7 @@ let test_fs_persists_across_reboot () =
   ignore (expect_ok "close" (Syscalls.close k1 p fd));
   ignore (expect_ok "fsync" (Syscalls.fsync k1 p));
   (* Second boot on the same machine must mount, not reformat. *)
-  let k2 = Kernel.boot ~mode:Sva.Virtual_ghost machine in
+  let k2 = Node.kernel (Node.reboot node) in
   let p2 = init k2 in
   let fd2 = expect_ok "reopen" (Syscalls.open_ k2 p2 "/boot.txt" Syscalls.rdonly) in
   ignore (expect_ok "read" (Syscalls.read k2 p2 ~fd:fd2 ~buf:user_buf ~len:8));
@@ -532,7 +532,7 @@ let test_socket_end_to_end () =
   let p = init k in
   let lfd = expect_ok "listen" (Syscalls.listen k p ~port:80) in
   (* Remote client connects over the simulated wire. *)
-  let ep = Netstack.Remote.connect (Machine.remote_nic k.Kernel.machine) ~port:80 in
+  let ep = Netstack.Remote.connect k.Kernel.machine ~port:80 in
   let cfd = expect_ok "accept" (Syscalls.accept k p ~fd:lfd) in
   Netstack.Remote.send ep (Bytes.of_string "GET /x");
   let dst = user_buf in
@@ -564,11 +564,39 @@ let test_netstack_details () =
   let lfd = expect_ok "listen" (Syscalls.listen k p ~port:8080) in
   expect_err Errno.EEXIST "port taken"
     (match Syscalls.listen k p ~port:8080 with Ok _ -> Ok () | Error e -> Error e);
-  let _refused = Netstack.Remote.connect (Machine.remote_nic k.Kernel.machine) ~port:9999 in
+  let _refused = Netstack.Remote.connect k.Kernel.machine ~port:9999 in
   expect_err Errno.EAGAIN "refused conn not accepted" (Syscalls.accept k p ~fd:lfd);
   (* A real connection still goes through afterwards. *)
-  let _ok = Netstack.Remote.connect (Machine.remote_nic k.Kernel.machine) ~port:8080 in
+  let _ok = Netstack.Remote.connect k.Kernel.machine ~port:8080 in
   ignore (expect_ok "accept" (Syscalls.accept k p ~fd:lfd))
+
+(* Harness and kernel name connections from disjoint id spaces: after
+   4,000 harness connections, no kernel outbound connect takes the id
+   of a live accepted connection, and closing the outbound ones leaves
+   every accepted one reading its own bytes. *)
+let test_conn_ids_disjoint () =
+  let k = boot () in
+  let p = init k in
+  let m = k.Kernel.machine in
+  for _ = 1 to 4000 do
+    Netstack.Remote.close (Netstack.Remote.connect m ~port:9999)
+  done;
+  let lfd = expect_ok "listen" (Syscalls.listen k p ~port:80) in
+  let live =
+    List.init 64 (fun i ->
+        let ep = Netstack.Remote.connect m ~port:80 in
+        (Printf.sprintf "conn %02d" i, ep, expect_ok "accept" (Syscalls.accept k p ~fd:lfd)))
+  in
+  for _ = 1 to 64 do
+    let out = expect_ok "connect" (Syscalls.connect k p ~port:7070) in
+    ignore (expect_ok "close outbound" (Syscalls.close k p out))
+  done;
+  List.iter
+    (fun (msg, ep, fd) ->
+      Netstack.Remote.send ep (Bytes.of_string msg);
+      Alcotest.(check int) msg 7 (expect_ok msg (Syscalls.recv k p ~fd ~buf:user_buf ~len:100));
+      Alcotest.(check string) msg msg (Bytes.to_string (user_read k p user_buf 7)))
+    live
 
 let prop_pipe_model =
   QCheck2.Test.make ~name:"pipe behaves like a byte queue" ~count:200
@@ -689,7 +717,11 @@ let kcopy_world =
       (let obs = Vg_obs.Obs.create () in
        let recorder = Vg_obs.Obs_recorder.create () in
        Vg_obs.Obs.attach obs (Vg_obs.Obs_recorder.sink recorder);
-       let m = Machine.create ~obs ~phys_frames:2048 ~disk_sectors:128 ~seed:"kmem-copy" () in
+       let m =
+         Node_config.(
+           default |> with_phys_frames 2048 |> with_disk_sectors 128
+           |> with_seed "kmem-copy" |> with_obs obs |> create_machine)
+       in
        let sva = Sva.boot ~vg_key_bits:256 ~mode m in
        (m, Kmem.create sva, recorder))
   in
@@ -866,7 +898,7 @@ let test_recv_all_available_allocation () =
   let m, kmem, _ = kcopy_setup Sva.Virtual_ghost ~mapped:0 ~seed:3 in
   let net = Netstack.create ~kmem (Machine.nic m) in
   ignore (expect_ok "listen" (Netstack.listen net ~port:80));
-  let ep = Netstack.Remote.connect (Machine.remote_nic m) ~port:80 in
+  let ep = Netstack.Remote.connect m ~port:80 in
   let conn =
     match Netstack.accept net ~port:80 with Some c -> c | None -> Alcotest.fail "no SYN"
   in
@@ -951,11 +983,10 @@ let test_privileged_module_rejected () =
     Builder.program b
   in
   let recorder = Vg_obs.Obs_recorder.create () in
+  let obs = Vg_obs.Obs.create () in
   let result =
-    Vg_obs.Obs.with_sink Vg_obs.Obs.default
-      (Vg_obs.Obs_recorder.sink recorder)
-      (fun () ->
-        let k = boot () in
+    Vg_obs.Obs.with_sink obs (Vg_obs.Obs_recorder.sink recorder) (fun () ->
+        let k = Node.kernel (Node.boot (kconfig () |> Node_config.with_obs obs)) in
         Module_loader.load k ~name:"evil_io" (evil ()))
   in
   (match result with
@@ -995,11 +1026,10 @@ let test_refuses_unverified () =
     Builder.program b
   in
   let recorder = Vg_obs.Obs_recorder.create () in
+  let obs = Vg_obs.Obs.create () in
   let k, result =
-    Vg_obs.Obs.with_sink Vg_obs.Obs.default
-      (Vg_obs.Obs_recorder.sink recorder)
-      (fun () ->
-        let k = boot () in
+    Vg_obs.Obs.with_sink obs (Vg_obs.Obs_recorder.sink recorder) (fun () ->
+        let k = Node.kernel (Node.boot (kconfig () |> Node_config.with_obs obs)) in
         (k, Module_loader.load k ~name:"evil_io" evil))
   in
   (match result with
@@ -1042,7 +1072,7 @@ let test_module_trap () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
       let trapped =
-        Vg_obs.Obs.with_sink Vg_obs.Obs.default
+        Vg_obs.Obs.with_sink (Machine.obs k.Kernel.machine)
           (Vg_obs.Obs_recorder.sink recorder)
           (fun () -> Syscalls.read k p ~fd:0 ~buf:user_buf ~len:0)
       in
@@ -1084,7 +1114,7 @@ let test_module_memcpy_fault_names_destination () =
   (match Module_loader.load k ~name:"copier" (copier ()) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
-  Vg_obs.Obs.with_sink Vg_obs.Obs.default
+  Vg_obs.Obs.with_sink (Machine.obs k.Kernel.machine)
     (Vg_obs.Obs_recorder.sink recorder)
     (fun () -> ignore (Syscalls.read k p ~fd:0 ~buf:user_buf ~len:8));
   match Vg_obs.Obs_recorder.security_events recorder with
@@ -1223,6 +1253,49 @@ let ring_counter k p off =
   Int64.to_int
     (Bytes.get_int64_le (user_read k p (Int64.add ring_base (Int64.of_int off)) 8) 0)
 
+(* read, write, send and recv refuse a negative length with EINVAL on a
+   file, a pipe and a socket, called directly and through a ring entry;
+   no exception escapes the syscall layer. *)
+let test_negative_lengths () =
+  let k = boot () in
+  let p = init k in
+  let file = expect_ok "open" (Syscalls.open_ k p "/neg" Syscalls.creat_trunc) in
+  let r, w = expect_ok "pipe" (Syscalls.pipe k p) in
+  let lfd = expect_ok "listen" (Syscalls.listen k p ~port:80) in
+  ignore (Netstack.Remote.connect k.Kernel.machine ~port:80);
+  let sock = expect_ok "accept" (Syscalls.accept k p ~fd:lfd) in
+  let calls =
+    [
+      ("read", Syscall_abi.sys_read, Syscalls.read, fun (rd, _) -> rd);
+      ("write", Syscall_abi.sys_write, Syscalls.write, snd);
+      ("send", Syscall_abi.sys_send, Syscalls.send, snd);
+      ("recv", Syscall_abi.sys_recv, Syscalls.recv, fst);
+    ]
+  in
+  List.iter
+    (fun (what, fds) ->
+      List.iter
+        (fun (name, sysno, call, pick) ->
+          List.iter
+            (fun len ->
+              let fd = pick fds in
+              let label = Printf.sprintf "%s on a %s, len %d" name what len in
+              expect_err Errno.EINVAL label (call k p ~fd ~buf:user_buf ~len);
+              stage_ring k p ~depth:1
+                [
+                  {
+                    Syscall_ring.sysno = Syscall_abi.Sysno.to_int sysno;
+                    args = [| Int64.of_int fd; user_buf; Int64.of_int len |];
+                    user_data = 1L;
+                  };
+                ];
+              ignore (expect_ok "ring" (Syscalls.ring_enter k p ~ring:ring_base ~depth:1 ~to_submit:1));
+              expect_err Errno.EINVAL (label ^ ", ring")
+                (Syscall_abi.decode_int (read_cqe_slot k p ~depth:1 0).Syscall_ring.result))
+            [ -1; min_int ])
+        calls)
+    [ ("file", (file, file)); ("pipe", (r, w)); ("socket", (sock, sock)) ]
+
 let test_ring_enter_batch () =
   let k = boot () in
   let p = init k in
@@ -1307,10 +1380,10 @@ let count_sfip_kills recorder =
     | Vg_obs.Obs.Event.Security { subsystem = "sfip"; _ } -> true
     | _ -> false)
 
-let with_sfip_events f =
+let with_sfip_events k f =
   let recorder = Vg_obs.Obs_recorder.create () in
   let result =
-    Vg_obs.Obs.with_sink Vg_obs.Obs.default
+    Vg_obs.Obs.with_sink (Machine.obs k.Kernel.machine)
       (Vg_obs.Obs_recorder.sink recorder)
       f
   in
@@ -1342,7 +1415,7 @@ let test_sfip_direct_violation () =
                 (Syscall_abi.sys_open, Syscall_abi.sys_getpid);
               ]));
   let (), kills =
-    with_sfip_events (fun () ->
+    with_sfip_events k (fun () ->
         ignore (Syscalls.getpid k p);
         let fd = expect_ok "in-policy open" (Syscalls.open_ k p "/s" Syscalls.creat_trunc) in
         ignore fd;
@@ -1353,7 +1426,7 @@ let test_sfip_direct_violation () =
   Alcotest.(check bool) "process killed" true (Proc.is_zombie p);
   (* Killed means killed: later calls are refused cheaply and silently. *)
   let (), more =
-    with_sfip_events (fun () ->
+    with_sfip_events k (fun () ->
         expect_err Errno.ESFIP "post-kill close" (Syscalls.close k p 3);
         expect_err Errno.ESFIP "post-kill open" (Syscalls.open_ k p "/t" Syscalls.rdonly))
   in
@@ -1390,7 +1463,7 @@ let test_sfip_ring_precheck () =
       getpid 4L;
     ];
   let (), kills =
-    with_sfip_events (fun () ->
+    with_sfip_events k (fun () ->
         expect_err Errno.ESFIP "batch refused"
           (Syscalls.ring_enter k p ~ring:ring_base ~depth ~to_submit:4))
   in
@@ -1421,7 +1494,7 @@ let test_sfip_ring_clean_batch () =
   in
   stage_ring k p ~depth entries;
   let consumed, kills =
-    with_sfip_events (fun () ->
+    with_sfip_events k (fun () ->
         expect_ok "clean batch"
           (Syscalls.ring_enter k p ~ring:ring_base ~depth ~to_submit:3))
   in
@@ -1742,6 +1815,7 @@ let () =
           Alcotest.test_case "socket end-to-end" `Quick test_socket_end_to_end;
           Alcotest.test_case "select" `Quick test_select;
           Alcotest.test_case "netstack details" `Quick test_netstack_details;
+          Alcotest.test_case "harness and kernel ids disjoint" `Quick test_conn_ids_disjoint;
           QCheck_alcotest.to_alcotest prop_pipe_model;
           QCheck_alcotest.to_alcotest prop_pipe_fifo_sizes;
         ] );
@@ -1783,6 +1857,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_abi_entry_agreement;
           Alcotest.test_case "ring_enter batch" `Quick test_ring_enter_batch;
           Alcotest.test_case "ring_enter validation" `Quick test_ring_enter_validation;
+          Alcotest.test_case "negative lengths EINVAL" `Quick test_negative_lengths;
           Alcotest.test_case "ring amortises trap protocol" `Quick
             test_ring_amortises_trap_protocol;
         ] );

@@ -185,7 +185,12 @@ let prop_radix_equivalent_to_abstract =
 (* ------------------------------------------------------------------ *)
 (* Machine: translation and permissions                                *)
 
-let make_machine () = Machine.create ~phys_frames:256 ~disk_sectors:64 ~seed:"test" ()
+let bare_machine ~frames ~seed =
+  Vg_fleet.Node_config.(
+    default |> with_phys_frames frames |> with_disk_sectors 64 |> with_seed seed
+    |> create_machine)
+
+let make_machine () = bare_machine ~frames:256 ~seed:"test"
 
 let test_translate_kernel () =
   let m = make_machine () in
@@ -455,7 +460,7 @@ let unframe ~off ~len b =
 let pattern seed i = Char.chr (((seed * 7) + (i * 13) + (i / 4096)) land 0xff)
 
 let copy_machine ~mapped ~seed =
-  let m = Machine.create ~phys_frames:64 ~disk_sectors:64 ~seed:"copy" () in
+  let m = bare_machine ~frames:64 ~seed:"copy" in
   for i = 0 to copy_pages - 1 do
     if mapped land (1 lsl i) <> 0 then
       Pagetable.map (Machine.current_pt m)

@@ -11,6 +11,12 @@ let boot ?(mode = Sva.Virtual_ghost) ?(cpus = 1) ?(seed = "smp") () =
          default |> with_cpus cpus |> with_phys_frames 16384
          |> with_disk_sectors 32768 |> with_seed seed |> with_mode mode))
 
+(* A bare machine (no kernel) for the machine and spinlock tests. *)
+let machine ~cpus ~seed =
+  Node_config.(
+    default |> with_cpus cpus |> with_phys_frames 4096
+    |> with_disk_sectors 4096 |> with_seed seed |> create_machine)
+
 let expect_ok msg = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" msg (Errno.to_string e)
@@ -19,7 +25,7 @@ let expect_ok msg = function
 (* Machine: cores, timers, shootdowns                                  *)
 
 let test_core_clocks () =
-  let m = Machine.create ~cpus:4 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let m = machine ~cpus:4 ~seed:"m" in
   Alcotest.(check int) "cpus" 4 (Machine.cpus m);
   Machine.charge m 100;
   Machine.switch_core m 2;
@@ -32,7 +38,7 @@ let test_core_clocks () =
     (fun () -> Machine.switch_core m 9)
 
 let test_timer () =
-  let m = Machine.create ~cpus:2 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let m = machine ~cpus:2 ~seed:"m" in
   Machine.arm_timer m ~period:1000;
   Alcotest.(check bool) "not pending yet" false (Machine.timer_pending m);
   Machine.charge m 1500;
@@ -48,7 +54,7 @@ let test_timer () =
   Alcotest.(check bool) "disarmed" false (Machine.timer_pending m)
 
 let test_tlb_shootdown_ipis () =
-  let m = Machine.create ~cpus:4 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let m = machine ~cpus:4 ~seed:"m" in
   let before = Machine.core_cycles m 3 in
   Machine.tlb_shootdown m;
   Alcotest.(check int) "remote got one IPI" 1 (Machine.ipis_received m 3);
@@ -56,7 +62,7 @@ let test_tlb_shootdown_ipis () =
   Alcotest.(check bool) "remote paid delivery" true
     (Machine.core_cycles m 3 > before);
   (* 1-CPU machines have nobody to shoot down. *)
-  let m1 = Machine.create ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let m1 = machine ~cpus:1 ~seed:"m" in
   Machine.tlb_shootdown m1;
   Alcotest.(check int) "no self IPI" 0 (Machine.ipis_received m1 0)
 
@@ -64,7 +70,7 @@ let test_tlb_shootdown_ipis () =
 (* Spinlocks                                                           *)
 
 let test_spinlock_transfer_charges () =
-  let m = Machine.create ~cpus:2 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let m = machine ~cpus:2 ~seed:"m" in
   let l = Spinlock.create m ~name:"t" in
   Spinlock.with_lock l (fun () -> ());
   Spinlock.with_lock l (fun () -> ());
@@ -77,7 +83,7 @@ let test_spinlock_transfer_charges () =
     (Machine.core_cycles m 1)
 
 let test_spinlock_ownership () =
-  let m = Machine.create ~cpus:2 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"m" () in
+  let m = machine ~cpus:2 ~seed:"m" in
   let l = Spinlock.create m ~name:"own" in
   Spinlock.acquire l;
   Machine.switch_core m 1;
@@ -104,9 +110,7 @@ let prop_spinlock_owner =
   QCheck2.Test.make ~name:"spinlock never released by a non-owner" ~count:200
     QCheck2.Gen.(list_size (int_range 1 60) (pair (int_range 0 3) bool))
     (fun ops ->
-      let m =
-        Machine.create ~cpus:4 ~phys_frames:4096 ~disk_sectors:4096 ~seed:"q" ()
-      in
+      let m = machine ~cpus:4 ~seed:"q" in
       let l = Spinlock.create m ~name:"prop" in
       List.for_all
         (fun (core, is_acquire) ->
@@ -237,8 +241,8 @@ let test_sched_preempts_and_steals () =
 
 let test_sched_events_observed () =
   let recorder = Obs_recorder.create () in
-  Obs.with_sink Obs.default (Obs_recorder.sink recorder) (fun () ->
-      let k = boot ~cpus:2 () in
+  let k = boot ~cpus:2 () in
+  Obs.with_sink (Machine.obs k.Kernel.machine) (Obs_recorder.sink recorder) (fun () ->
       let sched = Sched.create k in
       for i = 0 to 1 do
         ignore

@@ -3,7 +3,11 @@
    signal dispatch, program launch, swapping, and I/O checks. *)
 
 let boot ?(mode = Sva.Virtual_ghost) ?(seed = "sva-test") () =
-  let machine = Machine.create ~phys_frames:2048 ~disk_sectors:128 ~seed () in
+  let machine =
+    Vg_fleet.Node_config.(
+      default |> with_phys_frames 2048 |> with_disk_sectors 128 |> with_seed seed
+      |> create_machine)
+  in
   let sva = Sva.boot ~vg_key_bits:256 ~mode machine in
   (machine, sva)
 
