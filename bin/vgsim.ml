@@ -427,26 +427,19 @@ let httpd_cmd =
     with_obs ~trace ~stats (fun obs ->
         let node = Node.boot (Node_config.with_obs obs config) in
         let machine = Node.machine node and kernel = Node.kernel node in
-        (match Diskfs.create kernel.Kernel.fs "/index.html" with
-        | Error _ -> failwith "create /index.html"
-        | Ok ino ->
-            let body = Bytes.init 8192 (fun i -> Char.chr ((i * 131) land 0xff)) in
-            ignore (Diskfs.write kernel.Kernel.fs ~ino ~off:0 body));
+        Httpd.install_doc kernel ~path:"/index.html" ~size:8192;
         if event_loop then begin
           let st =
             Httpd.Event_loop.run kernel ~batch ~requests ~port:80
               ~path:"/index.html"
           in
-          let seconds = Cost.to_seconds st.Httpd.Event_loop.elapsed_cycles in
           Printf.printf
             "httpd: event loops on %d cores served %d/%d (ok=%d) in %d cycles \
              (%.1f req/s simulated; batch=%d ring_enters=%d sqes=%d polls=%d \
              preemptions=%d steals=%d)\n"
             st.Httpd.Event_loop.cores st.Httpd.Event_loop.served requests
             st.Httpd.Event_loop.ok st.Httpd.Event_loop.elapsed_cycles
-            (if seconds > 0.0 then
-               float_of_int st.Httpd.Event_loop.ok /. seconds
-             else 0.0)
+            (Httpd.Event_loop.rps st)
             st.Httpd.Event_loop.batch st.Httpd.Event_loop.ring_enters
             st.Httpd.Event_loop.sqes st.Httpd.Event_loop.polls
             st.Httpd.Event_loop.preemptions st.Httpd.Event_loop.steals
@@ -456,14 +449,12 @@ let httpd_cmd =
             Httpd.Pool.run kernel ~workers:(Machine.cpus machine) ~requests ~port:80
               ~path:"/index.html"
           in
-          let seconds = Cost.to_seconds st.Httpd.Pool.elapsed_cycles in
           Printf.printf
             "httpd: %d workers on %d cores served %d/%d (ok=%d) in %d cycles \
              (%.1f req/s simulated; preemptions=%d steals=%d)\n"
             st.Httpd.Pool.workers (Machine.cpus machine) st.Httpd.Pool.served
             requests st.Httpd.Pool.ok st.Httpd.Pool.elapsed_cycles
-            (if seconds > 0.0 then float_of_int st.Httpd.Pool.ok /. seconds
-             else 0.0)
+            (Httpd.Pool.rps st)
             st.Httpd.Pool.preemptions st.Httpd.Pool.steals
         end)
   in
@@ -543,37 +534,36 @@ let fleet_cmd =
             "Run the background mixed load (ghosting Postmark plus the ssh \
              key chain) on every serving node alongside the HTTP wave.")
   in
-  let run mode cpus nodes requests policy mixed trace stats =
-    (* Fleet nodes report to the fleet's private hubs: --trace and
-       --stats see none of them. *)
-    with_obs ~trace ~stats (fun _ ->
-        let config = Node_config.(default |> with_cpus cpus |> with_mode mode |> with_seed "fleet") in
-        let fleet = Fleet.create ~policy ~nodes config in
-        Fleet.listen_all fleet ~port:80;
-        Fleet.setup_www fleet ~path:"/index.html"
-          (Bytes.init 8192 (fun i -> Char.chr ((i * 131) land 0xff)));
-        Printf.printf "fleet: %d nodes (%s), %s balancing\n" nodes
-          (Node_config.describe config)
-          (Lb.policy_to_string policy);
-        let wave =
-          Fleet.serve_wave ~mixed fleet ~port:80 ~path:"/index.html" ~requests
-        in
-        Array.iter
-          (fun (r : Fleet.node_report) ->
-            Printf.printf
-              "  node %d: assigned=%d ok=%d %.1f req/s (%d cycles)%s\n"
-              r.Fleet.node_id r.Fleet.assigned r.Fleet.ok (Fleet.report_rps r)
-              r.Fleet.elapsed_cycles
-              (match Fleet.last_mixed fleet r.Fleet.node_id with
-              | Some m when mixed ->
-                  Printf.sprintf " [postmark tx=%d ssh=%s]" m.Fleet.postmark_tx
-                    (if m.Fleet.ssh_ok then "ok" else "FAILED")
-              | _ -> ""))
-          wave.Fleet.per_node;
-        Printf.printf
-          "  aggregate: %d/%d ok, %d dropped, %.1f req/s over %d cycles\n"
-          wave.Fleet.ok wave.Fleet.requests wave.Fleet.dropped
-          (Fleet.wave_rps wave) wave.Fleet.elapsed_cycles)
+  let run mode cpus nodes requests policy mixed stats =
+    let config = Node_config.(default |> with_cpus cpus |> with_mode mode |> with_seed "fleet") in
+    let fleet = Fleet.create ~policy ~nodes config in
+    Fleet.listen_all fleet ~port:80;
+    Fleet.setup_www fleet ~path:"/index.html" (Httpd.doc 8192);
+    Printf.printf "fleet: %d nodes (%s), %s balancing\n" nodes
+      (Node_config.describe config)
+      (Lb.policy_to_string policy);
+    let wave = Fleet.serve_wave ~mixed fleet ~port:80 ~path:"/index.html" ~requests in
+    Array.iter
+      (fun (r : Fleet.node_report) ->
+        Printf.printf "  node %d: assigned=%d ok=%d %.1f req/s (%d cycles)%s\n"
+          r.Fleet.node_id r.Fleet.assigned r.Fleet.ok (Fleet.report_rps r)
+          r.Fleet.elapsed_cycles
+          (match Fleet.last_mixed fleet r.Fleet.node_id with
+          | Some m when mixed ->
+              Printf.sprintf " [postmark tx=%d ssh=%s]" m.Fleet.postmark_tx
+                (if m.Fleet.ssh_ok then "ok" else "FAILED")
+          | _ -> ""))
+      wave.Fleet.per_node;
+    Printf.printf "  aggregate: %d/%d ok, %d dropped, %.1f req/s over %d cycles\n"
+      wave.Fleet.ok wave.Fleet.requests wave.Fleet.dropped (Fleet.wave_rps wave)
+      wave.Fleet.elapsed_cycles;
+    (* Each node reports to the fleet's private hub for that node, so
+       the attribution is per node. *)
+    if stats then
+      for i = 0 to Fleet.size fleet - 1 do
+        Printf.printf "node %d " i;
+        Obs_stats.print (Fleet.stats fleet i)
+      done
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -582,7 +572,7 @@ let fleet_cmd =
           requests across the event-loop backends and print per-node and \
           aggregate throughput.")
     Term.(const run $ mode_arg $ cpus_arg $ nodes_arg $ requests_arg
-          $ policy_arg $ mixed_arg $ trace_arg $ stats_arg)
+          $ policy_arg $ mixed_arg $ stats_arg)
 
 (* -- policy --------------------------------------------------------- *)
 
@@ -616,11 +606,7 @@ let policy_cmd =
       | "httpd" ->
           Some
             (record (fun sfip ->
-                 (match Diskfs.create k.Kernel.fs "/index.html" with
-                 | Error _ -> failwith "create /index.html"
-                 | Ok ino ->
-                     ignore
-                       (Diskfs.write k.Kernel.fs ~ino ~off:0 (Bytes.make 8192 'x')));
+                 Httpd.install_doc k ~path:"/index.html" ~size:8192;
                  ignore
                    (Httpd.Event_loop.run k ~batch:8 ~sfip ~requests:8 ~port:80
                       ~path:"/index.html")))

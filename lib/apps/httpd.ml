@@ -12,6 +12,22 @@ let status_ok raw =
   && Bytes.get raw 10 = '0'
   && Bytes.get raw 11 = '0'
 
+let doc size = Bytes.init size (fun i -> Char.chr ((i * 131) land 0xff))
+
+let install_doc k ~path ~size =
+  let fs = k.Kernel.fs in
+  match Diskfs.create fs path with
+  | Error _ -> failwith ("Httpd.install_doc: create " ^ path)
+  | Ok ino -> (
+      match Diskfs.write fs ~ino ~off:0 (doc size) with
+      | Ok _ -> ()
+      | Error _ -> failwith ("Httpd.install_doc: write " ^ path))
+
+(* Requests answered 200 per simulated second of [elapsed_cycles]. *)
+let rps ~ok ~elapsed_cycles =
+  let seconds = Cost.to_seconds elapsed_cycles in
+  if seconds > 0.0 then float_of_int ok /. seconds else 0.0
+
 let handle_connection ctx conn_fd =
   let k = ctx.Runtime.kernel and proc = ctx.Runtime.proc in
   let buf = Runtime.galloc ctx 1024 in
@@ -159,6 +175,8 @@ module Pool = struct
       preemptions = Sched.preemptions sched;
       steals = Sched.steals sched;
     }
+
+  let rps s = rps ~ok:s.ok ~elapsed_cycles:s.elapsed_cycles
 end
 
 (* ------------------------------------------------------------------ *)
@@ -430,6 +448,8 @@ module Event_loop = struct
         0 eps
     in
     { stats with ok }
+
+  let rps s = rps ~ok:s.ok ~elapsed_cycles:s.elapsed_cycles
 end
 
 module Client = struct

@@ -14,6 +14,16 @@ val serve_requests : Runtime.ctx -> listen_fd:int -> max:int -> int
     ApacheBench with HTTP/1.0 does); returns how many were served.
     Returns when no further connection is pending. *)
 
+val doc : int -> bytes
+(** The benchmark document of [size] bytes: byte [i] is
+    [(i * 131) land 0xff], random-looking like the paper's
+    [/dev/random] files.  Every harness that serves a document (bench,
+    vgsim, the fleet, tests) serves this one. *)
+
+val install_doc : Kernel.t -> path:string -> size:int -> unit
+(** Create [path] on the kernel's file system holding [doc size].
+    Raises [Failure] if the file system refuses. *)
+
 (** Multi-worker pool: N preemptible worker processes share one
     listening socket (inherited fd) and are spread over the machine's
     cores by {!Sched} — the SMP scaling workload. *)
@@ -42,6 +52,10 @@ module Pool : sig
       measured window), then drive the scheduler until every request
       is served.  [?sfip] attaches a syscall-flow policy to every
       worker (own cursor, shared graph — see {!Runtime.launch}). *)
+
+  val rps : stats -> float
+  (** [ok] per simulated second of [elapsed_cycles]; 0 for an empty
+      window. *)
 end
 
 (** Event-driven server: one single-threaded event loop per core over
@@ -98,6 +112,10 @@ module Event_loop : sig
       to 8.  [?sfip] attaches a syscall-flow policy to every loop
       (own cursor, shared graph): ring batches are vetted whole before
       any entry runs. *)
+
+  val rps : stats -> float
+  (** [ok] per simulated second of [elapsed_cycles]; 0 for an empty
+      window. *)
 end
 
 val status_ok : bytes -> bool

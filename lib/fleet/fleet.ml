@@ -42,6 +42,7 @@ let node t i = t.nodes.(i).node
 let lb t = t.lb
 let security_events t i = List.rev !(t.nodes.(i).security)
 let restarts t i = t.nodes.(i).restarts
+let stats t i = t.nodes.(i).stats
 let last_mixed t i = t.nodes.(i).last_mixed
 
 let security_sink cell =

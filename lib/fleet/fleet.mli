@@ -55,6 +55,10 @@ val check_health : t -> (int * int) list
 val security_events : t -> int -> string list
 val restarts : t -> int -> int
 
+val stats : t -> int -> Obs_stats.t
+(** Node [i]'s cycle attribution and event counts, accumulated across
+    restarts. *)
+
 type mixed_stats = { postmark_tx : int; ssh_ok : bool }
 
 val last_mixed : t -> int -> mixed_stats option

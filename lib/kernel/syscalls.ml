@@ -950,15 +950,19 @@ let register_builtin_externs (k : Kernel.t) =
         (genuine_read_unwrapped k proc ~fd:(Int64.to_int args.(0)) ~buf:args.(1)
            ~len:(Int64.to_int args.(2))));
   (* klog(ptr, len): print kernel-readable memory to the system log.
-     This is an instrumented kernel helper: it reads through Kmem. *)
+     This is an instrumented kernel helper: it reads through Kmem.  A
+     negative length reads and prints nothing. *)
   reg "extern.klog" (fun k _proc args ->
-      let len = min 256 (Int64.to_int args.(1)) in
-      let data = Kmem.read_bytes k.Kernel.kmem args.(0) ~len in
-      let printable =
-        String.map (fun c -> if c >= ' ' && c <= '~' then c else '.') (Bytes.to_string data)
-      in
-      Console.write (Machine.console k.Kernel.machine) ("module: " ^ printable);
-      0L);
+      let len = Int64.to_int args.(1) in
+      if len < 0 then -1L
+      else begin
+        let data = Kmem.read_bytes k.Kernel.kmem args.(0) ~len:(min 256 len) in
+        let printable =
+          String.map (fun c -> if c >= ' ' && c <= '~' then c else '.') (Bytes.to_string data)
+        in
+        Console.write (Machine.console k.Kernel.machine) ("module: " ^ printable);
+        0L
+      end);
   (* kmmap(pid, len): map anonymous memory in some process. *)
   reg "extern.kmmap" (fun k _proc args ->
       match Kernel.find_proc k (Int64.to_int args.(0)) with

@@ -939,6 +939,25 @@ let test_module_override () =
   Alcotest.(check int) "genuine read restored" 0
     (expect_ok "read" (Syscalls.read k p ~fd ~buf:user_buf ~len:10))
 
+(* A module passing a negative length to klog gets -1 back, like any
+   other extern failure: nothing is read or logged, and no OCaml
+   exception leaves the syscall layer. *)
+let test_module_klog_negative_length () =
+  let k = boot () in
+  let p = init k in
+  Syscalls.register_builtin_externs k;
+  let b = Builder.create () in
+  Builder.func b "sys_read" ~params:[ "fd"; "buf"; "len" ];
+  let logged = Builder.call b "extern.klog" [ Imm 0L; Imm (-1L) ] in
+  Builder.ret b (Some (Builder.bin b Add logged (Imm 1000L)));
+  (match Module_loader.load k ~name:"klog_neg" (Builder.program b) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load: %s" (Module_loader.describe_load_error e));
+  Alcotest.(check int) "klog returned -1" 999
+    (expect_ok "read" (Syscalls.read k p ~fd:0 ~buf:user_buf ~len:4));
+  Alcotest.(check bool) "nothing logged" false
+    (Console.contains (Machine.console k.Kernel.machine) "module: ")
+
 let test_module_chains_to_genuine () =
   let k = boot () in
   let p = init k in
@@ -1839,6 +1858,7 @@ let () =
           Alcotest.test_case "memcpy fault names destination" `Quick
             test_module_memcpy_fault_names_destination;
           Alcotest.test_case "chains to genuine" `Quick test_module_chains_to_genuine;
+          Alcotest.test_case "klog negative length" `Quick test_module_klog_negative_length;
           Alcotest.test_case "malformed rejected" `Quick test_malformed_module_rejected;
           Alcotest.test_case "privileged module rejected" `Quick
             test_privileged_module_rejected;

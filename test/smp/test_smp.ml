@@ -264,14 +264,9 @@ let test_sched_events_observed () =
 (* ------------------------------------------------------------------ *)
 (* httpd pool                                                          *)
 
-let make_fs_file k path size =
-  let ino = expect_ok "create" (Diskfs.create k.Kernel.fs path) in
-  let data = Bytes.init size (fun i -> Char.chr ((i * 131) land 0xff)) in
-  ignore (expect_ok "write" (Diskfs.write k.Kernel.fs ~ino ~off:0 data))
-
 let pool_stats ?(mode = Sva.Virtual_ghost) ~cpus ~requests () =
   let k = boot ~mode ~cpus () in
-  make_fs_file k "/index.html" 8192;
+  Httpd.install_doc k ~path:"/index.html" ~size:8192;
   Httpd.Pool.run k ~workers:cpus ~requests ~port:80 ~path:"/index.html"
 
 let test_pool_serves_all () =
@@ -310,7 +305,7 @@ let test_pool_scales () =
 
 let event_loop_stats ?(mode = Sva.Virtual_ghost) ~cpus ~batch ~requests () =
   let k = boot ~mode ~cpus () in
-  make_fs_file k "/index.html" 8192;
+  Httpd.install_doc k ~path:"/index.html" ~size:8192;
   Httpd.Event_loop.run k ~batch ~requests ~port:80 ~path:"/index.html"
 
 let test_event_loop_serves_all () =
