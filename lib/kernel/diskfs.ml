@@ -85,7 +85,7 @@ let alloc_block t =
   | Some idx ->
       bitmap_set t block_bitmap_block idx true;
       let b = data_start + idx in
-      Buffer_cache.write t.bc b (Bytes.make block_bytes '\000');
+      Buffer_cache.write t.bc b Bytes.empty;
       Some b
 
 let free_block t b =
@@ -151,23 +151,20 @@ let write_inode t ino (inode : inode option) =
 
 let alloc_inode t itype =
   charge t 400;
-  match bitmap_find_free t inode_bitmap_block max_inodes with
-  | None -> None
-  | Some idx when idx = 0 ->
-      (* inode 0 is reserved; mark and retry once *)
-      bitmap_set t inode_bitmap_block 0 true;
-      (match bitmap_find_free t inode_bitmap_block max_inodes with
-      | None -> None
-      | Some idx ->
-          bitmap_set t inode_bitmap_block idx true;
+  let rec claim () =
+    match bitmap_find_free t inode_bitmap_block max_inodes with
+    | None -> None
+    | Some idx ->
+        bitmap_set t inode_bitmap_block idx true;
+        (* inode 0 is reserved: mark it and look again *)
+        if idx = 0 then claim ()
+        else begin
           write_inode t idx
             (Some { itype; nlink = 1; size = 0; indirect = 0; direct = Array.make direct_count 0 });
-          Some idx)
-  | Some idx ->
-      bitmap_set t inode_bitmap_block idx true;
-      write_inode t idx
-        (Some { itype; nlink = 1; size = 0; indirect = 0; direct = Array.make direct_count 0 });
-      Some idx
+          Some idx
+        end
+  in
+  claim ()
 
 (* Map a logical block index to a disk block; optionally allocating. *)
 let block_of t inode ~logical ~alloc =
@@ -271,11 +268,6 @@ let write t ~ino ~off src : int Errno.result =
             Ok len
       end
 
-let inode_blocks inode =
-  let blocks = ref [] in
-  Array.iter (fun b -> if b <> 0 then blocks := b :: !blocks) inode.direct;
-  !blocks
-
 let truncate t ~ino ~len : unit Errno.result =
   match read_inode t ino with
   | None -> Error Errno.ENOENT
@@ -317,48 +309,53 @@ let truncate t ~ino ~len : unit Errno.result =
 (* ------------------------------------------------------------------ *)
 (* Directories                                                         *)
 
-(* Scan directory blocks in place through the cache (a real kernel
-   walks the buffer's contents; it does not copy the block). *)
-let dir_entries t inode =
-  let entries = ref [] in
+let per_block = block_bytes / dirent_size
+
+(* Fold [f] over a directory's slots in order, reading each block in
+   place inside the cache view (a real kernel walks the buffer; it does
+   not copy the block).  [f acc ~slot ~ino data off] sees one slot: its
+   index, its inode (0 = free) and its name, NUL-padded, at [off] in
+   [data].  The modelled cost is 8 kernel memory operations per slot,
+   charged once per block.  A hole block reads as one free slot, its
+   first. *)
+let fold_dir t inode init f =
   let nents = inode.size / dirent_size in
-  let per_block = block_bytes / dirent_size in
-  let nblocks = (inode.size + block_bytes - 1) / block_bytes in
-  for blk = 0 to nblocks - 1 do
+  let acc = ref init in
+  for blk = 0 to ((inode.size + block_bytes - 1) / block_bytes) - 1 do
+    let first = blk * per_block in
     match block_of t inode ~logical:blk ~alloc:false with
-    | None -> ()
+    | None -> acc := f !acc ~slot:first ~ino:0 Bytes.empty 0
     | Some b ->
         Buffer_cache.view t.bc b (fun data ->
-            let first = blk * per_block in
-            for i = first to min (nents - 1) (first + per_block - 1) do
-              charge t 8;
-              let off = i mod per_block * dirent_size in
+            let last = min nents (first + per_block) - 1 in
+            charge t (8 * (last - first + 1));
+            for slot = first to last do
+              let off = (slot - first) * dirent_size in
               let ino = Int32.to_int (Bytes.get_int32_le data off) in
-              if ino <> 0 then begin
-                let raw = Bytes.sub_string data (off + 4) name_max in
-                let name =
-                  match String.index_opt raw '\000' with
-                  | Some k -> String.sub raw 0 k
-                  | None -> raw
-                in
-                entries := (i, name, ino) :: !entries
-              end
+              acc := f !acc ~slot ~ino data (off + 4)
             done)
   done;
-  List.rev !entries
+  !acc
 
-let write_dirent t dir_ino inode ~slot ~name ~target =
-  let entry = Bytes.make dirent_size '\000' in
-  Bytes.set_int32_le entry 0 (Int32.of_int target);
-  Bytes.blit_string name 0 entry 4 (String.length name);
-  match write t ~ino:dir_ino ~off:(slot * dirent_size) entry with
-  | Ok _ ->
-      ignore inode;
-      Ok ()
-  | Error e -> Error e
+(* Whether the NUL-padded name at [off] in [data] is [name]. *)
+let name_is data off name =
+  let len = String.length name in
+  let rec same i = i = len || (Bytes.get data (off + i) = name.[i] && same (i + 1)) in
+  len <= name_max && (len = name_max || Bytes.get data (off + len) = '\000') && same 0
 
+let name_at data off =
+  let nul = Option.value (Bytes.index_from_opt data off '\000') ~default:max_int in
+  Bytes.sub_string data off (min name_max (nul - off))
+
+(* The live entry called [name], as [(slot, ino)]. *)
 let find_entry t inode name =
-  List.find_opt (fun (_, n, _) -> n = name) (dir_entries t inode)
+  fold_dir t inode None (fun found ~slot ~ino data off ->
+      match found with
+      | None when ino <> 0 && name_is data off name -> Some (slot, ino)
+      | _ -> found)
+
+let write_dirent t dir_ino ~slot entry =
+  Result.map ignore (write t ~ino:dir_ino ~off:(slot * dirent_size) entry)
 
 (* Split an absolute path into components. *)
 let components path =
@@ -376,7 +373,7 @@ let rec resolve t ino = function
       | Some inode -> (
           match find_entry t inode name with
           | None -> Error Errno.ENOENT
-          | Some (_, _, child) -> resolve t child rest))
+          | Some (_, child) -> resolve t child rest))
 
 let lookup t path =
   match components path with
@@ -388,19 +385,11 @@ let parent_of t path =
   match components path with
   | None | Some [] -> Error Errno.EINVAL
   | Some comps -> (
-      let rec split = function
-        | [ leaf ] -> ([], leaf)
-        | x :: rest ->
-            let dirs, leaf = split rest in
-            (x :: dirs, leaf)
-        | [] -> assert false
-      in
-      let dirs, leaf = split comps in
-      if String.length leaf > name_max then Error Errno.EINVAL
-      else
-        match resolve t root_ino dirs with
-        | Error e -> Error e
-        | Ok dir_ino -> Ok (dir_ino, leaf))
+      match List.rev comps with
+      | leaf :: _ when String.length leaf > name_max -> Error Errno.EINVAL
+      | leaf :: rev_dirs ->
+          Result.map (fun dir_ino -> (dir_ino, leaf)) (resolve t root_ino (List.rev rev_dirs))
+      | [] -> Error Errno.EINVAL)
 
 let add_entry t dir_ino name target =
   match read_inode t dir_ino with
@@ -410,11 +399,16 @@ let add_entry t dir_ino name target =
       match find_entry t dir name with
       | Some _ -> Error Errno.EEXIST
       | None ->
-          (* Reuse a free slot if any, else append. *)
-          let used = List.map (fun (slot, _, _) -> slot) (dir_entries t dir) in
-          let rec first_free k = if List.mem k used then first_free (k + 1) else k in
-          let slot = first_free 0 in
-          write_dirent t dir_ino dir ~slot ~name ~target)
+          (* The first free slot, else append. *)
+          let free =
+            fold_dir t dir None (fun free ~slot ~ino _ _ ->
+                match free with None when ino = 0 -> Some slot | _ -> free)
+          in
+          let entry = Bytes.make dirent_size '\000' in
+          Bytes.set_int32_le entry 0 (Int32.of_int target);
+          Bytes.blit_string name 0 entry 4 (String.length name);
+          write_dirent t dir_ino entry
+            ~slot:(Option.value free ~default:(dir.size / dirent_size)))
 
 let remove_entry t dir_ino name =
   match read_inode t dir_ino with
@@ -422,10 +416,9 @@ let remove_entry t dir_ino name =
   | Some dir -> (
       match find_entry t dir name with
       | None -> Error Errno.ENOENT
-      | Some (slot, _, target) -> (
-          match write t ~ino:dir_ino ~off:(slot * dirent_size) (Bytes.make dirent_size '\000') with
-          | Ok _ -> Ok target
-          | Error e -> Error e))
+      | Some (slot, target) ->
+          Result.map (fun () -> target)
+            (write_dirent t dir_ino ~slot (Bytes.make dirent_size '\000')))
 
 let make_node t path itype : int Errno.result =
   charge t 800;
@@ -446,7 +439,7 @@ let create t path = make_node t path Reg
 let mkdir t path = make_node t path Dir
 
 let free_inode_storage t ino inode =
-  List.iter (free_block t) (inode_blocks inode);
+  Array.iter (fun b -> if b <> 0 then free_block t b) inode.direct;
   if inode.indirect <> 0 then begin
     Buffer_cache.modify t.bc inode.indirect (fun data ->
         for slot = 0 to indirect_entries - 1 do
@@ -487,7 +480,8 @@ let rmdir t path : unit Errno.result =
           | None -> Error Errno.ENOENT
           | Some inode when inode.itype <> Dir -> Error Errno.ENOTDIR
           | Some inode ->
-              if dir_entries t inode <> [] then Error Errno.ENOTEMPTY
+              if not (fold_dir t inode true (fun empty ~slot:_ ~ino _ _ -> empty && ino = 0))
+              then Error Errno.ENOTEMPTY
               else begin
                 match remove_entry t dir_ino leaf with
                 | Error e -> Error e
@@ -525,7 +519,11 @@ let readdir t ~ino : (string * int) list Errno.result =
   match read_inode t ino with
   | None -> Error Errno.ENOENT
   | Some inode when inode.itype <> Dir -> Error Errno.ENOTDIR
-  | Some inode -> Ok (List.map (fun (_, n, i) -> (n, i)) (dir_entries t inode))
+  | Some inode ->
+      Ok
+        (List.rev
+           (fold_dir t inode [] (fun acc ~slot:_ ~ino data off ->
+                if ino = 0 then acc else (name_at data off, ino) :: acc)))
 
 let stat t ~ino : stat Errno.result =
   match read_inode t ino with
@@ -538,11 +536,10 @@ let stat t ~ino : stat Errno.result =
 let mkfs ?(charge_work = fun _ -> ()) bc =
   let t = { bc; charge_work } in
   (* Clear metadata blocks. *)
-  let zero = Bytes.make block_bytes '\000' in
   for b = 0 to data_start - 1 do
-    Buffer_cache.write bc b zero
+    Buffer_cache.write bc b Bytes.empty
   done;
-  let sb = Bytes.make block_bytes '\000' in
+  let sb = Bytes.create 8 in
   Bytes.set_int64_le sb 0 magic;
   Buffer_cache.write bc 0 sb;
   (* Reserve inode 0 and create the root directory as inode 1. *)
