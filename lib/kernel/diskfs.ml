@@ -357,9 +357,10 @@ let find_entry t inode name =
 let write_dirent t dir_ino ~slot entry =
   Result.map ignore (write t ~ino:dir_ino ~off:(slot * dirent_size) entry)
 
-(* Split an absolute path into components. *)
+(* Split an absolute path into components.  A NUL byte is refused: names
+   are stored NUL-padded, so it would end the stored name early. *)
 let components path =
-  if String.length path = 0 || path.[0] <> '/' then None
+  if String.length path = 0 || path.[0] <> '/' || String.contains path '\000' then None
   else Some (List.filter (fun s -> s <> "") (String.split_on_char '/' path))
 
 let rec resolve t ino = function

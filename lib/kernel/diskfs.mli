@@ -8,7 +8,9 @@
     so repeated operations are CPU-bound and pay kernel-instrumentation
     costs, which is what Table 3/4 and Postmark measure.
 
-    Paths are absolute, ['/']-separated, with no [.]/[..] handling. *)
+    Paths are absolute, ['/']-separated, with no [.]/[..] handling.
+    A path that is relative or holds a NUL byte is [EINVAL] in every
+    path operation. *)
 
 type t
 

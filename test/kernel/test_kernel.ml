@@ -147,6 +147,28 @@ let test_fs_truncate () =
   Alcotest.(check int) "read capped" 100
     (Bytes.length (expect_ok "read" (Diskfs.read k.Kernel.fs ~ino ~off:0 ~len:10000)))
 
+(* A name is stored NUL-padded, so a component holding a NUL byte
+   would be stored whole but read back only up to the NUL: "/a\000b"
+   would shadow "/a" and could be created twice.  Every path
+   operation refuses it. *)
+let test_fs_nul_in_name () =
+  let fs = (boot ()).Kernel.fs in
+  ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/d"));
+  ignore (expect_ok "create" (Diskfs.create fs "/d/f"));
+  List.iter
+    (fun p ->
+      expect_err Errno.EINVAL "create" (Diskfs.create fs p);
+      expect_err Errno.EINVAL "mkdir" (Diskfs.mkdir fs p);
+      expect_err Errno.EINVAL "lookup" (Diskfs.lookup fs p);
+      expect_err Errno.EINVAL "unlink" (Diskfs.unlink fs p);
+      expect_err Errno.EINVAL "rmdir" (Diskfs.rmdir fs p);
+      expect_err Errno.EINVAL "rename from" (Diskfs.rename fs ~src:p ~dst:"/d/g");
+      expect_err Errno.EINVAL "rename to" (Diskfs.rename fs ~src:"/d/f" ~dst:p))
+    [ "/a\000b"; "/d/f\000"; "/d\000/f"; "/\000" ];
+  let d = expect_ok "lookup" (Diskfs.lookup fs "/d") in
+  Alcotest.(check (list string)) "listing" [ "f" ]
+    (List.map fst (expect_ok "readdir" (Diskfs.readdir fs ~ino:d)))
+
 (* A pure model of a directory tree.  A directory is its slot array in
    on-disk order ([None] = a free slot; [Diskfs] fills the lowest free
    slot, else appends, and never shrinks a directory) plus its children
@@ -2076,6 +2098,7 @@ let () =
           Alcotest.test_case "directories" `Quick test_fs_directories;
           Alcotest.test_case "errors" `Quick test_fs_errors;
           Alcotest.test_case "truncate" `Quick test_fs_truncate;
+          Alcotest.test_case "NUL in a path component" `Quick test_fs_nul_in_name;
           QCheck_alcotest.to_alcotest prop_diskfs_model;
           Alcotest.test_case "scan cycles pinned" `Slow test_fs_scan_cycles_pinned;
         ] );
