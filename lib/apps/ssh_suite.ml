@@ -1,8 +1,6 @@
-let installer_rng = lazy (Vg_crypto.Drbg.create ~seed:(Bytes.of_string "vg-installer"))
-
 let install_images k ~app_key =
   let vg_key = Sva.vg_private_key_for_installer k.Kernel.sva in
-  let rng = Lazy.force installer_rng in
+  let rng = k.Kernel.installer_rng in
   let image name =
     Appimage.install ~vg_key ~rng ~name
       ~payload:(Bytes.of_string ("text segment of " ^ name))

@@ -22,6 +22,8 @@ type t = {
   mutable syscall_count : int;
   spec_mitigation : Vg_compiler.Mitigation.t;
       (* Spectre hardening every instrumented translation must carry *)
+  installer_rng : Vg_crypto.Drbg.t;
+      (* pads the key sections of the images the installer signs *)
 }
 
 and syscall_override = { func : string; compiled : Vg_compiler.Exec_compile.t }
@@ -115,6 +117,7 @@ let boot ~frame_limit ~spec_mitigation ~mode machine =
       child_wq = Waitq.create ~name:"child-exit";
       syscall_count = 0;
       spec_mitigation;
+      installer_rng = Vg_crypto.Drbg.create ~seed:(Bytes.of_string "vg-installer");
     }
   in
   (* init (pid 1) *)

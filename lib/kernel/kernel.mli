@@ -56,6 +56,12 @@ type t = {
           every loaded module are compiled under it, and the
           translation cache refuses instrumented blobs carrying any
           other mitigation *)
+  installer_rng : Vg_crypto.Drbg.t;
+      (** pads the key sections of the application images the trusted
+          installer signs for this kernel
+          ({!Vg_apps.Ssh_suite.install_images}); seeded by a constant
+          at boot, so identically booted kernels install identical
+          images, and separate from the SVA's entropy stream *)
 }
 
 and syscall_override = {

@@ -9,8 +9,9 @@ lint rejects the three ways that has gone wrong before:
   * ``Kernel.boot`` or ``Machine.create`` called anywhere outside
     ``lib/fleet`` and the two modules that define them (every other
     boot goes through ``Node_config``/``Node``);
-  * a top-level ``ref``, ``Hashtbl.create``, ``Queue.create`` or
-    ``Array.make`` binding in ``lib/`` (module-level mutable state),
+  * a top-level ``ref``, ``Hashtbl.create``, ``Queue.create``,
+    ``Array.make`` or ``lazy`` binding in ``lib/`` (module-level
+    mutable state; a lazy value is shared by every node once forced),
     apart from ALLOWED, the dispatcher's init-once tables.
 
 Usage:
@@ -36,7 +37,7 @@ ALLOWED = {
 
 BOOT_CALL = re.compile(r"\b(Kernel\.boot|Machine\.create)\b")
 BOOT_HOMES = ("lib/fleet/", "lib/kernel/kernel.ml", "lib/machine/machine.ml")
-MUTABLE = re.compile(r"(ref\b|Hashtbl\.create\b|Queue\.create\b|Array\.make\b)")
+MUTABLE = re.compile(r"(ref\b|Hashtbl\.create\b|Queue\.create\b|Array\.make\b|lazy\b)")
 LET = re.compile(r"^( *)let\s+([a-z_][A-Za-z0-9_']*)\s*(?::[^=]*)?=\s*(.*)$")
 STRUCT_OPEN = re.compile(r"^( *)module\s+[A-Z][A-Za-z0-9_']*\b.*=\s*struct\s*$")
 

@@ -172,6 +172,22 @@ let test_keygen_plaintext_on_baseline () =
   let raw = (match Diskfs.read k.Kernel.fs ~ino ~off:0 ~len:4 with Ok b -> b | Error _ -> Alcotest.fail "read") in
   Alcotest.(check string) "plaintext format" "PLN1" (Bytes.to_string raw)
 
+(* An installed image depends only on the kernel it is installed for:
+   identically booted kernels get identical key sections whatever was
+   installed earlier in the process, and a second install on one
+   kernel pads afresh. *)
+let test_install_per_kernel () =
+  let key_sections k =
+    let a, b, c = Ssh_suite.install_images k ~app_key in
+    List.map (fun i -> Bytes.to_string i.Appimage.key_section) [ a; b; c ]
+  in
+  let first = key_sections (boot ~seed:"install" ()) in
+  let again = key_sections (boot ~seed:"install" ()) in
+  Alcotest.(check (list string)) "identical kernels, identical images" first again;
+  let k = boot ~seed:"install" () in
+  ignore (key_sections k);
+  Alcotest.(check bool) "second install pads afresh" true (key_sections k <> first)
+
 let test_agent_serves_requests () =
   let k = boot () in
   let _, _, agent_img = Ssh_suite.install_images k ~app_key in
@@ -729,6 +745,7 @@ let () =
           Alcotest.test_case "keygen sealed round-trip" `Slow test_keygen_sealed_roundtrip;
           Alcotest.test_case "keygen tamper detected" `Slow test_keygen_tamper_detected;
           Alcotest.test_case "plaintext on baseline" `Quick test_keygen_plaintext_on_baseline;
+          Alcotest.test_case "install depends on the kernel only" `Quick test_install_per_kernel;
           Alcotest.test_case "agent serves requests" `Slow test_agent_serves_requests;
           Alcotest.test_case "agent protocol" `Slow test_agent_protocol;
         ] );
