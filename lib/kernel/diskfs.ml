@@ -354,9 +354,6 @@ let find_entry t inode name =
       | None when ino <> 0 && name_is data off name -> Some (slot, ino)
       | _ -> found)
 
-let write_dirent t dir_ino ~slot entry =
-  Result.map ignore (write t ~ino:dir_ino ~off:(slot * dirent_size) entry)
-
 (* Split an absolute path into components.  A NUL byte is refused: names
    are stored NUL-padded, so it would end the stored name early. *)
 let components path =
@@ -389,7 +386,8 @@ let parent_of t path =
       match List.rev comps with
       | leaf :: _ when String.length leaf > name_max -> Error Errno.EINVAL
       | leaf :: rev_dirs ->
-          Result.map (fun dir_ino -> (dir_ino, leaf)) (resolve t root_ino (List.rev rev_dirs))
+          let dirs = List.rev rev_dirs in
+          Result.map (fun dir_ino -> (dir_ino, leaf)) (resolve t root_ino dirs)
       | [] -> Error Errno.EINVAL)
 
 let add_entry t dir_ino name target =
@@ -408,8 +406,8 @@ let add_entry t dir_ino name target =
           let entry = Bytes.make dirent_size '\000' in
           Bytes.set_int32_le entry 0 (Int32.of_int target);
           Bytes.blit_string name 0 entry 4 (String.length name);
-          write_dirent t dir_ino entry
-            ~slot:(Option.value free ~default:(dir.size / dirent_size)))
+          let slot = Option.value free ~default:(dir.size / dirent_size) in
+          Result.map ignore (write t ~ino:dir_ino ~off:(slot * dirent_size) entry))
 
 let remove_entry t dir_ino name =
   match read_inode t dir_ino with
@@ -418,8 +416,9 @@ let remove_entry t dir_ino name =
       match find_entry t dir name with
       | None -> Error Errno.ENOENT
       | Some (slot, target) ->
-          Result.map (fun () -> target)
-            (write_dirent t dir_ino ~slot (Bytes.make dirent_size '\000')))
+          let entry = Bytes.make dirent_size '\000' in
+          let off = slot * dirent_size in
+          Result.map (fun _ -> target) (write t ~ino:dir_ino ~off entry))
 
 let make_node t path itype : int Errno.result =
   charge t 800;
@@ -481,8 +480,8 @@ let rmdir t path : unit Errno.result =
           | None -> Error Errno.ENOENT
           | Some inode when inode.itype <> Dir -> Error Errno.ENOTDIR
           | Some inode ->
-              if not (fold_dir t inode true (fun empty ~slot:_ ~ino _ _ -> empty && ino = 0))
-              then Error Errno.ENOTEMPTY
+              let empty = fold_dir t inode true (fun e ~slot:_ ~ino _ _ -> e && ino = 0) in
+              if not empty then Error Errno.ENOTEMPTY
               else begin
                 match remove_entry t dir_ino leaf with
                 | Error e -> Error e
