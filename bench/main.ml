@@ -1307,7 +1307,7 @@ let engine_env () =
   in
   (env, by_tag, instrs)
 
-let interp_counts program entry arg =
+let interp_env () =
   let mem = Bytes.make 65536 '\000' in
   let cycles = ref 0 and instrs = ref 0 in
   let env : Vg_oracle.Interp.env =
@@ -1328,6 +1328,10 @@ let interp_counts program entry arg =
       fence = (fun () -> cycles := !cycles + Vg_compiler.Fence_pass.fence_cycles);
     }
   in
+  (env, cycles, instrs)
+
+let interp_counts program entry arg =
+  let env, cycles, instrs = interp_env () in
   ignore (Vg_oracle.Interp.run env program entry [| arg |]);
   (!cycles, !instrs)
 
@@ -1352,6 +1356,22 @@ let time_ns_per_run f =
   done;
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) /. float_of_int runs *. 1e9
+
+(* Host words one warm run allocates, counted as vgbench counts them:
+   minor words plus words allocated straight on the major heap (major
+   minus promoted), averaged over a few runs after a warm-up.  The
+   caller builds the run's env outside, so the harness's own buffers
+   are not counted. *)
+let words_per_run f =
+  f ();
+  Gc.minor ();
+  let runs = 3 in
+  let minor0, promoted0, major0 = Gc.counters () in
+  for _ = 1 to runs do
+    f ()
+  done;
+  let minor1, promoted1, major1 = Gc.counters () in
+  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int runs
 
 let total = Array.fold_left ( + ) 0
 
@@ -1397,8 +1417,8 @@ let executor r =
     @ both "memcpy-loop" (memcpy_loop_program ()) "main" 20_000L ~long:true
   in
   R.check r ~row:"-" ~what:"8 fixtures" (List.length fixtures = 8);
-  R.linef r "%-20s %5s %10s %8s %12s %12s %12s %9s\n" "fixture" "long" "cycles" "instrs"
-    "interp-ns/i" "slots-ns/i" "compiled-ns/i" "speedup";
+  R.linef r "%-20s %5s %10s %8s %12s %12s %12s %9s %14s\n" "fixture" "long" "cycles" "instrs"
+    "interp-ns/i" "slots-ns/i" "compiled-ns/i" "speedup" "compiled-w/run";
   let results =
     List.map
       (fun (name, program, full, entry, arg, long) ->
@@ -1431,22 +1451,37 @@ let executor r =
         let i_ns = time interp in
         let s_ns = time slots in
         let c_ns = time compiled in
-        let engine cycles instrs ns =
+        let i_words =
+          let env, _, _ = interp_env () in
+          words_per_run (fun () -> ignore (Vg_oracle.Interp.run env runnable entry [| arg |]))
+        in
+        let engine_words run =
+          let env, _, _ = engine_env () in
+          words_per_run (fun () -> ignore (run env))
+        in
+        let s_words =
+          engine_words (fun env -> Vg_oracle.Executor.run env image entry [| arg |])
+        in
+        let c_words =
+          engine_words (fun env -> Vg_compiler.Exec_compile.run env artifact entry [| arg |])
+        in
+        let engine cycles instrs ns words =
           R.obj
             [
               ("simulated_cycles", R.int cycles);
               ("instructions", R.int instrs);
               ("host_ns_per_run", R.num ns);
               ("host_ns_per_instr", R.num (ns /. float_of_int instrs));
+              ("host_words_per_run", R.num words);
             ]
         in
         let vs_interp = i_ns /. c_ns in
-        R.linef r "%-20s %5b %10d %8d %12.2f %12.2f %12.2f %8.1fx\n" name long (total s_tags)
-          s_instrs
+        R.linef r "%-20s %5b %10d %8d %12.2f %12.2f %12.2f %8.1fx %14.0f\n" name long
+          (total s_tags) s_instrs
           (i_ns /. float_of_int i_instrs)
           (s_ns /. float_of_int s_instrs)
           (c_ns /. float_of_int c_instrs)
-          vs_interp;
+          vs_interp c_words;
         R.row r ~label:name
           [
             ("long", R.bool long);
@@ -1457,9 +1492,9 @@ let executor r =
             ( "engines",
               R.obj
                 [
-                  ("interp", engine i_cycles i_instrs i_ns);
-                  ("slots", engine (total s_tags) s_instrs s_ns);
-                  ("compiled", engine (total c_tags) c_instrs c_ns);
+                  ("interp", engine i_cycles i_instrs i_ns i_words);
+                  ("slots", engine (total s_tags) s_instrs s_ns s_words);
+                  ("compiled", engine (total c_tags) c_instrs c_ns c_words);
                 ] );
             ("speedup_compiled_vs_interp", R.num vs_interp);
             ("speedup_compiled_vs_slots", R.num (s_ns /. c_ns));

@@ -51,7 +51,15 @@
    inlined primitives ({!binop}, {!cmpop}) rather than through closure
    calls, which would box every argument and result.  Call arguments
    are staged the same way, in the [scratch] byte buffer, and boxed
-   only for code outside the image. *)
+   only for code outside the image.
+
+   A state outlives its run: [run] hands it back to the image's spare
+   list when the run returns normally, and the next run takes it with
+   its grown register file, definedness stamps and frame stack, so a
+   warm call allocates none of them.  Its generation counter carries
+   on from the last run, so a slot defined by an earlier run never
+   matches the current generation and still reads as undefined.  A run
+   that raises drops its state. *)
 type state = {
   mutable rf : Bytes.t;
   mutable def : int array;
@@ -66,13 +74,13 @@ type state = {
   ret : Bytes.t;  (* the value the last return produced, unboxed *)
   mutable running : bool;
   scratch : Bytes.t;  (* call arguments, unboxed, 8 bytes each *)
-  env : Exec_env.env;
+  mutable env : Exec_env.env;
   (* hot env callbacks hoisted out of the record hop: one load instead
      of two on every tick / memory access *)
-  charge : Obs.Tag.t -> int -> unit;
-  mem_load : int64 -> Ir.width -> int64;
-  mem_store : int64 -> Ir.width -> int64 -> unit;
-  spec_depth : int;  (* hoisted: checked on every resolved conditional *)
+  mutable charge : Obs.Tag.t -> int -> unit;
+  mutable mem_load : int64 -> Ir.width -> int64;
+  mutable mem_store : int64 -> Ir.width -> int64 -> unit;
+  mutable spec_depth : int;  (* hoisted: checked on every resolved conditional *)
 }
 
 type stats = { slots : int; fused_pairs : int; static_calls : int }
@@ -104,6 +112,7 @@ type t = {
   code : (state -> unit) array;  (* ncode + 1 entries; the last one is
                                     the fall-off-the-end trap *)
   stats : stats;
+  mutable spares : state list;  (* states of runs that returned *)
 }
 
 let image t = t.image
@@ -978,7 +987,54 @@ let compile (image : Linker.image) : t =
     code;
     stats =
       { slots = ncode; fused_pairs = !fused_pairs; static_calls = !static_calls };
+    spares = [];
   }
+
+(* A spare state of [t] set up for a fresh run, or a new one.  Nested
+   runs (an extern calling back into the image) and interleaved ones (an
+   extern blocking in the scheduler while another fiber enters) each
+   take their own. *)
+let take_state t (env : Exec_env.env) ~fuel ~fid (f0 : Linker.func) =
+  match t.spares with
+  | st :: rest ->
+      t.spares <- rest;
+      ensure_rf st f0.Linker.f_nregs;
+      st.sp <- 0;
+      st.base <- 0;
+      st.cur <- fid;
+      st.gen_ctr <- st.gen_ctr + 1;
+      st.gen <- st.gen_ctr;
+      st.fuel <- fuel;
+      st.pc <- f0.Linker.f_entry;
+      st.running <- true;
+      st.env <- env;
+      st.charge <- env.Exec_env.charge;
+      st.mem_load <- env.Exec_env.load;
+      st.mem_store <- env.Exec_env.store;
+      st.spec_depth <- env.Exec_env.spec_depth;
+      st
+  | [] ->
+      let nr = max 64 f0.Linker.f_nregs in
+      {
+        rf = Bytes.make (nr lsl 3) '\000';
+        def = Array.make nr 0;
+        stack = Array.make (8 * stk_stride) 0;
+        sp = 0;
+        base = 0;
+        cur = fid;
+        gen_ctr = 1;
+        gen = 1;
+        fuel;
+        pc = f0.Linker.f_entry;
+        ret = Bytes.make 8 '\000';
+        running = true;
+        scratch = Bytes.create (t.image.Linker.max_args lsl 3);
+        env;
+        charge = env.Exec_env.charge;
+        mem_load = env.Exec_env.load;
+        mem_store = env.Exec_env.store;
+        spec_depth = env.Exec_env.spec_depth;
+      }
 
 let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
   let image = t.image in
@@ -994,29 +1050,7 @@ let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
       (Exec_env.Exec_trap
          (Printf.sprintf "call %s: arity mismatch (%d vs %d)" f0.Linker.f_name
             (Array.length f0.Linker.f_params) (Array.length args)));
-  let nr = max 64 f0.Linker.f_nregs in
-  let st =
-    {
-      rf = Bytes.make (nr lsl 3) '\000';
-      def = Array.make nr 0;
-      stack = Array.make (8 * stk_stride) 0;
-      sp = 0;
-      base = 0;
-      cur = fid;
-      gen_ctr = 1;
-      gen = 1;
-      fuel;
-      pc = f0.Linker.f_entry;
-      ret = Bytes.make 8 '\000';
-      running = true;
-      scratch = Bytes.create (image.Linker.max_args lsl 3);
-      env;
-      charge = env.Exec_env.charge;
-      mem_load = env.Exec_env.load;
-      mem_store = env.Exec_env.store;
-      spec_depth = env.Exec_env.spec_depth;
-    }
-  in
+  let st = take_state t env ~fuel ~fid f0 in
   (* bind the entry frame straight from the caller's array (it may be
      wider than any in-image call site, so [scratch] cannot hold it) *)
   Array.iteri (fun j p -> write st p args.(j)) f0.Linker.f_params;
@@ -1030,4 +1064,5 @@ let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
       raise (Exec_env.Exec_trap (Printf.sprintf "pc %d out of code bounds" p))
     end
   done;
+  t.spares <- st :: t.spares;
   rf_get st.ret 0

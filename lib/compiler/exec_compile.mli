@@ -24,7 +24,8 @@
     goldens and the three-way differential fuzz suite. *)
 
 type t
-(** A compiled image: the closure array plus the image it came from. *)
+(** A compiled image: the closure array, the image it came from, and
+    the run states of its earlier runs, kept for reuse. *)
 
 val compile : Linker.image -> t
 (** Translate every function of [image] into closures.  Pure host-time
@@ -46,4 +47,10 @@ val stats : t -> stats
 val run : ?fuel:int -> Exec_env.env -> t -> string -> int64 array -> int64
 (** [run env t entry args] — exactly the slot executor's contract
     (default [fuel] [5e7], raises [Not_found] on an unknown entry
-    symbol) over the compiled form. *)
+    symbol) over the compiled form.
+
+    A run that returns leaves its register file and frame stack in [t]
+    for the next run, so warm calls allocate neither; a register no
+    instruction of the current run wrote still reads as undefined.  A
+    run that raises drops its state.  Nested and interleaved runs of
+    one [t] each get their own. *)

@@ -490,6 +490,20 @@ let rmdir t path : unit Errno.result =
                     Ok ()
               end))
 
+(* [a] names a proper ancestor of [b]: its components are a strict
+   prefix of [b]'s.  Names are literal, so no component walk is
+   needed. *)
+let strictly_under a b =
+  match (components a, components b) with
+  | Some a, Some b ->
+      let rec prefix = function
+        | [], _ :: _ -> true
+        | x :: a, y :: b -> String.equal x y && prefix (a, b)
+        | _ -> false
+      in
+      prefix (a, b)
+  | _ -> false
+
 let rename t ~src ~dst : unit Errno.result =
   charge t 600;
   match (parent_of t src, parent_of t dst) with
@@ -497,6 +511,13 @@ let rename t ~src ~dst : unit Errno.result =
   | Ok (src_dir, src_leaf), Ok (dst_dir, dst_leaf) -> (
       match lookup t src with
       | Error e -> Error e
+      | Ok _ when src_dir = dst_dir && String.equal src_leaf dst_leaf -> Ok ()
+      | Ok ino when strictly_under src dst -> (
+          (* A directory cannot move into its own subtree; a file has
+             none, so the destination's parent is not a directory. *)
+          match read_inode t ino with
+          | Some inode when inode.itype = Dir -> Error Errno.EINVAL
+          | _ -> Error Errno.ENOTDIR)
       | Ok ino -> (
           (* Replace an existing regular file at the destination. *)
           (match lookup t dst with

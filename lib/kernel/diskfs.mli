@@ -47,7 +47,8 @@ val rmdir : t -> string -> unit Errno.result
 
 val rename : t -> src:string -> dst:string -> unit Errno.result
 (** Move a directory entry; replaces an existing regular file at
-    [dst]. *)
+    [dst].  Renaming an entry onto itself does nothing and succeeds;
+    moving a directory into its own subtree is [EINVAL]. *)
 
 val readdir : t -> ino:int -> (string * int) list Errno.result
 val stat : t -> ino:int -> stat Errno.result

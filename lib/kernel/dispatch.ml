@@ -172,7 +172,7 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
               Console.write (Machine.console machine)
                 ("module: call to unknown kernel symbol " ^ name);
               0L);
-      charge = (fun tag n -> Machine.charge ~tag machine n);
+      charge = Machine.charge_to machine;
       spec_depth = Machine.spec_depth machine;
       spec_load =
         (fun va width ->

@@ -79,7 +79,9 @@ let write t src : int Errno.result =
     if room = 0 then Error Errno.EAGAIN
     else begin
       let n = min room (Bytes.length src) in
-      Queue.push (Bytes.sub src 0 n) t.chunks;
+      (* Taken whole, the buffer itself is queued: callers hand over a
+         fresh one ([copyin], [Netstack.parse]). *)
+      Queue.push (if n = Bytes.length src then src else Bytes.sub src 0 n) t.chunks;
       t.size <- t.size + n;
       if n > 0 then Waitq.wake t.read_wq;
       Ok n

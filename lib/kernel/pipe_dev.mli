@@ -19,7 +19,9 @@ val read : t -> int -> bytes Errno.result
 
 val write : t -> bytes -> int Errno.result
 (** Appends as much as capacity allows, returning the count; [EPIPE]
-    with no reader, [EAGAIN] when completely full. *)
+    with no reader, [EAGAIN] when completely full.  When all of [src]
+    fits, the pipe keeps [src] itself rather than a copy: the caller
+    hands the buffer over and must not modify it afterwards. *)
 
 val bytes_available : t -> int
 

@@ -1,3 +1,5 @@
+module I64 = Vg_util.Int_tbl.Int64
+
 type privilege = User | Kernel
 type access = Read | Write | Exec
 
@@ -13,7 +15,7 @@ type core = {
   mutable privilege : privilege;
   mutable cycles : int;
   (* TLB: vpage -> pte, invalidated wholesale on context switch. *)
-  tlb : (int64, Pagetable.pte) Hashtbl.t;
+  tlb : Pagetable.pte I64.t;
   mutable current_pt : Pagetable.t;
   mutable timer_period : int; (* 0 = disarmed *)
   mutable timer_deadline : int;
@@ -43,7 +45,7 @@ type t = {
   (* VA-indexed cache-line presence set (line = va >> 6).  Only the
      word-sized access paths consult it; bulk copies are modelled as
      non-temporal. *)
-  cache_lines : (int64, unit) Hashtbl.t;
+  cache_lines : unit I64.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable spec_windows : int;
@@ -61,10 +63,12 @@ let switch_core t i =
 (* Observability never touches the clock: the core's clock advances by
    [n] whether or not a sink is attached, so simulated cycle counts are
    byte-identical with observation on or off. *)
-let charge ?(tag = Obs.Tag.Other) t n =
+let charge_to t tag n =
   let c = core t in
   c.cycles <- c.cycles + n;
   if Obs.is_armed t.obs then Obs.charge t.obs ~cycles:c.cycles tag n
+
+let charge ?(tag = Obs.Tag.Other) t n = charge_to t tag n
 
 let cycles t = (core t).cycles
 let core_cycles t i = t.cores.(i).cycles
@@ -89,7 +93,7 @@ let make_core id =
     id;
     privilege = Kernel;
     cycles = 0;
-    tlb = Hashtbl.create 512;
+    tlb = I64.create 512;
     current_pt = Pagetable.create ();
     timer_period = 0;
     timer_deadline = 0;
@@ -101,7 +105,7 @@ let create ~cpus ~phys_frames ~disk_sectors ~obs ~spec_depth ~seed =
   let mem = Phys_mem.create ~frames:phys_frames in
   let rec t =
     lazy
-      (let charge_as tag n = charge ~tag (Lazy.force t) n in
+      (let charge_as tag n = charge_to (Lazy.force t) tag n in
        let nic, remote_nic = Nic.pair ~charge:(charge_as Obs.Tag.Net) () in
        {
          mem;
@@ -117,7 +121,7 @@ let create ~cpus ~phys_frames ~disk_sectors ~obs ~spec_depth ~seed =
          tpm = Tpm.create ~seed;
          obs;
          spec_depth;
-         cache_lines = Hashtbl.create 1024;
+         cache_lines = I64.create 1024;
          cache_hits = 0;
          cache_misses = 0;
          spec_windows = 0;
@@ -135,7 +139,7 @@ let privilege t = (core t).privilege
 let set_privilege t p = (core t).privilege <- p
 let kernel_pt t = t.kernel_pt
 let current_pt t = (core t).current_pt
-let flush_tlb t = Hashtbl.reset (core t).tlb
+let flush_tlb t = I64.reset (core t).tlb
 
 let set_current_pt t pt =
   let c = core t in
@@ -157,7 +161,7 @@ let tlb_shootdown t =
       (fun c ->
         if c.id <> sender.id then begin
           charge ~tag:Obs.Tag.Ipi t Cost.ipi_send;
-          Hashtbl.reset c.tlb;
+          I64.reset c.tlb;
           c.cycles <- c.cycles + Cost.ipi_deliver;
           if Obs.is_armed t.obs then
             Obs.charge t.obs ~cycles:c.cycles Obs.Tag.Ipi Cost.ipi_deliver;
@@ -211,14 +215,14 @@ let table_for t va =
 let lookup_pte t va =
   let c = core t in
   let vpage = Int64.shift_right_logical va 12 in
-  match Hashtbl.find_opt c.tlb vpage with
+  match I64.find_opt c.tlb vpage with
   | Some pte -> pte
   | None -> (
       charge ~tag:Obs.Tag.Tlb t Cost.tlb_miss;
       match Pagetable.lookup (table_for t va) ~vpage with
       | None -> raise (Page_fault { va; access = Read; present = false })
       | Some pte ->
-          Hashtbl.replace c.tlb vpage pte;
+          I64.replace c.tlb vpage pte;
           pte)
 
 let check_access t access va (pte : Pagetable.pte) =
@@ -256,10 +260,10 @@ let cache_line va = Int64.shift_right_logical va 6
 let consult_cache t va =
   if t.spec_depth > 0 then begin
     let line = cache_line va in
-    if Hashtbl.mem t.cache_lines line then t.cache_hits <- t.cache_hits + 1
+    if I64.mem t.cache_lines line then t.cache_hits <- t.cache_hits + 1
     else begin
       t.cache_misses <- t.cache_misses + 1;
-      Hashtbl.replace t.cache_lines line ();
+      I64.replace t.cache_lines line ();
       charge ~tag:Obs.Tag.Spec t Cost.cache_miss
     end
   end
@@ -282,13 +286,13 @@ let spec_load t va ~len =
         in
         match Phys_mem.read t.mem ~addr ~len with
         | v ->
-            Hashtbl.replace t.cache_lines (cache_line va) ();
+            I64.replace t.cache_lines (cache_line va) ();
             t.spec_transient <- t.spec_transient + 1;
             Some v
         | exception Phys_mem.Bad_physical_address _ -> None)
 
 let spec_window_opened t = t.spec_windows <- t.spec_windows + 1
-let spec_flush t = Hashtbl.reset t.cache_lines
+let spec_flush t = I64.reset t.cache_lines
 
 type spec_stats = {
   windows : int;

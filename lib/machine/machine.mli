@@ -68,6 +68,11 @@ val charge : ?tag:Vg_obs.Obs.Tag.t -> t -> int -> unit
     [tag] (default {!Vg_obs.Obs.Tag.Other}).  The clock advances
     identically whether or not observability sinks are attached. *)
 
+val charge_to : t -> Vg_obs.Obs.Tag.t -> int -> unit
+(** [charge_to t tag n] is [charge ~tag t n].  A caller that passes on
+    a tag it was given uses this form: [~tag] with a non-constant tag
+    allocates a [Some] per call. *)
+
 val cycles : t -> int
 (** The current core's clock. *)
 

@@ -1,52 +1,46 @@
 type perm = { writable : bool; user : bool; executable : bool }
 type pte = { frame : int; perm : perm }
 
+module Tbl = Vg_util.Int_tbl
+
 type t = {
-  entries : (int64, pte) Hashtbl.t;
-  (* frame -> number of vpages mapping it, plus one exemplar list kept
-     lazily: we just scan entries for correctness; a count avoids the
-     scan in the common no-mapping case. *)
-  frame_refs : (int, int) Hashtbl.t;
+  entries : pte Tbl.Int64.t;
+  (* frame -> number of vpages mapping it: a count answers "is this
+     frame mapped here?" without scanning [entries]. *)
+  frame_refs : int Tbl.Int.t;
 }
 
-let create () = { entries = Hashtbl.create 256; frame_refs = Hashtbl.create 256 }
+let create () = { entries = Tbl.Int64.create 256; frame_refs = Tbl.Int.create 256 }
 
 let incr_ref t frame =
-  Hashtbl.replace t.frame_refs frame
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.frame_refs frame))
+  Tbl.Int.replace t.frame_refs frame
+    (1 + Option.value ~default:0 (Tbl.Int.find_opt t.frame_refs frame))
 
 let decr_ref t frame =
-  match Hashtbl.find_opt t.frame_refs frame with
+  match Tbl.Int.find_opt t.frame_refs frame with
   | None -> ()
-  | Some 1 -> Hashtbl.remove t.frame_refs frame
-  | Some n -> Hashtbl.replace t.frame_refs frame (n - 1)
+  | Some 1 -> Tbl.Int.remove t.frame_refs frame
+  | Some n -> Tbl.Int.replace t.frame_refs frame (n - 1)
 
 let map t ~vpage pte =
-  (match Hashtbl.find_opt t.entries vpage with
+  (match Tbl.Int64.find_opt t.entries vpage with
   | Some old -> decr_ref t old.frame
   | None -> ());
-  Hashtbl.replace t.entries vpage pte;
+  Tbl.Int64.replace t.entries vpage pte;
   incr_ref t pte.frame
 
 let unmap t ~vpage =
-  match Hashtbl.find_opt t.entries vpage with
+  match Tbl.Int64.find_opt t.entries vpage with
   | None -> ()
   | Some old ->
       decr_ref t old.frame;
-      Hashtbl.remove t.entries vpage
+      Tbl.Int64.remove t.entries vpage
 
-let lookup t ~vpage = Hashtbl.find_opt t.entries vpage
-let iter t f = Hashtbl.iter f t.entries
+let lookup t ~vpage = Tbl.Int64.find_opt t.entries vpage
+let iter t f = Tbl.Int64.iter f t.entries
+let maps_frame t frame = Tbl.Int.mem t.frame_refs frame
 
-let vpages_of_frame t frame =
-  match Hashtbl.find_opt t.frame_refs frame with
-  | None -> []
-  | Some _ ->
-      Hashtbl.fold
-        (fun vpage pte acc -> if pte.frame = frame then vpage :: acc else acc)
-        t.entries []
-
-let count t = Hashtbl.length t.entries
+let count t = Tbl.Int64.length t.entries
 
 let copy t =
-  { entries = Hashtbl.copy t.entries; frame_refs = Hashtbl.copy t.frame_refs }
+  { entries = Tbl.Int64.copy t.entries; frame_refs = Tbl.Int.copy t.frame_refs }

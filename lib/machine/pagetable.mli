@@ -27,10 +27,10 @@ val lookup : t -> vpage:int64 -> pte option
 
 val iter : t -> (int64 -> pte -> unit) -> unit
 
-val vpages_of_frame : t -> int -> int64 list
-(** Reverse lookup: every virtual page currently mapping the frame.
-    The MMU checks use this to verify a frame is unmapped before it may
-    become ghost memory. *)
+val maps_frame : t -> int -> bool
+(** Whether any virtual page maps the frame: a count lookup, with no
+    scan of the table.  The MMU checks use this to verify a frame is
+    unmapped before it may become ghost memory. *)
 
 val count : t -> int
 

@@ -1,21 +1,27 @@
 let frame_bytes = 4096
 
-type t = { nframes : int; frames : (int, bytes) Hashtbl.t }
+(* Frames are allocated on first touch.  The table is keyed by frame
+   number and grows with the frames in use; it is never sized by
+   [nframes], which would cost a node 8 bytes per frame of physical
+   memory whether it uses them or not. *)
+module Frames = Vg_util.Int_tbl.Int
+
+type t = { nframes : int; frames : bytes Frames.t }
 
 exception Bad_physical_address of int64
 
 let create ~frames =
   if frames <= 0 then invalid_arg "Phys_mem.create: need at least one frame";
-  { nframes = frames; frames = Hashtbl.create 1024 }
+  { nframes = frames; frames = Frames.create 1024 }
 
 let frames t = t.nframes
 
 let frame_of t i =
-  match Hashtbl.find_opt t.frames i with
+  match Frames.find_opt t.frames i with
   | Some b -> b
   | None ->
       let b = Bytes.make frame_bytes '\000' in
-      Hashtbl.replace t.frames i b;
+      Frames.replace t.frames i b;
       b
 
 let locate t addr len =
@@ -87,6 +93,6 @@ let copy_frame t ~src ~dst =
 let zero_frame t i =
   if i < 0 || i >= t.nframes then
     raise (Bad_physical_address (Int64.of_int (i * frame_bytes)));
-  Hashtbl.remove t.frames i
+  Frames.remove t.frames i
 
-let frame_is_allocated t i = Hashtbl.mem t.frames i
+let frame_is_allocated t i = Frames.mem t.frames i

@@ -315,8 +315,8 @@ let release_address_space t pt =
 
 (* Is the frame mapped in any address space the VM knows about? *)
 let frame_mapped_somewhere t frame =
-  Pagetable.vpages_of_frame (Machine.kernel_pt t.machine) frame <> []
-  || List.exists (fun (pt, _) -> Pagetable.vpages_of_frame pt frame <> []) t.address_spaces
+  Pagetable.maps_frame (Machine.kernel_pt t.machine) frame
+  || List.exists (fun (pt, _) -> Pagetable.maps_frame pt frame) t.address_spaces
 
 (* ------------------------------------------------------------------ *)
 (* Threads and interrupt contexts                                      *)
@@ -421,7 +421,16 @@ let free_thread t ~tid =
   | None -> ()
   | Some thread ->
       Hashtbl.remove t.threads tid;
-      t.free_slots <- thread.mirror_slot :: t.free_slots
+      t.free_slots <- thread.mirror_slot :: t.free_slots;
+      (* A process's handler set and application key die with its last
+         thread: a later thread given the same pid inherits neither. *)
+      let pid = thread.pid in
+      let alive = ref false in
+      Hashtbl.iter (fun _ th -> if th.pid = pid then alive := true) t.threads;
+      if not !alive then begin
+        Hashtbl.remove t.permitted pid;
+        Hashtbl.remove t.app_keys pid
+      end
 
 let refresh_from_mirror t thread =
   match t.mode with

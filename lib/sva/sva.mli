@@ -145,6 +145,10 @@ val clone_thread : t -> tid:int -> new_pid:int -> int
 (** Fork support: duplicate the Interrupt Context into a new thread. *)
 
 val free_thread : t -> tid:int -> unit
+(** Forget a thread.  Freeing a process's last thread also drops its
+    registered signal handlers ({!permit_function}) and its
+    application key, so a thread the kernel later creates with the
+    same pid inherits neither. *)
 
 val thread_icontext : t -> tid:int -> Icontext.t
 (** The VM's authoritative copy (reads the kernel-visible mirror first
@@ -177,6 +181,9 @@ val reinit_icontext :
 val permit_function : t -> pid:int -> int64 -> unit
 (** [sva.permitFunction]: the application registers an address as a
     valid signal-handler entry. *)
+
+val is_permitted : t -> pid:int -> int64 -> bool
+(** Whether the process registered the address as a handler. *)
 
 val ipush_function :
   t -> tid:int -> target:int64 -> arg:int64 -> (unit, string) result

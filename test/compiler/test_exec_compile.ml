@@ -1,7 +1,8 @@
 (* Tests for the closure-compiled execution engine: exact parity with
    the slot executor on the CFI attack scenarios (ROP via tampered
    returns, corrupted function pointers, kernel-space masking), host
-   allocation no higher than the slot executor's, the v4
+   allocation no higher than the slot executor's, run-state reuse
+   across traps, re-entry and interleaved fibers, the v4
    translation cache (verify-before-compile, HMAC-keyed memoization of
    both the verifier and the closure compiler), and the fusion
    statistics of the translator itself. *)
@@ -271,33 +272,198 @@ let checksum_program () =
   Builder.ret b (Some (Builder.bin b Add (Builder.bin b Mul rest (Imm 31L)) word));
   Builder.program b
 
+(* Host words [f] allocates, as vgbench counts them: minor words plus
+   words allocated straight on the major heap (major minus promoted).
+   A buffer over 256 words skips the minor heap, so minor words alone
+   would not see a register file grow. *)
+let host_words f =
+  (* an empty minor heap, so every word promoted below was allocated
+     below *)
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
+  (r, minor1 -. minor0 +. direct_major, direct_major)
+
+let checksum_buf = 0x4000L
+let checksum_len = 4096
+
+(* A world holding [checksum_len] seeded bytes at [checksum_buf], and
+   an env whose genuine_read reports the whole buffer as read. *)
+let checksum_world ?(extern = fun _ args -> args.(2)) seed =
+  let w = make_world () in
+  let rng = Random.State.make [| seed |] in
+  for j = 0 to checksum_len - 1 do
+    world_store w
+      (Int64.add checksum_buf (Int64.of_int j))
+      W8
+      (Int64.of_int (Random.State.int rng 256))
+  done;
+  w.stores <- [];
+  (w, { (exec_env w) with Exec_env.extern })
+
+let checksum_args = [| 3L; checksum_buf; Int64.of_int checksum_len |]
+
+let checksum_image () =
+  compile_link ~cfi:true (Sandbox_pass.instrument_program (checksum_program ()))
+
 let test_alloc_parity () =
-  let image =
-    compile_link ~cfi:true (Sandbox_pass.instrument_program (checksum_program ()))
-  in
-  let t = Exec_compile.compile image in
-  let buf = 0x4000L and len = 4096 in
+  let image = checksum_image () in
   let measure run =
-    let w = make_world () in
-    let rng = Random.State.make [| 7 |] in
-    for j = 0 to len - 1 do
-      world_store w (Int64.add buf (Int64.of_int j)) W8 (Int64.of_int (Random.State.int rng 256))
-    done;
-    w.stores <- [];
-    (* genuine_read reports the whole buffer as read *)
-    let env = { (exec_env w) with Exec_env.extern = (fun _ args -> args.(2)) } in
-    let before = Gc.minor_words () in
-    let v = run env in
-    let words = Gc.minor_words () -. before in
-    (v, Array.fold_left ( + ) 0 w.by_tag, words)
+    let w, env = checksum_world 7 in
+    let v, words, major = host_words (fun () -> run env) in
+    (v, Array.fold_left ( + ) 0 w.by_tag, words, major)
   in
-  let args = [| 3L; buf; Int64.of_int len |] in
-  let v1, c1, a1 = measure (fun env -> Executor.run env image "sys_read" args) in
-  let v2, c2, a2 = measure (fun env -> Exec_compile.run env t "sys_read" args) in
-  Alcotest.(check int64) "same checksum" v1 v2;
-  Alcotest.(check int) "same cycles" c1 c2;
-  if a2 > a1 then
-    Alcotest.failf "compiled run allocated %.0f minor words, slot executor %.0f" a2 a1
+  let v1, c1, a1, _ = measure (fun env -> Executor.run env image "sys_read" checksum_args) in
+  let t = Exec_compile.compile image in
+  let cold = measure (fun env -> Exec_compile.run env t "sys_read" checksum_args) in
+  let warm = measure (fun env -> Exec_compile.run env t "sys_read" checksum_args) in
+  List.iter
+    (fun (what, (v, c, a, _)) ->
+      Alcotest.(check int64) (what ^ ": same checksum") v1 v;
+      Alcotest.(check int) (what ^ ": same cycles") c1 c;
+      if a > a1 then
+        Alcotest.failf "%s compiled run allocated %.0f words, slot executor %.0f" what a a1)
+    [ ("cold", cold); ("warm", warm) ];
+  let _, _, _, warm_major = warm in
+  if warm_major > 0. then
+    Alcotest.failf "warm compiled run allocated %.0f words on the major heap" warm_major
+
+(* ------------------------------------------------------------------ *)
+(* Run-state reuse                                                     *)
+
+(* A run keeps its register file, stamps and frame stack for the
+   image's next run.  Whatever the earlier runs did, a run must return
+   what it returns on a freshly compiled image, cycle for cycle. *)
+let fresh_checksum seed =
+  let w, env = checksum_world seed in
+  let t = Exec_compile.compile (checksum_image ()) in
+  let v = Exec_compile.run env t "sys_read" checksum_args in
+  (v, w.by_tag)
+
+let check_checksum_run what t seed =
+  let expect_v, expect_cycles = fresh_checksum seed in
+  let w, env = checksum_world seed in
+  let v = Exec_compile.run env t "sys_read" checksum_args in
+  Alcotest.(check int64) (what ^ ": result") expect_v v;
+  Alcotest.(check (array int)) (what ^ ": cycles by tag") expect_cycles w.by_tag
+
+let test_reuse_after_trap () =
+  let t = Exec_compile.compile (checksum_image ()) in
+  check_checksum_run "first" t 7;
+  (* Out of fuel deep in the recursion, with hundreds of frames live. *)
+  let _, env = checksum_world 8 in
+  (match capture (fun () -> Exec_compile.run ~fuel:5_000 env t "sys_read" checksum_args) with
+  | Trap _ -> ()
+  | o -> Alcotest.failf "expected a fuel trap, got %s" (show_outcome o));
+  check_checksum_run "after the trap" t 9;
+  check_checksum_run "warm" t 10
+
+(* [f x] defines [y] only when [x] is nonzero, then returns it. *)
+let maybe_defined_program () : Ir.program =
+  let block label instrs term : Ir.block = { label; instrs; term } in
+  {
+    funcs =
+      [
+        {
+          name = "f";
+          params = [ "x" ];
+          blocks =
+            [
+              block "entry" [] (Cbr { cond = Reg "x"; if_true = "def"; if_false = "use" });
+              block "def" [ Bin { dst = "y"; op = Add; a = Imm 5L; b = Imm 0L } ] (Br "use");
+              block "use" [] (Ret (Some (Reg "y")));
+            ];
+        };
+      ];
+  }
+
+let test_stale_slot_traps () =
+  let image = compile_link ~cfi:false (maybe_defined_program ()) in
+  let run t x =
+    let w = make_world () in
+    let o = capture (fun () -> Exec_compile.run (exec_env w) t "f" [| x |]) in
+    (show_outcome o, w.by_tag)
+  in
+  let expected = run (Exec_compile.compile image) 0L in
+  Alcotest.(check string) "fresh state traps" "trap: read of undefined register y"
+    (fst expected);
+  let t = Exec_compile.compile image in
+  Alcotest.(check string) "defining run" "value 5" (fst (run t 1L));
+  let o, cycles = run t 0L in
+  Alcotest.(check string) "slot left by the earlier run still traps" (fst expected) o;
+  Alcotest.(check (array int)) "same cycles" (snd expected) cycles
+
+(* An extern that re-enters the image: the inner run must not disturb
+   the outer one's registers or frames. *)
+let test_reentrant_run () =
+  let t = Exec_compile.compile (checksum_image ()) in
+  (* leaves a spare state for the outer run to take *)
+  check_checksum_run "warm-up" t 6;
+  let inner = ref None in
+  let extern _ (args : int64 array) =
+    let _, env = checksum_world 7 in
+    inner := Some (Exec_compile.run env t "csum" [| args.(1); args.(2) |]);
+    args.(2)
+  in
+  let _, env = checksum_world ~extern 7 in
+  let v = Exec_compile.run env t "sys_read" checksum_args in
+  let expect_v, _ = fresh_checksum 7 in
+  Alcotest.(check int64) "outer result" expect_v v;
+  let expect_inner =
+    let _, env = checksum_world 7 in
+    Exec_compile.run env (Exec_compile.compile (checksum_image ())) "csum"
+      [| checksum_buf; Int64.of_int checksum_len |]
+  in
+  Alcotest.(check (option int64)) "inner result" (Some expect_inner) !inner;
+  check_checksum_run "after re-entry" t 11
+
+(* Two fibers in the same image at once: each blocks in its extern
+   (as genuine_read does on an empty pipe) while the other runs. *)
+type _ Effect.t += Block : unit Effect.t
+type step = Done of int64 * int array | Blocked of (unit, step) Effect.Deep.continuation
+
+let test_interleaved_fibers () =
+  let t = Exec_compile.compile (checksum_image ()) in
+  check_checksum_run "warm-up" t 20;
+  let start seed =
+    let extern _ (args : int64 array) =
+      Effect.perform Block;
+      args.(2)
+    in
+    Effect.Deep.match_with
+      (fun () ->
+        let w, env = checksum_world ~extern seed in
+        let v = Exec_compile.run env t "sys_read" checksum_args in
+        Done (v, w.by_tag))
+      ()
+      {
+        retc = Fun.id;
+        exnc = raise;
+        effc =
+          (fun (type a) (e : a Effect.t) ->
+            match e with
+            | Block -> Some (fun (k : (a, step) Effect.Deep.continuation) -> Blocked k)
+            | _ -> None);
+      }
+  in
+  let resume what = function
+    | Blocked k -> Effect.Deep.continue k ()
+    | Done _ -> Alcotest.failf "%s did not block" what
+  in
+  let a = start 21 in
+  let b = start 22 in
+  let check what seed = function
+    | Done (v, cycles) ->
+        let expect_v, expect_cycles = fresh_checksum seed in
+        Alcotest.(check int64) (what ^ ": result") expect_v v;
+        Alcotest.(check (array int)) (what ^ ": cycles by tag") expect_cycles cycles
+    | Blocked _ -> Alcotest.failf "%s blocked twice" what
+  in
+  check "fiber a" 21 (resume "fiber a" a);
+  check "fiber b" 22 (resume "fiber b" b);
+  check_checksum_run "after both" t 23
 
 (* ------------------------------------------------------------------ *)
 (* Translation cache v4                                                *)
@@ -395,6 +561,13 @@ let () =
         [
           Alcotest.test_case "checksum module, compiled <= slots" `Quick
             test_alloc_parity;
+        ] );
+      ( "state-reuse",
+        [
+          Alcotest.test_case "clean run after a trap" `Quick test_reuse_after_trap;
+          Alcotest.test_case "slot from an earlier run traps" `Quick test_stale_slot_traps;
+          Alcotest.test_case "re-entrant run" `Quick test_reentrant_run;
+          Alcotest.test_case "interleaved fibers" `Quick test_interleaved_fibers;
         ] );
       ( "trans-cache-v4",
         [

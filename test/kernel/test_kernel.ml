@@ -147,6 +147,26 @@ let test_fs_truncate () =
   Alcotest.(check int) "read capped" 100
     (Bytes.length (expect_ok "read" (Diskfs.read k.Kernel.fs ~ino ~off:0 ~len:10000)))
 
+(* Renaming onto itself keeps the file; moving a directory into its
+   own subtree is refused and leaves the tree whole. *)
+let test_fs_rename_self_and_subtree () =
+  let fs = (boot ()).Kernel.fs in
+  let a = expect_ok "create" (Diskfs.create fs "/a") in
+  ignore (expect_ok "write" (Diskfs.write fs ~ino:a ~off:0 (Bytes.of_string "kept")));
+  ignore (expect_ok "self" (Diskfs.rename fs ~src:"/a" ~dst:"/a"));
+  Alcotest.(check int) "same inode" a (expect_ok "lookup" (Diskfs.lookup fs "/a"));
+  Alcotest.(check string) "contents" "kept"
+    (Bytes.to_string (expect_ok "read" (Diskfs.read fs ~ino:a ~off:0 ~len:16)));
+  ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/d"));
+  ignore (expect_ok "mkdir" (Diskfs.mkdir fs "/d/e"));
+  ignore (expect_ok "dir self" (Diskfs.rename fs ~src:"/d" ~dst:"/d"));
+  expect_err Errno.EINVAL "into child" (Diskfs.rename fs ~src:"/d" ~dst:"/d/x");
+  expect_err Errno.EINVAL "into grandchild" (Diskfs.rename fs ~src:"/d" ~dst:"/d/e/x");
+  expect_err Errno.ENOTDIR "under a file" (Diskfs.rename fs ~src:"/a" ~dst:"/a/x");
+  ignore (expect_ok "still there" (Diskfs.lookup fs "/d/e"));
+  Alcotest.(check (list string)) "root listing" [ "a"; "d" ]
+    (List.map fst (expect_ok "readdir" (Diskfs.readdir fs ~ino:Diskfs.root_ino)))
+
 (* A name is stored NUL-padded, so a component holding a NUL byte
    would be stored whole but read back only up to the NUL: "/a\000b"
    would shadow "/a" and could be created twice.  Every path
@@ -348,32 +368,33 @@ let model_step fs root op =
         | x :: a, y :: b -> x = y && under a b
         | _ -> false
       in
-      (* Renaming onto itself or into its own subtree is outside the
-         model. *)
-      if under src dst then (true, root)
-      else
-        let expected, next =
-          match (mparent root src, mparent root dst) with
-          | Error e, _ | _, Error e -> (Error e, root)
-          | Ok (sdirs, _, sleaf), Ok (ddirs, _, dleaf) -> (
-              match mwalk root src with
-              | Error e -> (Error e, root)
-              | Ok node -> (
-                  (* A regular file at the destination goes first. *)
-                  let root =
-                    match mwalk root dst with
-                    | Ok (MFile _) -> mupdate root ddirs (mremove dleaf)
-                    | _ -> root
-                  in
-                  match mwalk root ddirs with
-                  | Ok (MDir d) when SMap.mem dleaf d.kids -> (Error Errno.EEXIST, root)
-                  | Ok (MDir _) ->
-                      let root = mupdate root ddirs (madd dleaf node) in
-                      (Ok (), mupdate root sdirs (mremove sleaf))
-                  | _ -> (Error Errno.ENOTDIR, root)))
-        in
-        let actual = Diskfs.rename fs ~src:(fs_path src) ~dst:(fs_path dst) in
-        (same_outcome expected actual, next)
+      let expected, next =
+        match (mparent root src, mparent root dst) with
+        | Error e, _ | _, Error e -> (Error e, root)
+        | Ok (sdirs, _, sleaf), Ok (ddirs, _, dleaf) -> (
+            match mwalk root src with
+            | Error e -> (Error e, root)
+            (* Onto itself: nothing moves. *)
+            | Ok _ when src = dst -> (Ok (), root)
+            (* Into its own subtree: only a directory has one. *)
+            | Ok (MDir _) when under src dst -> (Error Errno.EINVAL, root)
+            | Ok (MFile _) when under src dst -> (Error Errno.ENOTDIR, root)
+            | Ok node -> (
+                (* A regular file at the destination goes first. *)
+                let root =
+                  match mwalk root dst with
+                  | Ok (MFile _) -> mupdate root ddirs (mremove dleaf)
+                  | _ -> root
+                in
+                match mwalk root ddirs with
+                | Ok (MDir d) when SMap.mem dleaf d.kids -> (Error Errno.EEXIST, root)
+                | Ok (MDir _) ->
+                    let root = mupdate root ddirs (madd dleaf node) in
+                    (Ok (), mupdate root sdirs (mremove sleaf))
+                | _ -> (Error Errno.ENOTDIR, root)))
+      in
+      let actual = Diskfs.rename fs ~src:(fs_path src) ~dst:(fs_path dst) in
+      (same_outcome expected actual, next)
   | Readdir p -> (
       match (mwalk root p, Diskfs.lookup fs (fs_path p)) with
       | Ok (MDir d), Ok ino -> (
@@ -1230,6 +1251,25 @@ let test_recv_all_available_allocation () =
   Alcotest.(check bool) "payload reassembled" true (Bytes.equal got payload);
   check_budget "64 KiB Remote.recv_all_available" ~words
     ~budget:(bytes_words (Bytes.length payload) + copy_slack_words)
+
+(* A write the pipe takes whole keeps the caller's buffer instead of
+   copying it; a partial write into a nearly full pipe copies only what
+   fits.  Either way the reader gets the written bytes back in order. *)
+let test_pipe_write_allocation () =
+  let pipe = Pipe_dev.create ~capacity:6000 () in
+  Pipe_dev.add_reader pipe;
+  Pipe_dev.add_writer pipe;
+  let a = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let b = Bytes.init 4096 (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let n, words = words_allocated (fun () -> Pipe_dev.write pipe a) in
+  Alcotest.(check int) "whole write" 4096 (expect_ok "write" n);
+  check_budget "4 KiB Pipe_dev.write" ~words ~budget:copy_slack_words;
+  Alcotest.(check int) "partial write" 1904 (expect_ok "write" (Pipe_dev.write pipe b));
+  expect_err Errno.EAGAIN "full" (Pipe_dev.write pipe b);
+  let got = expect_ok "read" (Pipe_dev.read pipe 10_000) in
+  Alcotest.(check string) "bytes in order"
+    (Bytes.to_string a ^ Bytes.sub_string b 0 1904)
+    (Bytes.to_string got)
 
 (* ------------------------------------------------------------------ *)
 (* Modules                                                             *)
@@ -2099,6 +2139,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_fs_errors;
           Alcotest.test_case "truncate" `Quick test_fs_truncate;
           Alcotest.test_case "NUL in a path component" `Quick test_fs_nul_in_name;
+          Alcotest.test_case "rename onto itself / into its subtree" `Quick
+            test_fs_rename_self_and_subtree;
           QCheck_alcotest.to_alcotest prop_diskfs_model;
           Alcotest.test_case "scan cycles pinned" `Slow test_fs_scan_cycles_pinned;
         ] );
@@ -2168,6 +2210,7 @@ let () =
           Alcotest.test_case "Kmem.write_bytes 16 KiB" `Quick test_kmem_write_allocation;
           Alcotest.test_case "recv_all_available 64 KiB" `Quick
             test_recv_all_available_allocation;
+          Alcotest.test_case "pipe keeps a whole write" `Quick test_pipe_write_allocation;
         ] );
       ( "modules",
         [

@@ -529,6 +529,43 @@ let test_thread_slot_reuse () =
        false
      with Not_found -> true)
 
+(* A process's handler set and application key go with its last
+   thread, so a thread later created under the same pid can neither
+   ipush to the dead process's handler nor read its key. *)
+let test_exit_drops_process_state () =
+  let obs = Vg_obs.Obs.create () in
+  let recorder = Vg_obs.Obs_recorder.create () in
+  Vg_obs.Obs.attach obs (Vg_obs.Obs_recorder.sink recorder);
+  let machine =
+    Vg_fleet.Node_config.(
+      default |> with_phys_frames 2048 |> with_disk_sectors 128 |> with_seed "sva-test"
+      |> with_obs obs |> create_machine)
+  in
+  let sva = Sva.boot ~vg_key_bits:256 ~mode:Sva.Virtual_ghost machine in
+  let pid = 9 and handler = 0x2000L in
+  let pt = Sva.declare_address_space sva ~pid in
+  let tid = Sva.new_thread sva ~pid ~entry:0L ~stack:0x7fff0000L in
+  let image = make_image sva ~name:"ssh" ~app_key:(Bytes.make 16 'k') in
+  check_ok "exec" (Sva.reinit_icontext sva ~tid ~pt ~image ~stack:0x7ffe0000L);
+  Sva.permit_function sva ~pid handler;
+  (* A second thread of the process keeps both alive. *)
+  let sibling = Sva.clone_thread sva ~tid ~new_pid:pid in
+  Sva.free_thread sva ~tid:sibling;
+  Alcotest.(check bool) "handler kept" true (Sva.is_permitted sva ~pid handler);
+  Alcotest.(check bool) "key kept" true (Sva.get_app_key sva ~pid <> None);
+  Sva.release_address_space sva pt;
+  Sva.free_thread sva ~tid;
+  Alcotest.(check bool) "handler dropped" false (Sva.is_permitted sva ~pid handler);
+  Alcotest.(check bool) "key dropped" true (Sva.get_app_key sva ~pid = None);
+  let reborn = Sva.new_thread sva ~pid ~entry:0x1000L ~stack:0x7fff0000L in
+  Vg_obs.Obs_recorder.clear recorder;
+  (match Sva.ipush_function sva ~tid:reborn ~target:handler ~arg:11L with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "dead process's handler accepted");
+  Alcotest.(check int) "one security event" 1
+    (List.length (Vg_obs.Obs_recorder.security_events recorder));
+  Alcotest.(check bool) "no key for the new thread" true (Sva.get_app_key sva ~pid = None)
+
 (* ------------------------------------------------------------------ *)
 (* I/O port checks                                                     *)
 
@@ -625,7 +662,11 @@ let () =
           Alcotest.test_case "namespaced by app" `Slow test_counters_namespaced_by_app;
         ] );
       ( "threads",
-        [ Alcotest.test_case "slot reuse" `Quick test_thread_slot_reuse ] );
+        [
+          Alcotest.test_case "slot reuse" `Quick test_thread_slot_reuse;
+          Alcotest.test_case "exit drops handlers and key" `Quick
+            test_exit_drops_process_state;
+        ] );
       ( "io",
         [
           Alcotest.test_case "IOMMU port protected (VG)" `Quick
