@@ -1,26 +1,22 @@
-(* The one place a numbered syscall happens.
+(* The one place a syscall happens.
 
-   Typed wrappers ([Syscalls.via]), the submission ring and loadable
-   modules all call {!run}: raw sysno validation ([Sysno.of_int]),
-   syscall-flow policy check, override-or-builtin handler, and result
-   encoding live here and nowhere else.  PR 5's [dispatch_numbered]
-   if/else chain and [with_override] are gone; handlers are
-   [Syscall_abi.Entry] records registered by [Syscalls] at module
-   initialisation. *)
+   Every trap ([Syscalls.syscall]), every submission-ring entry and
+   every module override goes through {!run}: raw sysno validation
+   ([Sysno.of_int]), the ring disposition, the syscall-flow policy
+   check, override-or-builtin handler, and result encoding live here
+   and nowhere else.  Handlers are [Syscall_abi.Entry] records
+   registered by [Syscalls] at module initialisation, one for every
+   number. *)
 
 type origin = Trap | Ring
 
 let origin_to_string = function Trap -> "trap" | Ring -> "ring"
 
 (* A handler takes register arguments and produces a result for the
-   entry's codec.  [None] marks syscalls whose arguments cannot be
-   carried in registers in this simulation (paths, struct results,
-   process handles): they keep their Entry record — name, arity and
-   codec stay table-driven — but report [ENOSYS] when addressed by
-   number. *)
+   entry's codec. *)
 type handler = Kernel.t -> Proc.t -> int64 array -> int64 Errno.result
 
-type entry = handler option Syscall_abi.Entry.t
+type entry = handler Syscall_abi.Entry.t
 
 let table : entry option array = Array.make Syscall_abi.Sysno.count None
 
@@ -93,16 +89,23 @@ let guard k (proc : Proc.t) ~origin sysno =
 
 (* Whole-batch gate for [ring_enter]: scan the submitted sequence —
    intra-batch transitions included — against the policy before any
-   entry executes.  [Error ESFIP] means the batch ran nothing; the
-   per-entry charge is paid here, so in-policy entries later commit
-   with [prechecked:true] for free (that is the amortisation the bench
-   measures). *)
-let precheck k (proc : Proc.t) (sysnos : Syscall_abi.Sysno.t array) =
+   entry executes.  Invalid numbers and calls refused from a ring fall
+   straight to [ENOSYS] in {!run} without moving the cursor, so the
+   scan skips them the same way.  [Error ESFIP] means the batch ran
+   nothing; the per-entry charge is paid here, so in-policy entries
+   later commit with [prechecked:true] for free (that is the
+   amortisation the bench measures). *)
+let precheck k (proc : Proc.t) (raw : int array) =
   match proc.Proc.policy with
   | None -> Ok ()
   | Some pol ->
       if Syscall_policy.killed pol then Error Errno.ESFIP
       else begin
+        let ring_sysno n =
+          Option.bind (Syscall_abi.Sysno.of_int n) (fun s ->
+              if Syscall_abi.ring_callable s then Some s else None)
+        in
+        let sysnos = Array.of_list (List.filter_map ring_sysno (Array.to_list raw)) in
         Machine.charge ~tag:Obs.Tag.Sfip k.Kernel.machine
           (Syscall_policy.check_cycles * Array.length sysnos);
         match Syscall_policy.scan pol sysnos with
@@ -186,24 +189,22 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
 (* The unified dispatch                                                *)
 
 (* Execute syscall [sysno] with register arguments: validate the
-   number, run the policy gate, honour any module override, otherwise
-   the registered builtin handler, and return the ABI-encoded result
-   register.  Callers are expected to be inside a trap ([ring_enter])
-   or a typed wrapper; this performs no trap protocol of its own.
+   number and its ring disposition, run the policy gate (exit stays
+   outside it), honour any module override, otherwise the registered
+   builtin handler, and return the ABI-encoded result register.
+   Callers are inside a trap ([Syscalls.syscall], or [ring_enter] for
+   ring entries); this performs no trap protocol of its own.
    [prechecked] marks ring entries already vetted by {!precheck}. *)
 let run k proc ~origin ?(prechecked = false) ~sysno (args : int64 array) : int64 =
   match Syscall_abi.Sysno.of_int sysno with
   | None -> Syscall_abi.encode_int (Error Errno.ENOSYS)
-  | Some sysno when
-      origin = Ring && Syscall_abi.Sysno.equal sysno Syscall_abi.sys_ring_enter
-    ->
-      (* No nested ring entry: a submitted ring_enter is not a syscall
-         the batch path runs (and [precheck] skips it the same way). *)
+  | Some sysno when origin = Ring && not (Syscall_abi.ring_callable sysno) ->
       Syscall_abi.encode_int (Error Errno.ENOSYS)
   | Some sysno -> (
       let codec = Syscall_abi.codec sysno in
       let gate =
-        if prechecked then begin
+        if Syscall_abi.disposition sysno = Syscall_abi.No_return then Ok ()
+        else if prechecked then begin
           commit_prechecked proc sysno;
           Ok ()
         end
@@ -245,7 +246,5 @@ let run k proc ~origin ?(prechecked = false) ~sysno (args : int64 array) : int64
                     msg)
           | None -> (
               match entry sysno with
-              | Some { Syscall_abi.Entry.handler = Some h; _ } ->
-                  Syscall_abi.encode codec (h k proc args)
-              | Some { Syscall_abi.Entry.handler = None; _ } | None ->
-                  Syscall_abi.encode_int (Error Errno.ENOSYS))))
+              | Some e -> Syscall_abi.encode codec (e.Syscall_abi.Entry.handler k proc args)
+              | None -> invalid_arg "Dispatch.run: Syscalls registers every number")))

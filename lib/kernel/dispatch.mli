@@ -1,22 +1,24 @@
 (** The unified numbered-syscall dispatch.
 
     Exactly one place performs decode → policy check → handler →
-    encode: {!run}.  The typed {!Syscalls} wrappers, the batched
-    submission ring and loadable-module overrides all funnel through
-    it, so an overridden call behaves identically whether it arrives
-    by trap or by ring, and every result crosses the boundary through
-    the single {!Syscall_abi} codec.
+    encode: {!run}.  Every trap ({!Syscalls}' typed wrappers all trap
+    through it), every batched submission-ring entry and every
+    loadable-module override funnels through it, so an overridden call
+    behaves identically whether it arrives by trap or by ring, and
+    every result crosses the boundary through the single
+    {!Syscall_abi} codec.
 
     Handlers are {!Syscall_abi.Entry} records registered by
-    {!Syscalls} at module initialisation; syscalls whose arguments
-    cannot be carried in registers in this simulation (paths, struct
-    results, process handles) register a [None] handler and report
-    [ENOSYS] when addressed by number.
+    {!Syscalls} at module initialisation, one for every number: paths
+    arrive as (user VA, length) registers and struct results leave
+    through a user buffer, so all of them fit a ring entry.  The
+    table's {!Syscall_abi.disposition} refuses fork, execve, exit and
+    ring_enter from a ring with [ENOSYS].
 
     Syscall-flow integrity (SFIP) lives at this choke point: when the
-    process carries a {!Syscall_policy}, {!guard} (direct calls) or
-    {!precheck} (whole ring batches) vets the transition before the
-    handler runs; an out-of-policy sequence kills the process with one
+    process carries a {!Syscall_policy}, the per-call gate in {!run}
+    or {!precheck} (whole ring batches) vets the transition before the
+    handler runs (exit stays outside the policy); an out-of-policy sequence kills the process with one
     [Security{sfip}] event and [ESFIP].  Unprofiled processes
     ([policy = None]) pay nothing — not even a cycle charge. *)
 
@@ -26,7 +28,7 @@ type handler = Kernel.t -> Proc.t -> int64 array -> int64 Errno.result
 (** Builtin body: register arguments in, codec-shaped result out.
     Encoding to the result register happens in {!run}, not here. *)
 
-type entry = handler option Syscall_abi.Entry.t
+type entry = handler Syscall_abi.Entry.t
 
 val register : entry -> unit
 (** Install (or replace) the builtin entry for its number. *)
@@ -40,18 +42,12 @@ val on_kill : (Kernel.t -> Proc.t -> unit) ref
     descriptors, release ghost memory, zombie the process — but keep
     the SVA thread alive so the in-flight trap epilogue completes). *)
 
-val guard :
-  Kernel.t -> Proc.t -> origin:origin -> Syscall_abi.Sysno.t -> unit Errno.result
-(** Per-call SFIP gate, also used directly by the typed-only wrappers
-    (paths and struct results never reach {!run}).  [Ok ()] commits the
-    transition; [Error ESFIP] means the process was just killed (one
-    [Security{sfip}] event) or was already policy-killed earlier. *)
-
-val precheck :
-  Kernel.t -> Proc.t -> Syscall_abi.Sysno.t array -> unit Errno.result
-(** Whole-batch SFIP gate for [ring_enter]: scan the submitted
-    sequence — intra-batch transitions included — from the current
-    cursor before any entry executes.  Commits nothing; pays the
+val precheck : Kernel.t -> Proc.t -> int array -> unit Errno.result
+(** Whole-batch SFIP gate for [ring_enter] over the submitted raw
+    numbers: scan the sequence — intra-batch transitions included —
+    from the current cursor before any entry executes, skipping the
+    numbers {!run} refuses from a ring without judging them (invalid
+    ones and those not {!Syscall_abi.ring_callable}).  Commits nothing; pays the
     per-entry check charge for the whole batch up front, so in-policy
     entries then run through {!run} with [prechecked:true] for free.
     [Error ESFIP] — first out-of-policy entry named in the event —
@@ -66,14 +62,14 @@ val run :
   int64 array ->
   int64
 (** Execute syscall [sysno] with register arguments: validate the raw
-    number ([ENOSYS] if out of table), refuse ring-submitted
-    [ring_enter] (no nested ring entry), run the policy gate (skipped
-    in favour of a cursor commit when [prechecked]), honour any module
+    number ([ENOSYS] if out of table), refuse from a ring what the
+    table keeps to traps ([ENOSYS]: fork, execve, exit, a nested
+    ring_enter), run the policy gate (skipped in favour of a cursor
+    commit when [prechecked]; exit is never judged), honour any module
     override, otherwise the registered builtin, and return the
     ABI-encoded result register.  An override that raises a CFI
     violation or an execution trap terminates its kernel thread: the
     call returns [EFAULT], the console logs [vg: kernel thread
     terminated: <msg>], and exactly one event is emitted
-    ([Cfi_violation], or [Security{module-trap}]).  Callers are
-    expected to be inside a trap or a typed wrapper; this performs no
-    trap protocol of its own. *)
+    ([Cfi_violation], or [Security{module-trap}]).  Callers are inside
+    a trap; this performs no trap protocol of its own. *)

@@ -24,6 +24,7 @@ type t = {
       (* Spectre hardening every instrumented translation must carry *)
   installer_rng : Vg_crypto.Drbg.t;
       (* pads the key sections of the images the installer signs *)
+  mutable images : Appimage.t array; (* execve install handles *)
 }
 
 and syscall_override = { func : string; compiled : Vg_compiler.Exec_compile.t }
@@ -118,6 +119,7 @@ let boot ~frame_limit ~spec_mitigation ~mode machine =
       syscall_count = 0;
       spec_mitigation;
       installer_rng = Vg_crypto.Drbg.create ~seed:(Bytes.of_string "vg-installer");
+      images = [||];
     }
   in
   (* init (pid 1) *)
@@ -130,6 +132,22 @@ let boot ~frame_limit ~spec_mitigation ~mode machine =
   t
 
 let find_proc t pid = Hashtbl.find_opt t.procs pid
+
+(* An image is registered once: the handle of an image already in the
+   table (the same value, by physical equality) is reused. *)
+let image_handle t image =
+  let rec find i =
+    if i = Array.length t.images then begin
+      t.images <- Array.append t.images [| image |];
+      i
+    end
+    else if t.images.(i) == image then i
+    else find (i + 1)
+  in
+  find 0
+
+let image_of_handle t h =
+  if h >= 0 && h < Array.length t.images then Some t.images.(h) else None
 
 let init_process t =
   match find_proc t 1 with Some p -> p | None -> failwith "Kernel: init is gone"

@@ -62,6 +62,9 @@ type t = {
           ({!Vg_apps.Ssh_suite.install_images}); seeded by a constant
           at boot, so identically booted kernels install identical
           images, and separate from the SVA's entropy stream *)
+  mutable images : Appimage.t array;
+      (** install handles for [execve]: index = handle (see
+          {!image_handle}) *)
 }
 
 and syscall_override = {
@@ -98,6 +101,13 @@ val mode : t -> Sva.mode
 val init_process : t -> Proc.t
 
 val find_proc : t -> int -> Proc.t option
+
+val image_handle : t -> Appimage.t -> int
+(** The install handle [execve] takes for an image: registered on
+    first use, and reused for the same image (physical equality), so
+    exec'ing one image many times does not grow the table. *)
+
+val image_of_handle : t -> int -> Appimage.t option
 val current_pid : t -> int
 val current_proc : t -> Proc.t
 

@@ -74,20 +74,40 @@ let store t addr ~len v =
       try Machine.write_virt t.machine ea ~len v
       with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ -> fault t "store" addr)
 
-(* Bulk copies go page chunk by page chunk: each chunk is masked (and
-   charged) on its own and copied straight between memory and the
-   caller's buffer.  A faulting chunk reads as zeros or drops its
-   store, and the next chunk is still attempted. *)
+(* Bulk copies go page chunk by page chunk: each chunk is masked on its
+   own and copied straight between memory and the caller's buffer.  A
+   faulting chunk reads as zeros or drops its store, and the next chunk
+   is still attempted.  A charged chunk pays its mask and its copy
+   through the machine's charging accessors.  A budgeted chunk is
+   masked and copied through a quiet walk of the current tables: its
+   caller charges the whole copy as a fixed budget.  The result says
+   whether every chunk went through. *)
+let chunks t ~charged ~what addr len copy on_fault =
+  let ok = ref true in
+  as_kernel t (fun () ->
+      Machine.iter_pages addr len (fun ~pos ~va ~len ->
+          let ea =
+            if charged then effective t va
+            else
+              match t.mode with
+              | Sva.Native_build -> va
+              | Sva.Virtual_ghost -> Vg_compiler.Sandbox_pass.masked_address va
+          in
+          try copy ea ~pos ~len
+          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
+            ok := false;
+            fault t what va;
+            on_fault ~pos ~len));
+  !ok
+
+let drop_store ~pos:_ ~len:_ = ()
 
 let read_into t addr dst ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length dst - len then invalid_arg "Kmem.read_into";
-  as_kernel t (fun () ->
-      Machine.iter_pages addr len (fun ~pos ~va ~len ->
-          let ea = effective t va in
-          try Machine.read_virt_into t.machine ea dst ~off:(off + pos) ~len
-          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
-            fault t "read" va;
-            Bytes.fill dst (off + pos) len '\000'))
+  ignore
+    (chunks t ~charged:true ~what:"read" addr len
+       (fun ea ~pos ~len -> Machine.read_virt_into t.machine ea dst ~off:(off + pos) ~len)
+       (fun ~pos ~len -> Bytes.fill dst (off + pos) len '\000'))
 
 let read_bytes t addr ~len =
   let out = Bytes.create len in
@@ -95,11 +115,28 @@ let read_bytes t addr ~len =
   out
 
 let write_bytes t addr src =
-  as_kernel t (fun () ->
-      Machine.iter_pages addr (Bytes.length src) (fun ~pos ~va ~len ->
-          let ea = effective t va in
-          try Machine.write_virt_from t.machine ea src ~off:pos ~len
-          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ -> fault t "write" va))
+  ignore
+    (chunks t ~charged:true ~what:"write" addr (Bytes.length src)
+       (fun ea ~pos ~len -> Machine.write_virt_from t.machine ea src ~off:pos ~len)
+       drop_store)
+
+let quiet t access ea =
+  Machine.translate_quiet t.machine ~pt:(Machine.current_pt t.machine) Machine.Kernel
+    access ea
+
+let read_budgeted t addr dst =
+  chunks t ~charged:false ~what:"read" addr (Bytes.length dst)
+    (fun ea ~pos ~len ->
+      Phys_mem.blit_to (Machine.mem t.machine) ~addr:(quiet t Machine.Read ea) dst ~off:pos
+        ~len)
+    (fun ~pos ~len -> Bytes.fill dst pos len '\000')
+
+let write_budgeted t addr src =
+  chunks t ~charged:false ~what:"write" addr (Bytes.length src)
+    (fun ea ~pos ~len ->
+      Phys_mem.blit_from (Machine.mem t.machine) ~addr:(quiet t Machine.Write ea) src
+        ~off:pos ~len)
+    drop_store
 
 (* [n * (mem_access + sandbox_mask)] split by distributivity so the
    mask surcharge is attributed separately; the total is unchanged. *)

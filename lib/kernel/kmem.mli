@@ -61,6 +61,19 @@ val write_bytes : t -> int64 -> bytes -> unit
     {!read_into}; each chunk is written from its offset in the source
     (no sub-buffers), and a faulting chunk's store is dropped. *)
 
+val read_budgeted : t -> int64 -> bytes -> bool
+(** [read_budgeted t addr dst] fills [dst] from [addr] with a copy
+    whose cost the caller charges as a fixed budget: each chunk is
+    masked and faults as in {!read_into}, but the copy charges no
+    [Copy], [Mem], [Tlb], [Mask] or [Spec] cycles and touches neither
+    the TLB nor the cache-line set.  [false] if some chunk faulted
+    (it reads as zeros, with the same [Security{sandbox}] event under
+    Virtual Ghost). *)
+
+val write_budgeted : t -> int64 -> bytes -> bool
+(** The write direction of {!read_budgeted}: a faulting chunk's store
+    is dropped. *)
+
 val work : t -> int
   -> unit
 (** [work t n] models [n] kernel memory operations on kernel-private

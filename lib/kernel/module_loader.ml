@@ -26,10 +26,27 @@ let overrides_of_image (k : Kernel.t) (image : Vg_compiler.Linker.image) =
 type load_error =
   | Compile_rejected of string
   | Cache_refused of Vg_compiler.Trans_cache.find_error
+  | Arity_mismatch of { func : string; params : int; arity : int }
 
 let describe_load_error = function
   | Compile_rejected msg -> "compile rejected: " ^ msg
   | Cache_refused e -> Vg_compiler.Trans_cache.describe_find_error e
+  | Arity_mismatch { func; params; arity } ->
+      Printf.sprintf "%s takes %d parameters, the syscall has %d registers" func params
+        arity
+
+(* The first override whose function's parameter count differs from
+   its syscall's register arity: every call to it would trap. *)
+let arity_mismatch (image : Vg_compiler.Linker.image) overrides =
+  List.find_map
+    (fun (sysno, func) ->
+      match Vg_compiler.Linker.find_func image func with
+      | None -> None
+      | Some id ->
+          let params = Array.length image.Vg_compiler.Linker.funcs.(id).Vg_compiler.Linker.f_params in
+          let arity = Syscall_abi.arity sysno in
+          if params = arity then None else Some (Arity_mismatch { func; params; arity }))
+    overrides
 
 let errno_of_load_error (_ : load_error) = Errno.ENOEXEC
 
@@ -68,23 +85,25 @@ let load (k : Kernel.t) ~name program =
          is translated. *)
       match Vg_compiler.Trans_cache.find_compiled cache ~name with
       | Error e -> reject k ~name (Cache_refused e)
-      | Ok artifact ->
-          let overrides =
-            overrides_of_image k (Vg_compiler.Exec_compile.image artifact)
-          in
-          List.iter
-            (fun (sysno, func) ->
-              Hashtbl.replace k.Kernel.overrides sysno
-                { Kernel.func; compiled = artifact })
-            overrides;
-          Hashtbl.replace k.Kernel.modules name (List.map fst overrides);
-          Machine.emit k.Kernel.machine
-            (Obs.Event.Module_load { name; overrides = List.length overrides });
-          Console.write
-            (Machine.console k.Kernel.machine)
-            (Printf.sprintf "kernel: loaded module %s (%d syscall overrides)" name
-               (List.length overrides));
-          Ok ())
+      | Ok artifact -> (
+          let image = Vg_compiler.Exec_compile.image artifact in
+          let overrides = overrides_of_image k image in
+          match arity_mismatch image overrides with
+          | Some err -> reject k ~name err
+          | None ->
+              List.iter
+              (fun (sysno, func) ->
+                Hashtbl.replace k.Kernel.overrides sysno
+                  { Kernel.func; compiled = artifact })
+              overrides;
+            Hashtbl.replace k.Kernel.modules name (List.map fst overrides);
+            Machine.emit k.Kernel.machine
+              (Obs.Event.Module_load { name; overrides = List.length overrides });
+            Console.write
+              (Machine.console k.Kernel.machine)
+              (Printf.sprintf "kernel: loaded module %s (%d syscall overrides)" name
+                 (List.length overrides));
+            Ok ()))
 
 let unload (k : Kernel.t) ~name =
   match Hashtbl.find_opt k.Kernel.modules name with

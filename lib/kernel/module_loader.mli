@@ -20,11 +20,16 @@ type load_error =
   | Cache_refused of Vg_compiler.Trans_cache.find_error
       (** the signed translation failed signature or image
           verification when loaded back *)
+  | Arity_mismatch of { func : string; params : int; arity : int }
+      (** an override [func] takes [params] parameters where its
+          syscall has [arity] registers ({!Syscall_abi.arity}); checked
+          after compilation and verification, so those errors take
+          precedence *)
 
 val describe_load_error : load_error -> string
 
 val errno_of_load_error : load_error -> Errno.t
-(** Both rejection classes surface to the OS as [ENOEXEC]: the image
+(** Every rejection class surfaces to the OS as [ENOEXEC]: the image
     is not something the VM will execute. *)
 
 val load : Kernel.t -> name:string -> Ir.program -> (unit, load_error) result

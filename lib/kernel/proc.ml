@@ -25,7 +25,11 @@ type t = {
   mutable image : Appimage.t option;
   blocking : (int, unit) Hashtbl.t;
   mutable policy : Syscall_policy.t option;
+  mutable pending_signals : (t * int) list;
 }
+
+let mmap_base = 0x0000_2000_0000_0000L
+let fd_limit = 1 lsl 20
 
 let make ~pid ~parent ~pt ~tid =
   {
@@ -38,13 +42,14 @@ let make ~pid ~parent ~pt ~tid =
     user_frames = Hashtbl.create 64;
     cow = Hashtbl.create 16;
     ghost_regions = [];
-    mmap_cursor = 0x0000_2000_0000_0000L;
+    mmap_cursor = mmap_base;
     state = Running;
     signal_handlers = Hashtbl.create 8;
     code_map = Hashtbl.create 8;
     image = None;
     blocking = Hashtbl.create 4;
     policy = None;
+    pending_signals = [];
   }
 
 let add_fd t kind =

@@ -39,7 +39,19 @@ type t = {
       (** syscall-flow-integrity state; [None] = unprofiled (no checks,
           no cycle charges).  Installed by [execve] from the signed
           image's profile, or by the userland runtime's [?sfip]. *)
+  mutable pending_signals : (t * int) list;
+      (** (target, signal) pairs a [kill] in the current trap queued,
+          newest first; the trap epilogue delivers them after writing
+          the result register *)
 }
+
+val mmap_base : int64
+(** Where a process's first anonymous mapping starts ([mmap_cursor]'s
+    initial value). *)
+
+val fd_limit : int
+(** Descriptor numbers are below this; [dup2] refuses a target at or
+    above it with [EBADF]. *)
 
 val make : pid:int -> parent:int -> pt:Pagetable.t -> tid:int -> t
 

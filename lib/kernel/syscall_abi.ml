@@ -22,46 +22,59 @@
 
 type result_codec = Int_result | Addr_result
 
-type desc = { name : string; arity : int; codec : result_codec }
+(* Where a call may come from, and what its trap does after the body. *)
+type disposition = Anywhere | Trap_only | No_return
 
+type desc = {
+  name : string;
+  arity : int;
+  codec : result_codec;
+  disposition : disposition;
+}
+
+(* Paths travel as (user VA, length) pairs and struct results are
+   copied out to a buffer the caller names, so every call fits the four
+   registers of a ring entry. *)
 let specs =
-  let i name arity = { name; arity; codec = Int_result } in
+  let d ?(codec = Int_result) ?(disposition = Anywhere) name arity =
+    { name; arity; codec; disposition }
+  in
   [|
-    i "read" 3;
-    i "write" 3;
-    i "open" 2;
-    i "close" 1;
-    i "lseek" 2;
-    i "unlink" 1;
-    i "mkdir" 1;
-    i "stat" 1;
-    i "rename" 2;
-    i "fstat" 1;
-    i "dup2" 2;
-    i "readdir" 1;
-    i "fsync" 0;
-    i "getpid" 0;
-    i "fork" 0;
-    i "execve" 1;
-    i "exit" 1;
-    i "wait" 1;
-    { name = "mmap"; arity = 1; codec = Addr_result };
-    i "munmap" 2;
-    i "allocgm" 2;
-    i "freegm" 2;
-    i "signal" 2;
-    i "kill" 2;
-    i "sigreturn" 0;
-    i "pipe" 0;
-    i "listen" 1;
-    i "accept" 1;
-    i "connect" 1;
-    i "send" 3;
-    i "recv" 3;
-    i "select" 1;
-    i "poll" 1;
-    i "set_blocking" 2;
-    i "ring_enter" 3;
+    d "read" 3;
+    d "write" 3;
+    d "open" 3 (* path, path_len, flags *);
+    d "close" 1;
+    d "lseek" 2;
+    d "unlink" 2 (* path, path_len *);
+    d "mkdir" 2 (* path, path_len *);
+    d "stat" 3 (* path, path_len, out *);
+    d "rename" 4 (* src, src_len, dst, dst_len *);
+    d "fstat" 2 (* fd, out *);
+    d "dup2" 2;
+    d "readdir" 4 (* path, path_len, out, capacity in dirents *);
+    d "fsync" 0;
+    d "getpid" 0;
+    d "fork" 0 ~disposition:Trap_only;
+    d "execve" 1 ~disposition:Trap_only (* image handle *);
+    d "exit" 1 ~disposition:No_return;
+    d "wait" 2 (* block, status out or 0 *);
+    d "mmap" 1 ~codec:Addr_result;
+    d "munmap" 2;
+    d "allocgm" 2;
+    d "freegm" 2;
+    d "signal" 2;
+    d "kill" 2;
+    d "sigreturn" 0;
+    d "pipe" 1 (* out: two descriptors *);
+    d "listen" 1;
+    d "accept" 1;
+    d "connect" 1;
+    d "send" 3;
+    d "recv" 3;
+    d "select" 3 (* fds, count, out *);
+    d "poll" 3 (* fds, count, out *);
+    d "set_blocking" 2;
+    d "ring_enter" 3 ~disposition:Trap_only;
   |]
 
 module Sysno = struct
@@ -85,6 +98,8 @@ end
 let describe (n : Sysno.t) = specs.(Sysno.to_int n)
 let arity n = (describe n).arity
 let codec n = (describe n).codec
+let disposition n = (describe n).disposition
+let ring_callable n = disposition n = Anywhere
 
 let sysno n : Sysno.t =
   match Sysno.of_int n with

@@ -51,11 +51,31 @@ type result_codec =
           [-4096, -1] decodes as an errno, so ghost-region pointers
           high in the canonical hole pass through verbatim *)
 
-type desc = { name : string; arity : int; codec : result_codec }
+type disposition =
+  | Anywhere  (** by trap or from a ring entry *)
+  | Trap_only
+      (** by trap only: a ring entry gets [ENOSYS] (fork, execve,
+          ring_enter) *)
+  | No_return
+      (** by trap only, outside the syscall-flow policy, and with no
+          trap epilogue: the caller's thread is gone (exit) *)
+
+type desc = {
+  name : string;
+  arity : int;
+      (** register arguments.  A path is two of them (user VA, length);
+          a struct result is a user buffer the kernel copies out to *)
+  codec : result_codec;
+  disposition : disposition;
+}
 
 val describe : Sysno.t -> desc
 val arity : Sysno.t -> int
 val codec : Sysno.t -> result_codec
+val disposition : Sysno.t -> disposition
+
+val ring_callable : Sysno.t -> bool
+(** [disposition n = Anywhere]. *)
 
 (** {1 Syscall numbers} *)
 

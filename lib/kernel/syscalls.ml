@@ -3,40 +3,6 @@ type open_flags = { create : bool; truncate : bool; append : bool }
 let rdonly = { create = false; truncate = false; append = false }
 let creat_trunc = { create = true; truncate = true; append = false }
 
-(* ------------------------------------------------------------------ *)
-(* Trap protocol                                                       *)
-
-(* Result registers are encoded through the one ABI convention
-   ([Syscall_abi]); these are the common [trap ~encode] shapes. *)
-let ret_int = Syscall_abi.encode_int
-let ret_unit r = Syscall_abi.encode_int (Result.map (fun () -> 0) r)
-let ret_any = fun _ -> 0L
-
-(* Wrap a handler in the full system-call protocol.  [encode] derives
-   the value placed in the saved context's return register; [name] is
-   the syscall's name as reported to observability sinks. *)
-let trap ?(after_result = fun () -> ()) (k : Kernel.t) (proc : Proc.t) ~name ~encode f =
-  Kernel.switch_to k proc;
-  k.Kernel.syscall_count <- k.Kernel.syscall_count + 1;
-  Sva.enter_trap k.Kernel.sva ~tid:proc.Proc.tid;
-  if Machine.tracing k.Kernel.machine then
-    Machine.emit k.Kernel.machine (Obs.Event.Syscall { name; pid = proc.Proc.pid });
-  (* Dispatch: table lookup, argument validation, credential checks. *)
-  Kmem.fn_entry k.Kernel.kmem;
-  Kmem.work k.Kernel.kmem 40;
-  Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 40;
-  let result = f () in
-  Sva.set_syscall_result k.Kernel.sva ~tid:proc.Proc.tid (encode result);
-  (* Work done on the return-to-user path (e.g. signal delivery)
-     happens after the result register is written. *)
-  after_result ();
-  Sva.return_from_trap k.Kernel.sva ~tid:proc.Proc.tid;
-  (* Timer interrupts are taken at the trap epilogue — the point where
-     a real kernel finds the thread preemptible.  The scheduler's hook
-     unwinds the running fiber here; the default hook does nothing. *)
-  k.Kernel.preempt ();
-  result
-
 (* Copy between kernel and user/ghost buffers with the instrumented
    accessors.  User-range destinations are demand-mapped first (the
    fault would otherwise silently zero-fill); everything else is left
@@ -52,6 +18,21 @@ let copyout k proc ~dst data =
 let copyin k proc ~src ~len =
   prepare_user_buffer k proc src len;
   Kmem.read_bytes k.Kernel.kmem src ~len
+
+(* Path arguments and struct results move with budgeted copies
+   ([Kmem.read_budgeted]): masked and fault-handled like [read]'s
+   buffer, but their whole cost is the fixed charge each body pays
+   ([path_charge], or the body's own [work]). *)
+let path_max = 4096
+
+let path_charge k len = Kmem.work k.Kernel.kmem (40 + (2 * len))
+
+let copyin_path k ~va ~len =
+  let buf = Bytes.create len in
+  if Kmem.read_budgeted k.Kernel.kmem va buf then Ok (Bytes.unsafe_to_string buf)
+  else Error Errno.EFAULT
+
+let copyout_struct k ~dst data = ignore (Kmem.write_budgeted k.Kernel.kmem dst data)
 
 (* send(2) and write(2) on a connected socket: the user's bytes are
    copied once, straight into the outgoing frame behind its header
@@ -86,7 +67,13 @@ let block_on_eagain (k : Kernel.t) ~wq attempt =
 (* ------------------------------------------------------------------ *)
 (* File bodies                                                         *)
 
-let path_charge k path = Kmem.work k.Kernel.kmem (40 + (2 * String.length path))
+(* The one place a descriptor's open object is let go: close, dup2
+   over a live target, exit and the policy kill. *)
+let release_fd k = function
+  | Proc.Pipe_read p -> Pipe_dev.drop_reader p
+  | Proc.Pipe_write p -> Pipe_dev.drop_writer p
+  | Proc.Sock_conn conn -> Netstack.close k.Kernel.net ~conn
+  | Proc.File _ | Proc.Sock_listen _ | Proc.Console_out -> ()
 
 let close_body k proc fd =
   Kmem.fn_entry k.Kernel.kmem;
@@ -94,13 +81,30 @@ let close_body k proc fd =
   match Proc.find_fd proc fd with
   | None -> Error Errno.EBADF
   | Some kind ->
-      (match kind with
-      | Proc.Pipe_read p -> Pipe_dev.drop_reader p
-      | Proc.Pipe_write p -> Pipe_dev.drop_writer p
-      | Proc.Sock_conn conn -> Netstack.close k.Kernel.net ~conn
-      | Proc.File _ | Proc.Sock_listen _ | Proc.Console_out -> ());
+      release_fd k kind;
       Proc.remove_fd proc fd;
       Ok ()
+
+let open_body k proc path flags =
+  let resolved = Diskfs.lookup k.Kernel.fs path in
+  let ino_result =
+    match (resolved, flags.create) with
+    | Ok ino, _ -> Ok ino
+    | Error Errno.ENOENT, true -> Diskfs.create k.Kernel.fs path
+    | (Error _ as e), _ -> e
+  in
+  match ino_result with
+  | Error e -> Error e
+  | Ok ino -> (
+      match Diskfs.stat k.Kernel.fs ~ino with
+      | Error e -> Error e
+      | Ok st ->
+          if st.Diskfs.itype = Diskfs.Dir then Error Errno.EISDIR
+          else begin
+            if flags.truncate then ignore (Diskfs.truncate k.Kernel.fs ~ino ~len:0);
+            let offset = if flags.append then st.Diskfs.size else 0 in
+            Ok (Proc.add_fd proc (Proc.File { ino; offset }))
+          end)
 
 let fd_read_kernel k _proc kind len : bytes Errno.result =
   match kind with
@@ -114,7 +118,7 @@ let fd_read_kernel k _proc kind len : bytes Errno.result =
   | Proc.Sock_conn conn -> Netstack.recv k.Kernel.net ~conn len
   | Proc.Pipe_write _ | Proc.Sock_listen _ | Proc.Console_out -> Error Errno.EBADF
 
-let genuine_read_unwrapped k proc ~fd ~buf ~len =
+let genuine_read k proc ~fd ~buf ~len =
   Kmem.fn_entry k.Kernel.kmem;
   Kmem.work k.Kernel.kmem 20;
   match Proc.find_fd proc fd with
@@ -125,8 +129,6 @@ let genuine_read_unwrapped k proc ~fd ~buf ~len =
       | Ok data ->
           copyout k proc ~dst:buf data;
           Ok (Bytes.length data))
-
-let genuine_read k proc ~fd ~buf ~len = genuine_read_unwrapped k proc ~fd ~buf ~len
 
 let fd_write_kernel k _proc kind data : int Errno.result =
   match kind with
@@ -144,7 +146,7 @@ let fd_write_kernel k _proc kind data : int Errno.result =
   | Proc.Pipe_read _ | Proc.Sock_listen _ ->
       Error Errno.EBADF
 
-let genuine_write k proc ~fd ~buf ~len =
+let write_body k proc ~fd ~buf ~len =
   Kmem.fn_entry k.Kernel.kmem;
   Kmem.work k.Kernel.kmem 20;
   match Proc.find_fd proc fd with
@@ -165,10 +167,8 @@ let read_wq_of k proc fd =
 let read_body k proc ~fd ~buf ~len =
   if Proc.is_blocking proc fd then
     block_on_eagain k ~wq:(read_wq_of k proc fd) (fun () ->
-        genuine_read_unwrapped k proc ~fd ~buf ~len)
-  else genuine_read_unwrapped k proc ~fd ~buf ~len
-
-let write_body k proc ~fd ~buf ~len = genuine_write k proc ~fd ~buf ~len
+        genuine_read k proc ~fd ~buf ~len)
+  else genuine_read k proc ~fd ~buf ~len
 
 let lseek_body k proc ~fd ~pos =
   Kmem.work k.Kernel.kmem 10;
@@ -176,7 +176,6 @@ let lseek_body k proc ~fd ~pos =
   | Some (Proc.File f) when pos >= 0 ->
       f.offset <- pos;
       Ok pos
-  | Some (Proc.File _) -> Error Errno.EINVAL
   | Some _ -> Error Errno.EINVAL
   | None -> Error Errno.EBADF
 
@@ -184,11 +183,10 @@ let dup2_body k proc ~src ~dst =
   Kmem.work k.Kernel.kmem 15;
   match Proc.find_fd proc src with
   | None -> Error Errno.EBADF
+  | Some _ when dst < 0 || dst >= Proc.fd_limit -> Error Errno.EBADF
+  | Some _ when src = dst -> Ok ()
   | Some kind ->
-      (match Proc.find_fd proc dst with
-      | Some (Proc.Pipe_read p) -> Pipe_dev.drop_reader p
-      | Some (Proc.Pipe_write p) -> Pipe_dev.drop_writer p
-      | Some _ | None -> ());
+      Option.iter (release_fd k) (Proc.find_fd proc dst);
       (* Share the open object (pipe reference counts included). *)
       (match kind with
       | Proc.Pipe_read p -> Pipe_dev.add_reader p
@@ -198,14 +196,152 @@ let dup2_body k proc ~src ~dst =
       if dst >= proc.Proc.next_fd then proc.Proc.next_fd <- dst + 1;
       Ok ()
 
-let fsync_body k =
-  Diskfs.sync k.Kernel.fs;
-  Ok ()
+module S = Syscall_structs
+
+let stat_out k ~out = function
+  | Ok st ->
+      copyout_struct k ~dst:out (S.encode_stat st);
+      Ok ()
+  | Error e -> Error e
+
+let fstat_body k proc ~fd ~out =
+  Kmem.work k.Kernel.kmem 15;
+  match Proc.find_fd proc fd with
+  | Some (Proc.File f) -> stat_out k ~out (Diskfs.stat k.Kernel.fs ~ino:f.ino)
+  | Some _ -> Error Errno.EINVAL
+  | None -> Error Errno.EBADF
 
 (* ------------------------------------------------------------------ *)
 (* Process bodies                                                      *)
 
-let getpid_body (proc : Proc.t) = Ok proc.Proc.pid
+exception Fork_out_of_memory
+
+let fork_body k proc =
+  match Kernel.create_process k ~parent:proc with
+  | Error e -> Error e
+  | Ok child -> (
+      try
+        (* Share the traditional user address space copy-on-write:
+           both sides' PTEs drop to read-only; the first write to a
+           shared page copies it (handle_page_fault). *)
+        Hashtbl.iter
+          (fun vpage frame ->
+            let va = Int64.shift_left vpage 12 in
+            Kmem.work k.Kernel.kmem 40;
+            Kernel.share_frame k frame;
+            (match Sva.protect_page k.Kernel.sva proc.Proc.pt ~va ~perm:Kernel.user_ro with
+            | Ok () | Error _ -> ());
+            match Sva.map_page k.Kernel.sva child.Proc.pt ~va ~frame ~perm:Kernel.user_ro with
+            | Ok () ->
+                Hashtbl.replace child.Proc.user_frames vpage frame;
+                Hashtbl.replace proc.Proc.cow vpage ();
+                Hashtbl.replace child.Proc.cow vpage ()
+            | Error _ -> raise Fork_out_of_memory)
+          proc.Proc.user_frames;
+        Machine.flush_tlb k.Kernel.machine;
+        (* Descriptors are shared objects; reference counts track pipe
+           endpoints. *)
+        Hashtbl.iter
+          (fun fd kind ->
+            (match kind with
+            | Proc.Pipe_read p -> Pipe_dev.add_reader p
+            | Proc.Pipe_write p -> Pipe_dev.add_writer p
+            | Proc.File _ | Proc.Sock_listen _ | Proc.Sock_conn _ | Proc.Console_out -> ());
+            Hashtbl.replace child.Proc.fds fd kind)
+          proc.Proc.fds;
+        child.Proc.next_fd <- proc.Proc.next_fd;
+        Hashtbl.iter
+          (fun s h -> Hashtbl.replace child.Proc.signal_handlers s h)
+          proc.Proc.signal_handlers;
+        Hashtbl.iter (fun a c -> Hashtbl.replace child.Proc.code_map a c) proc.Proc.code_map;
+        child.Proc.image <- proc.Proc.image;
+        child.Proc.mmap_cursor <- proc.Proc.mmap_cursor;
+        (* The child shares the parent's flow graph but holds its own
+           cursor, starting in the entry state — exactly what a
+           recorded profile observed for forked workers. *)
+        child.Proc.policy <-
+          Option.map
+            (fun pol ->
+              Syscall_policy.create (Syscall_policy.mode pol) (Syscall_policy.graph pol))
+            proc.Proc.policy;
+        Kmem.work k.Kernel.kmem 400;
+        Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 300;
+        Ok child.Proc.pid
+      with Fork_out_of_memory -> Error Errno.ENOMEM)
+
+let text_base = 0x0000_0000_0040_0000L
+
+let execve_body k proc image =
+  Kmem.fn_entry k.Kernel.kmem;
+  Kmem.work k.Kernel.kmem 600;
+  Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 600;
+  (* Load the text segment into user memory. *)
+  let payload = image.Appimage.payload in
+  (match Kernel.ensure_user_range k proc text_base ~len:(Bytes.length payload) with
+  | Ok () -> Kmem.write_bytes k.Kernel.kmem text_base payload
+  | Error _ -> ());
+  match
+    Sva.reinit_icontext k.Kernel.sva ~tid:proc.Proc.tid ~pt:proc.Proc.pt ~image
+      ~stack:0x7fff_f000L
+  with
+  | Error msg ->
+      Console.write (Machine.console k.Kernel.machine) ("execve refused: " ^ msg);
+      Error Errno.EACCES
+  | Ok (_key, freed_ghost_frames) ->
+      List.iter (Frame_alloc.free k.Kernel.frames) freed_ghost_frames;
+      proc.Proc.ghost_regions <- [];
+      Hashtbl.reset proc.Proc.signal_handlers;
+      Hashtbl.reset proc.Proc.code_map;
+      proc.Proc.image <- Some image;
+      (* The fresh program gets the policy its signed image carries:
+         the profile bytes were covered by the signature the VM just
+         verified, so the OS could not have swapped in a permissive
+         graph.  Unprofiled images clear any policy (a new program, a
+         new contract). *)
+      proc.Proc.policy <- Syscall_policy.of_profile image.Appimage.profile;
+      Ok ()
+
+(* Close every descriptor and give back ghost memory (swapped-out pages
+   of the regions are invalidated rather than returned, and the blobs
+   the process left in the swap store are dropped) and user pages: the
+   part of exit the policy kill shares. *)
+let teardown k (proc : Proc.t) =
+  Kmem.work k.Kernel.kmem 300;
+  Hashtbl.iter (fun _ kind -> release_fd k kind) proc.Proc.fds;
+  Hashtbl.reset proc.Proc.fds;
+  List.iter
+    (fun (va, pages) ->
+      match Sva.freegm k.Kernel.sva ~pid:proc.Proc.pid ~pt:proc.Proc.pt ~va ~count:pages with
+      | Ok frames -> List.iter (Frame_alloc.free k.Kernel.frames) frames
+      | Error _ -> ())
+    proc.Proc.ghost_regions;
+  Ghost_swap.release_blobs k proc;
+  proc.Proc.ghost_regions <- [];
+  Kernel.free_user_pages k proc
+
+let exit_body k (proc : Proc.t) status =
+  Kmem.fn_entry k.Kernel.kmem;
+  teardown k proc;
+  Sva.release_address_space k.Kernel.sva proc.Proc.pt;
+  Sva.free_thread k.Kernel.sva ~tid:proc.Proc.tid;
+  proc.Proc.state <- Proc.Zombie status;
+  (* Parents sleeping in wait observe the exit. *)
+  Waitq.wake k.Kernel.child_wq;
+  Ok ()
+
+(* An out-of-policy process dies like exit 137, with one deliberate
+   difference: the SVA thread and address-space registration stay
+   alive.  The kill happens mid-trap — the caller's epilogue still has
+   to write the [ESFIP] result into the saved context and return from
+   the trap — and any later syscall the doomed closure attempts must
+   refuse cleanly ([killed] short-circuits in the gate) instead of
+   faulting on a freed thread. *)
+let policy_kill k (proc : Proc.t) =
+  if not (Proc.is_zombie proc) then begin
+    teardown k proc;
+    proc.Proc.state <- Proc.Zombie 137;
+    Waitq.wake k.Kernel.child_wq
+  end
 
 let wait_search k (proc : Proc.t) =
   Kmem.work k.Kernel.kmem 40;
@@ -224,9 +360,20 @@ let wait_search k (proc : Proc.t) =
           Ok (zombie.Proc.pid, status)
       | None -> Error Errno.EAGAIN)
 
-let wait_body ~block k proc =
-  if block then block_on_eagain k ~wq:(Some k.Kernel.child_wq) (fun () -> wait_search k proc)
-  else wait_search k proc
+(* wait(block, status): reap a zombie child and return its pid; a
+   non-null [status] pointer receives the exit status as a
+   little-endian int32. *)
+let wait_body ~block k proc ~status =
+  let reaped =
+    if block then block_on_eagain k ~wq:(Some k.Kernel.child_wq) (fun () -> wait_search k proc)
+    else wait_search k proc
+  in
+  match reaped with
+  | Error e -> Error e
+  | Ok (pid, code) ->
+      if not (Int64.equal status 0L) then
+        copyout_struct k ~dst:status (S.encode_fds [ code ]);
+      Ok pid
 
 (* ------------------------------------------------------------------ *)
 (* Memory bodies                                                       *)
@@ -328,6 +475,16 @@ let kill_find_target k ~pid =
   | None -> Error Errno.ESRCH
   | Some target when Proc.is_zombie target -> Error Errno.ESRCH
   | Some target -> Ok target
+
+(* kill queues delivery on the caller; the trap epilogue delivers once
+   the result register is written ({!syscall}), for a direct call and
+   for every kill in a ring batch alike. *)
+let kill_body k (proc : Proc.t) ~pid ~signum =
+  match kill_find_target k ~pid with
+  | Error e -> Error e
+  | Ok target ->
+      proc.Proc.pending_signals <- (target, signum) :: proc.Proc.pending_signals;
+      Ok ()
 
 let sigreturn_body k (proc : Proc.t) =
   Kmem.work k.Kernel.kmem 20;
@@ -450,6 +607,33 @@ let poll_body k proc fds =
   in
   loop ()
 
+(* select and poll take (fds, count, out) and return how many of the
+   descriptors are ready, copying those out; the scan's own charge
+   ([poll_scan]) is the copies' budget. *)
+let copyin_fds k ~fds ~count =
+  if count < 0 || count > Proc.fd_limit then Error Errno.EINVAL
+  else begin
+    let b = Bytes.create (S.fd_bytes * count) in
+    ignore (Kmem.read_budgeted k.Kernel.kmem fds b);
+    Ok (S.decode_fds b count)
+  end
+
+let ready_out k ~out = function
+  | Ok ready ->
+      copyout_struct k ~dst:out (S.encode_fds ready);
+      Ok (List.length ready)
+  | Error e -> Error e
+
+let pipe_body k proc ~out =
+  Kmem.work k.Kernel.kmem 50;
+  let p = Pipe_dev.create () in
+  Pipe_dev.add_reader p;
+  Pipe_dev.add_writer p;
+  let r = Proc.add_fd proc (Proc.Pipe_read p) in
+  let w = Proc.add_fd proc (Proc.Pipe_write p) in
+  copyout_struct k ~dst:out (S.encode_fds [ r; w ]);
+  Ok ()
+
 (* ------------------------------------------------------------------ *)
 (* The submission ring                                                 *)
 
@@ -507,16 +691,13 @@ let ring_enter_body k proc ~ring ~depth ~to_submit =
             | Some s -> "ring:" ^ Syscall_abi.Sysno.to_name s
             | None -> "ring:?"
           in
-          Machine.emit k.Kernel.machine
-            (Obs.Event.Syscall { name; pid = proc.Proc.pid })
+          Machine.emit k.Kernel.machine (Obs.Event.Syscall { name; pid = proc.Proc.pid })
       in
       let complete i (sqe : R.sqe) result =
         let cbuf = Bytes.create R.cqe_bytes in
         R.write_cqe cbuf ~off:0 { R.user_data = sqe.R.user_data; result };
         let cq_slot = R.slot_of ~depth (cq_tail + i) in
-        copyout k proc
-          ~dst:(Int64.add ring (Int64.of_int (R.cqe_off ~depth ~slot:cq_slot)))
-          cbuf
+        copyout k proc ~dst:(Int64.add ring (Int64.of_int (R.cqe_off ~depth ~slot:cq_slot))) cbuf
       in
       let publish () =
         (* Publish the kernel-owned counters (the user owns sq_tail and
@@ -533,29 +714,12 @@ let ring_enter_body k proc ~ring ~depth ~to_submit =
             let sqe = read_sqe i in
             charge_entry sqe;
             complete i sqe
-              (Dispatch.run k proc ~origin:Dispatch.Ring ~sysno:sqe.R.sysno
-                 sqe.R.args)
+              (Dispatch.run k proc ~origin:Dispatch.Ring ~sysno:sqe.R.sysno sqe.R.args)
           done;
           publish ()
       | Some _ -> (
           let sqes = Array.init n read_sqe in
-          (* The batch's policy-relevant projection: entries the
-             dispatch will actually judge.  Invalid numbers and nested
-             ring_enter fall straight to [ENOSYS] without moving the
-             cursor, so the scan skips them the same way. *)
-          let relevant =
-            Array.of_list
-              (List.filter_map
-                 (fun (sqe : R.sqe) ->
-                   match Syscall_abi.Sysno.of_int sqe.R.sysno with
-                   | Some s
-                     when not (Syscall_abi.Sysno.equal s Syscall_abi.sys_ring_enter)
-                     ->
-                       Some s
-                   | Some _ | None -> None)
-                 (Array.to_list sqes))
-          in
-          match Dispatch.precheck k proc relevant with
+          match Dispatch.precheck k proc (Array.map (fun (sqe : R.sqe) -> sqe.R.sysno) sqes) with
           | Error e -> Error e
           | Ok () ->
               Array.iteri
@@ -570,375 +734,243 @@ let ring_enter_body k proc ~ring ~depth ~to_submit =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Typed wrappers: one trap around the unified dispatch                *)
+(* The trap: the one way into the kernel                               *)
 
-let via k proc ~sysno args =
-  let name = Syscall_abi.Sysno.to_name sysno in
-  trap k proc ~name ~encode:ret_int (fun () ->
-      Syscall_abi.decode_int
-        (Dispatch.run k proc ~origin:Dispatch.Trap
-           ~sysno:(Syscall_abi.Sysno.to_int sysno) args))
-
-let via_unit k proc ~sysno args =
-  let name = Syscall_abi.Sysno.to_name sysno in
-  trap k proc ~name ~encode:ret_unit (fun () ->
-      Result.map
-        (fun (_ : int) -> ())
-        (Syscall_abi.decode_int
-           (Dispatch.run k proc ~origin:Dispatch.Trap
-              ~sysno:(Syscall_abi.Sysno.to_int sysno) args)))
-
-let i64 = Int64.of_int
-
-let read k proc ~fd ~buf ~len =
-  via k proc ~sysno:Syscall_abi.sys_read [| i64 fd; buf; i64 len |]
-
-let write k proc ~fd ~buf ~len =
-  via k proc ~sysno:Syscall_abi.sys_write [| i64 fd; buf; i64 len |]
-
-let close k proc fd = via_unit k proc ~sysno:Syscall_abi.sys_close [| i64 fd |]
-
-let lseek k proc ~fd ~pos =
-  via k proc ~sysno:Syscall_abi.sys_lseek [| i64 fd; i64 pos |]
-
-let dup2 k proc ~src ~dst =
-  via_unit k proc ~sysno:Syscall_abi.sys_dup2 [| i64 src; i64 dst |]
-
-let fsync k proc = via_unit k proc ~sysno:Syscall_abi.sys_fsync [||]
-
-let getpid k proc =
-  trap k proc ~name:"getpid"
-    ~encode:(fun n -> Int64.of_int n)
-    (fun () ->
-      match
-        Syscall_abi.decode_int
-          (Dispatch.run k proc ~origin:Dispatch.Trap
-             ~sysno:(Syscall_abi.Sysno.to_int Syscall_abi.sys_getpid) [||])
-      with
-      | Ok pid -> pid
-      | Error e -> -Errno.to_int e)
-
-let munmap k proc ~addr ~len =
-  via_unit k proc ~sysno:Syscall_abi.sys_munmap [| addr; i64 len |]
-
-let allocgm k proc ~va ~pages =
-  via_unit k proc ~sysno:Syscall_abi.sys_allocgm [| va; i64 pages |]
-
-let freegm k proc ~va ~pages =
-  via_unit k proc ~sysno:Syscall_abi.sys_freegm [| va; i64 pages |]
-
-let signal k proc ~signum ~handler =
-  via_unit k proc ~sysno:Syscall_abi.sys_signal [| i64 signum; handler |]
-
-let sigreturn k proc = via_unit k proc ~sysno:Syscall_abi.sys_sigreturn [||]
-
-let listen k proc ~port =
-  via k proc ~sysno:Syscall_abi.sys_listen [| i64 port |]
-
-let accept k proc ~fd = via k proc ~sysno:Syscall_abi.sys_accept [| i64 fd |]
-
-let connect_to k proc addr =
-  via k proc ~sysno:Syscall_abi.sys_connect [| Netstack.addr_to_wire addr |]
-
-let connect k proc ~port = connect_to k proc (Netstack.Local port)
-
-let send k proc ~fd ~buf ~len =
-  via k proc ~sysno:Syscall_abi.sys_send [| i64 fd; buf; i64 len |]
-
-let recv k proc ~fd ~buf ~len =
-  via k proc ~sysno:Syscall_abi.sys_recv [| i64 fd; buf; i64 len |]
-
-let set_blocking k proc ~fd on =
-  via_unit k proc ~sysno:Syscall_abi.sys_set_blocking
-    [| i64 fd; (if on then 1L else 0L) |]
-
-let mmap k proc ~len =
-  trap k proc ~name:"mmap"
-    ~encode:(fun r -> Syscall_abi.encode_addr r)
-    (fun () ->
-      Syscall_abi.decode_addr
-        (Dispatch.run k proc ~origin:Dispatch.Trap
-           ~sysno:(Syscall_abi.Sysno.to_int Syscall_abi.sys_mmap) [| i64 len |]))
-
-let ring_enter k proc ~ring ~depth ~to_submit =
-  via k proc ~sysno:Syscall_abi.sys_ring_enter
-    [| ring; i64 depth; i64 to_submit |]
-
-(* ------------------------------------------------------------------ *)
-(* Path- and struct-carrying syscalls (typed only: their arguments do
-   not fit syscall registers in this simulation)                       *)
-
-(* These never reach [Dispatch.run], so the syscall-flow gate is
-   applied here, inside the trap, at the same point the numbered path
-   would check it.  Unprofiled processes pay nothing. *)
-let guarded k proc sysno body =
-  match Dispatch.guard k proc ~origin:Dispatch.Trap sysno with
-  | Error e -> Error e
-  | Ok () -> body ()
-
-let open_ k proc path flags =
-  trap k proc ~name:"open" ~encode:ret_int (fun () ->
-      guarded k proc Syscall_abi.sys_open @@ fun () ->
-      Kmem.fn_entry k.Kernel.kmem;
-      path_charge k path;
-      let resolved = Diskfs.lookup k.Kernel.fs path in
-      let ino_result =
-        match (resolved, flags.create) with
-        | Ok ino, _ -> Ok ino
-        | Error Errno.ENOENT, true -> Diskfs.create k.Kernel.fs path
-        | (Error _ as e), _ -> e
-      in
-      match ino_result with
-      | Error e -> Error e
-      | Ok ino -> (
-          match Diskfs.stat k.Kernel.fs ~ino with
-          | Error e -> Error e
-          | Ok st ->
-              if st.Diskfs.itype = Diskfs.Dir then Error Errno.EISDIR
-              else begin
-                if flags.truncate then
-                  ignore (Diskfs.truncate k.Kernel.fs ~ino ~len:0);
-                let offset = if flags.append then st.Diskfs.size else 0 in
-                Ok (Proc.add_fd proc (Proc.File { ino; offset }))
-              end))
-
-let unlink k proc path =
-  trap k proc ~name:"unlink" ~encode:ret_unit (fun () ->
-      guarded k proc Syscall_abi.sys_unlink @@ fun () ->
-      Kmem.fn_entry k.Kernel.kmem;
-      path_charge k path;
-      Diskfs.unlink k.Kernel.fs path)
-
-let mkdir k proc path =
-  trap k proc ~name:"mkdir" ~encode:ret_unit (fun () ->
-      guarded k proc Syscall_abi.sys_mkdir @@ fun () ->
-      path_charge k path;
-      match Diskfs.mkdir k.Kernel.fs path with Ok _ -> Ok () | Error e -> Error e)
-
-let stat k proc path =
-  trap k proc ~name:"stat" ~encode:ret_any (fun () ->
-      guarded k proc Syscall_abi.sys_stat @@ fun () ->
-      path_charge k path;
-      match Diskfs.lookup k.Kernel.fs path with
-      | Error e -> Error e
-      | Ok ino -> Diskfs.stat k.Kernel.fs ~ino)
-
-let rename k proc ~src ~dst =
-  trap k proc ~name:"rename" ~encode:ret_unit (fun () ->
-      guarded k proc Syscall_abi.sys_rename @@ fun () ->
-      Kmem.fn_entry k.Kernel.kmem;
-      path_charge k src;
-      path_charge k dst;
-      Diskfs.rename k.Kernel.fs ~src ~dst)
-
-let fstat k proc ~fd =
-  trap k proc ~name:"fstat" ~encode:ret_any (fun () ->
-      guarded k proc Syscall_abi.sys_fstat @@ fun () ->
-      Kmem.work k.Kernel.kmem 15;
-      match Proc.find_fd proc fd with
-      | Some (Proc.File f) -> Diskfs.stat k.Kernel.fs ~ino:f.ino
-      | Some _ -> Error Errno.EINVAL
-      | None -> Error Errno.EBADF)
-
-let readdir k proc path =
-  trap k proc ~name:"readdir" ~encode:ret_any (fun () ->
-      guarded k proc Syscall_abi.sys_readdir @@ fun () ->
-      path_charge k path;
-      match Diskfs.lookup k.Kernel.fs path with
-      | Error e -> Error e
-      | Ok ino -> Diskfs.readdir k.Kernel.fs ~ino)
-
-(* ------------------------------------------------------------------ *)
-(* Processes                                                           *)
-
-exception Fork_out_of_memory
-
-let fork k proc =
-  trap k proc ~name:"fork" ~encode:(function Ok (c : Proc.t) -> Int64.of_int c.Proc.pid | Error e -> Int64.of_int (-Errno.to_int e))
-    (fun () ->
-      guarded k proc Syscall_abi.sys_fork @@ fun () ->
-      match Kernel.create_process k ~parent:proc with
-      | Error e -> Error e
-      | Ok child -> (
-          try
-            (* Share the traditional user address space copy-on-write:
-               both sides' PTEs drop to read-only; the first write to a
-               shared page copies it (handle_page_fault). *)
-            Hashtbl.iter
-              (fun vpage frame ->
-                let va = Int64.shift_left vpage 12 in
-                Kmem.work k.Kernel.kmem 40;
-                Kernel.share_frame k frame;
-                (match Sva.protect_page k.Kernel.sva proc.Proc.pt ~va ~perm:Kernel.user_ro with
-                | Ok () | Error _ -> ());
-                (match
-                   Sva.map_page k.Kernel.sva child.Proc.pt ~va ~frame ~perm:Kernel.user_ro
-                 with
-                | Ok () ->
-                    Hashtbl.replace child.Proc.user_frames vpage frame;
-                    Hashtbl.replace proc.Proc.cow vpage ();
-                    Hashtbl.replace child.Proc.cow vpage ()
-                | Error _ -> raise Fork_out_of_memory))
-              proc.Proc.user_frames;
-            Machine.flush_tlb k.Kernel.machine;
-            (* Descriptors are shared objects; reference counts track
-               pipe endpoints. *)
-            Hashtbl.iter
-              (fun fd kind ->
-                (match kind with
-                | Proc.Pipe_read p -> Pipe_dev.add_reader p
-                | Proc.Pipe_write p -> Pipe_dev.add_writer p
-                | Proc.File _ | Proc.Sock_listen _ | Proc.Sock_conn _ | Proc.Console_out
-                  -> ());
-                Hashtbl.replace child.Proc.fds fd kind)
-              proc.Proc.fds;
-            child.Proc.next_fd <- proc.Proc.next_fd;
-            Hashtbl.iter
-              (fun s h -> Hashtbl.replace child.Proc.signal_handlers s h)
-              proc.Proc.signal_handlers;
-            Hashtbl.iter
-              (fun a c -> Hashtbl.replace child.Proc.code_map a c)
-              proc.Proc.code_map;
-            child.Proc.image <- proc.Proc.image;
-            child.Proc.mmap_cursor <- proc.Proc.mmap_cursor;
-            (* The child shares the parent's flow graph but holds its
-               own cursor, starting in the entry state — exactly what a
-               recorded profile observed for forked workers. *)
-            child.Proc.policy <-
-              Option.map
-                (fun pol ->
-                  Syscall_policy.create (Syscall_policy.mode pol)
-                    (Syscall_policy.graph pol))
-                proc.Proc.policy;
-            Kmem.work k.Kernel.kmem 400;
-            Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 300;
-            Ok child
-          with Fork_out_of_memory -> Error Errno.ENOMEM))
-
-let text_base = 0x0000_0000_0040_0000L
-
-let execve k proc image =
-  trap k proc ~name:"execve" ~encode:ret_unit (fun () ->
-      guarded k proc Syscall_abi.sys_execve @@ fun () ->
-      Kmem.fn_entry k.Kernel.kmem;
-      Kmem.work k.Kernel.kmem 600;
-      Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 600;
-      (* Load the text segment into user memory. *)
-      let payload = image.Appimage.payload in
-      (match Kernel.ensure_user_range k proc text_base ~len:(Bytes.length payload) with
-      | Ok () -> Kmem.write_bytes k.Kernel.kmem text_base payload
-      | Error _ -> ());
-      match
-        Sva.reinit_icontext k.Kernel.sva ~tid:proc.Proc.tid ~pt:proc.Proc.pt ~image
-          ~stack:0x7fff_f000L
-      with
-      | Error msg ->
-          Console.write (Machine.console k.Kernel.machine) ("execve refused: " ^ msg);
-          Error Errno.EACCES
-      | Ok (_key, freed_ghost_frames) ->
-          List.iter (Frame_alloc.free k.Kernel.frames) freed_ghost_frames;
-          proc.Proc.ghost_regions <- [];
-          Hashtbl.reset proc.Proc.signal_handlers;
-          Hashtbl.reset proc.Proc.code_map;
-          proc.Proc.image <- Some image;
-          (* The fresh program gets the policy its signed image
-             carries: the profile bytes were covered by the signature
-             the VM just verified, so the OS could not have swapped in
-             a permissive graph.  Unprofiled images clear any policy
-             (a new program, a new contract). *)
-          proc.Proc.policy <- Syscall_policy.of_profile image.Appimage.profile;
-          Ok ())
-
-let exit_ k proc status =
-  (* exit never returns to the caller, so it does not run the normal
-     result/return epilogue (its thread is gone by then). *)
+(* One syscall instruction: the trap prologue, {!Dispatch.run}, then —
+   for every call that returns — the result write-back and the return
+   path.  Signals a [kill] queued during the call are delivered after
+   the result register is written, so a self-signal's handler frame
+   sits on top of the interrupted context and the result lands in the
+   latter.  exit's thread is gone when its body returns, so it runs no
+   epilogue. *)
+let syscall k (proc : Proc.t) sysno args =
+  let tid = proc.Proc.tid in
   Kernel.switch_to k proc;
   k.Kernel.syscall_count <- k.Kernel.syscall_count + 1;
-  Sva.enter_trap k.Kernel.sva ~tid:proc.Proc.tid;
+  Sva.enter_trap k.Kernel.sva ~tid;
   if Machine.tracing k.Kernel.machine then
     Machine.emit k.Kernel.machine
-      (Obs.Event.Syscall { name = "exit"; pid = proc.Proc.pid });
-  (fun () ->
+      (Obs.Event.Syscall { name = Syscall_abi.Sysno.to_name sysno; pid = proc.Proc.pid });
+  let run () =
+    Dispatch.run k proc ~origin:Dispatch.Trap ~sysno:(Syscall_abi.Sysno.to_int sysno) args
+  in
+  match Syscall_abi.disposition sysno with
+  | Syscall_abi.No_return -> run ()
+  | Syscall_abi.Anywhere | Syscall_abi.Trap_only ->
+      (* Dispatch: table lookup, argument validation, credential checks. *)
       Kmem.fn_entry k.Kernel.kmem;
-      Kmem.work k.Kernel.kmem 300;
-      (* Close descriptors. *)
-      Hashtbl.iter
-        (fun _ kind ->
-          match kind with
-          | Proc.Pipe_read p -> Pipe_dev.drop_reader p
-          | Proc.Pipe_write p -> Pipe_dev.drop_writer p
-          | Proc.Sock_conn conn -> Netstack.close k.Kernel.net ~conn
-          | Proc.File _ | Proc.Sock_listen _ | Proc.Console_out -> ())
-        proc.Proc.fds;
-      Hashtbl.reset proc.Proc.fds;
-      (* Release ghost memory through the VM (swapped-out pages of the
-         regions are invalidated rather than returned), then drop any
-         blobs the process left in the swap store. *)
-      List.iter
-        (fun (va, pages) ->
-          match Sva.freegm k.Kernel.sva ~pid:proc.Proc.pid ~pt:proc.Proc.pt ~va ~count:pages with
-          | Ok frames -> List.iter (Frame_alloc.free k.Kernel.frames) frames
-          | Error _ -> ())
-        proc.Proc.ghost_regions;
-      Ghost_swap.release_blobs k proc;
-      proc.Proc.ghost_regions <- [];
-      Kernel.free_user_pages k proc;
-      Sva.release_address_space k.Kernel.sva proc.Proc.pt;
-      Sva.free_thread k.Kernel.sva ~tid:proc.Proc.tid;
-      proc.Proc.state <- Proc.Zombie status;
-      (* Parents sleeping in wait observe the exit. *)
-      Waitq.wake k.Kernel.child_wq)
-    ()
+      Kmem.work k.Kernel.kmem 40;
+      Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 40;
+      let result = run () in
+      Sva.set_syscall_result k.Kernel.sva ~tid result;
+      (match proc.Proc.pending_signals with
+      | [] -> ()
+      | pending ->
+          proc.Proc.pending_signals <- [];
+          List.iter (fun (target, signum) -> deliver_signal k target signum) (List.rev pending));
+      Sva.return_from_trap k.Kernel.sva ~tid;
+      (* Timer interrupts are taken at the trap epilogue — the point
+         where a real kernel finds the thread preemptible.  The
+         scheduler's hook unwinds the running fiber here; the default
+         hook does nothing. *)
+      k.Kernel.preempt ();
+      result
+
+let via k proc ~sysno args = Syscall_abi.decode_int (syscall k proc sysno args)
+let via_unit k proc ~sysno args = Result.map ignore (via k proc ~sysno args)
+
+(* ------------------------------------------------------------------ *)
+(* Argument staging                                                    *)
+
+(* The typed wrappers play the C library: paths, descriptor sets and
+   struct results travel through user memory, in the first pages of
+   the process's first anonymous mapping ({!Proc.mmap_base}; the
+   runtime's bounce buffer).  Those writes and reads model bytes a
+   libc already holds, so they charge nothing and go through a quiet
+   walk of the process's own table; mmap mapped the pages eagerly, so
+   staging maps nothing new.  A process that never mapped anonymous
+   memory gets a mapping through the ordinary mmap path, and a page
+   that is missing or copy-on-write goes through the ordinary fault
+   path first. *)
+let staging_bytes = 65536
+let stage_base = Proc.mmap_base
+let i64 = Int64.of_int
+let align8 n = (n + 7) land lnot 7
+let ( let* ) = Result.bind
+
+let mmap k proc ~len = Syscall_abi.decode_addr (syscall k proc Syscall_abi.sys_mmap [| i64 len |])
+
+let stage k (proc : Proc.t) ~len =
+  let* () =
+    if len > staging_bytes then Error Errno.EINVAL
+    else if Int64.equal proc.Proc.mmap_cursor Proc.mmap_base then
+      Result.map ignore (mmap k proc ~len:staging_bytes)
+    else Ok ()
+  in
+  let rec prepare page =
+    let va = Int64.add stage_base (i64 (page * 4096)) in
+    let vpage = Int64.shift_right_logical va 12 in
+    if page * 4096 >= len then Ok ()
+    else if Hashtbl.mem proc.Proc.user_frames vpage && not (Hashtbl.mem proc.Proc.cow vpage)
+    then prepare (page + 1)
+    else begin
+      Kernel.switch_to k proc;
+      let* () = Kernel.handle_page_fault k proc va in
+      prepare (page + 1)
+    end
+  in
+  prepare 0
+
+(* The user side's own reads and writes of staged bytes. *)
+let stage_copy k (proc : Proc.t) access va b =
+  let m = k.Kernel.machine in
+  Machine.iter_pages va (Bytes.length b) (fun ~pos ~va ~len ->
+      let addr = Machine.translate_quiet m ~pt:proc.Proc.pt Machine.User access va in
+      match access with
+      | Machine.Write -> Phys_mem.blit_from (Machine.mem m) ~addr b ~off:pos ~len
+      | Machine.Read | Machine.Exec -> Phys_mem.blit_to (Machine.mem m) ~addr b ~off:pos ~len)
+
+let put k proc va b = stage_copy k proc Machine.Write va b
+
+let get k proc va len =
+  let b = Bytes.create len in
+  stage_copy k proc Machine.Read va b;
+  b
+
+(* Stage [paths] back to back from the base, each cut to [path_max]
+   (the kernel refuses a longer one before reading it), then [out]
+   bytes of result space.  [f] gets each path's (VA, length) registers
+   and the result area's address. *)
+let with_staged k proc ?(out = 0) paths f =
+  let cut p = if String.length p <= path_max then p else String.sub p 0 path_max in
+  let staged = List.map cut paths in
+  let total = List.fold_left (fun acc p -> acc + align8 (String.length p)) 0 staged in
+  let* () = stage k proc ~len:(total + out) in
+  let rec place va regs = function
+    | [] -> f (List.rev regs) va
+    | (p, full) :: rest ->
+        put k proc va (Bytes.unsafe_of_string p);
+        place
+          (Int64.add va (i64 (align8 (String.length p))))
+          (i64 (String.length full) :: va :: regs)
+          rest
+  in
+  place stage_base [] (List.combine staged paths)
+
+(* ------------------------------------------------------------------ *)
+(* Typed wrappers: one trap around the unified dispatch                *)
+
+module A = Syscall_abi
+
+let read k proc ~fd ~buf ~len = via k proc ~sysno:A.sys_read [| i64 fd; buf; i64 len |]
+let write k proc ~fd ~buf ~len = via k proc ~sysno:A.sys_write [| i64 fd; buf; i64 len |]
+let close k proc fd = via_unit k proc ~sysno:A.sys_close [| i64 fd |]
+let lseek k proc ~fd ~pos = via k proc ~sysno:A.sys_lseek [| i64 fd; i64 pos |]
+let dup2 k proc ~src ~dst = via_unit k proc ~sysno:A.sys_dup2 [| i64 src; i64 dst |]
+let fsync k proc = via_unit k proc ~sysno:A.sys_fsync [||]
+
+let flag_bits f =
+  (if f.create then 1 else 0) lor (if f.truncate then 2 else 0) lor if f.append then 4 else 0
+
+let open_ k proc path flags =
+  with_staged k proc [ path ] (fun regs _ ->
+      via k proc ~sysno:A.sys_open (Array.of_list (regs @ [ i64 (flag_bits flags) ])))
+
+let unlink k proc path =
+  with_staged k proc [ path ] (fun regs _ -> via_unit k proc ~sysno:A.sys_unlink (Array.of_list regs))
+
+let mkdir k proc path =
+  with_staged k proc [ path ] (fun regs _ -> via_unit k proc ~sysno:A.sys_mkdir (Array.of_list regs))
+
+let rename k proc ~src ~dst =
+  with_staged k proc [ src; dst ] (fun regs _ ->
+      via_unit k proc ~sysno:A.sys_rename (Array.of_list regs))
+
+let stat k proc path =
+  with_staged k proc ~out:S.stat_bytes [ path ] (fun regs out ->
+      let* () = via_unit k proc ~sysno:A.sys_stat (Array.of_list (regs @ [ out ])) in
+      Ok (S.decode_stat (get k proc out S.stat_bytes)))
+
+let fstat k proc ~fd =
+  with_staged k proc ~out:S.stat_bytes [] (fun _ out ->
+      let* () = via_unit k proc ~sysno:A.sys_fstat [| i64 fd; out |] in
+      Ok (S.decode_stat (get k proc out S.stat_bytes)))
+
+(* The listing fills whatever staging space the path leaves; a
+   directory with more entries than that is [ENOMEM]. *)
+let readdir k proc path =
+  let room = staging_bytes - align8 (min (String.length path) path_max) in
+  let cap = room / S.dirent_bytes in
+  with_staged k proc ~out:(cap * S.dirent_bytes) [ path ] (fun regs out ->
+      let* n = via k proc ~sysno:A.sys_readdir (Array.of_list (regs @ [ out; i64 cap ])) in
+      if n > cap then Error Errno.ENOMEM
+      else Ok (S.decode_dirents (get k proc out (n * S.dirent_bytes)) n))
+
+let getpid k proc =
+  match via k proc ~sysno:A.sys_getpid [||] with Ok pid -> pid | Error e -> -Errno.to_int e
+
+let fork k proc =
+  let* pid = via k proc ~sysno:A.sys_fork [||] in
+  Option.to_result ~none:Errno.ESRCH (Kernel.find_proc k pid)
+
+let execve k proc image =
+  via_unit k proc ~sysno:A.sys_execve [| i64 (Kernel.image_handle k image) |]
+
+let exit_ k proc status = ignore (syscall k proc A.sys_exit [| i64 status |])
 
 let wait ?(block = false) k proc =
-  trap k proc ~name:"wait" ~encode:(function Ok (pid, _) -> Int64.of_int pid | Error e -> Int64.of_int (-Errno.to_int e))
-    (fun () -> guarded k proc Syscall_abi.sys_wait @@ fun () -> wait_body ~block k proc)
+  via k proc ~sysno:A.sys_wait [| (if block then 1L else 0L); 0L |]
 
-(* ------------------------------------------------------------------ *)
-(* Signals (typed kill defers delivery to the return path)             *)
+let wait_status ?(block = false) k proc =
+  with_staged k proc ~out:S.fd_bytes [] (fun _ out ->
+      let* pid = via k proc ~sysno:A.sys_wait [| (if block then 1L else 0L); out |] in
+      Ok (pid, List.hd (S.decode_fds (get k proc out S.fd_bytes) 1)))
 
-let kill k proc ~pid ~signum =
-  (* Delivery is deferred to the return path so that, for a
-     self-signal, the syscall result lands in the interrupted context
-     rather than in the handler's fresh one. *)
-  let pending = ref None in
-  trap k proc ~name:"kill" ~encode:ret_unit
-    ~after_result:(fun () ->
-      match !pending with
-      | Some target -> deliver_signal k target signum
-      | None -> ())
-    (fun () ->
-      guarded k proc Syscall_abi.sys_kill @@ fun () ->
-      match kill_find_target k ~pid with
-      | Error _ as e -> e
-      | Ok target ->
-          pending := Some target;
-          Ok ())
+let munmap k proc ~addr ~len = via_unit k proc ~sysno:A.sys_munmap [| addr; i64 len |]
+let allocgm k proc ~va ~pages = via_unit k proc ~sysno:A.sys_allocgm [| va; i64 pages |]
+let freegm k proc ~va ~pages = via_unit k proc ~sysno:A.sys_freegm [| va; i64 pages |]
 
-(* ------------------------------------------------------------------ *)
-(* Pipes, select, poll                                                 *)
+let signal k proc ~signum ~handler =
+  via_unit k proc ~sysno:A.sys_signal [| i64 signum; handler |]
+
+let kill k proc ~pid ~signum = via_unit k proc ~sysno:A.sys_kill [| i64 pid; i64 signum |]
+let sigreturn k proc = via_unit k proc ~sysno:A.sys_sigreturn [||]
 
 let pipe k proc =
-  trap k proc ~name:"pipe" ~encode:(function Ok (r, _) -> Int64.of_int r | Error e -> Int64.of_int (-Errno.to_int e))
-    (fun () ->
-      guarded k proc Syscall_abi.sys_pipe @@ fun () ->
-      Kmem.work k.Kernel.kmem 50;
-      let p = Pipe_dev.create () in
-      Pipe_dev.add_reader p;
-      Pipe_dev.add_writer p;
-      let r = Proc.add_fd proc (Proc.Pipe_read p) in
-      let w = Proc.add_fd proc (Proc.Pipe_write p) in
-      Ok (r, w))
+  with_staged k proc ~out:(2 * S.fd_bytes) [] (fun _ out ->
+      let* () = via_unit k proc ~sysno:A.sys_pipe [| out |] in
+      match S.decode_fds (get k proc out (2 * S.fd_bytes)) 2 with
+      | [ r; w ] -> Ok (r, w)
+      | _ -> Error Errno.EFAULT)
 
-let select k proc fds =
-  trap k proc ~name:"select" ~encode:(fun r ->
-      match r with Ok ready -> Int64.of_int (List.length ready) | Error e -> Int64.of_int (-Errno.to_int e))
-    (fun () -> guarded k proc Syscall_abi.sys_select @@ fun () -> Ok (poll_scan k proc fds))
+let listen k proc ~port = via k proc ~sysno:A.sys_listen [| i64 port |]
+let accept k proc ~fd = via k proc ~sysno:A.sys_accept [| i64 fd |]
 
-let poll k proc fds =
-  trap k proc ~name:"poll" ~encode:(fun r ->
-      match r with Ok ready -> Int64.of_int (List.length ready) | Error e -> Int64.of_int (-Errno.to_int e))
-    (fun () -> guarded k proc Syscall_abi.sys_poll @@ fun () -> poll_body k proc fds)
+let connect_to k proc addr =
+  via k proc ~sysno:A.sys_connect [| Netstack.addr_to_wire addr |]
+
+let connect k proc ~port = connect_to k proc (Netstack.Local port)
+let send k proc ~fd ~buf ~len = via k proc ~sysno:A.sys_send [| i64 fd; buf; i64 len |]
+let recv k proc ~fd ~buf ~len = via k proc ~sysno:A.sys_recv [| i64 fd; buf; i64 len |]
+
+let set_blocking k proc ~fd on =
+  via_unit k proc ~sysno:A.sys_set_blocking [| i64 fd; (if on then 1L else 0L) |]
+
+(* The descriptor set is staged, then the same space again for the
+   ready set. *)
+let readiness sysno k proc fds =
+  let bytes = S.fd_bytes * List.length fds in
+  with_staged k proc ~out:(2 * bytes) [] (fun _ base ->
+      put k proc base (S.encode_fds fds);
+      let out = Int64.add base (i64 bytes) in
+      let* n = via k proc ~sysno [| base; i64 (List.length fds); out |] in
+      Ok (S.decode_fds (get k proc out (S.fd_bytes * n)) n))
+
+let select = readiness A.sys_select
+let poll = readiness A.sys_poll
+
+let ring_enter k proc ~ring ~depth ~to_submit =
+  via k proc ~sysno:A.sys_ring_enter [| ring; i64 depth; i64 to_submit |]
 
 (* ------------------------------------------------------------------ *)
 (* Built-in kernel API for modules                                     *)
@@ -946,8 +978,8 @@ let poll k proc fds =
 let register_builtin_externs (k : Kernel.t) =
   let reg name f = Hashtbl.replace k.Kernel.module_externs name f in
   reg "extern.genuine_read" (fun k proc args ->
-      ret_int
-        (genuine_read_unwrapped k proc ~fd:(Int64.to_int args.(0)) ~buf:args.(1)
+      Syscall_abi.encode_int
+        (genuine_read k proc ~fd:(Int64.to_int args.(0)) ~buf:args.(1)
            ~len:(Int64.to_int args.(2))));
   (* klog(ptr, len): print kernel-readable memory to the system log.
      This is an instrumented kernel helper: it reads through Kmem.  A
@@ -967,13 +999,11 @@ let register_builtin_externs (k : Kernel.t) =
   reg "extern.kmmap" (fun k _proc args ->
       match Kernel.find_proc k (Int64.to_int args.(0)) with
       | None -> 0L
-      | Some target ->
+      | Some target -> (
           let len = Int64.to_int args.(1) in
           let va = target.Proc.mmap_cursor in
           target.Proc.mmap_cursor <- Int64.add va (Int64.of_int (round_up_pages len + 4096));
-          (match Kernel.ensure_user_range k target va ~len with
-          | Ok () -> va
-          | Error _ -> 0L));
+          match Kernel.ensure_user_range k target va ~len with Ok () -> va | Error _ -> 0L));
   (* signal_install(pid, signum, handler): poke a handler straight into
      a victim's table, bypassing the registration wrappers. *)
   reg "extern.signal_install" (fun k _proc args ->
@@ -989,11 +1019,13 @@ let register_builtin_externs (k : Kernel.t) =
       | Some target ->
           deliver_signal k target (Int64.to_int args.(1));
           0L);
-  (* open_exfil(pid): open /exfil for writing in a victim's fd table. *)
+  (* genuine_mmap(len): the built-in mmap body, for the calling
+     process. *)
   reg "extern.genuine_mmap" (fun k proc args ->
       match genuine_mmap k proc ~len:(Int64.to_int args.(0)) with
       | Ok va -> va
       | Error _ -> 0L);
+  (* open_exfil(pid): open /exfil for writing in a victim's fd table. *)
   reg "extern.open_exfil" (fun k _proc args ->
       match Kernel.find_proc k (Int64.to_int args.(0)) with
       | None -> -1L
@@ -1009,55 +1041,12 @@ let register_builtin_externs (k : Kernel.t) =
           | Ok ino -> Int64.of_int (Proc.add_fd target (Proc.File { ino; offset = 0 }))))
 
 (* ------------------------------------------------------------------ *)
-(* SFIP kill teardown                                                  *)
-
-(* An out-of-policy process dies like [exit_ 137], with one deliberate
-   difference: the SVA thread and address-space registration stay
-   alive.  The kill happens mid-trap — the caller's epilogue still has
-   to write the [ESFIP] result into the saved context and return from
-   the trap — and any later syscall the doomed closure attempts must
-   refuse cleanly ([killed] short-circuits in the gate) instead of
-   faulting on a freed thread. *)
-let policy_kill k (proc : Proc.t) =
-  if not (Proc.is_zombie proc) then begin
-    Kmem.work k.Kernel.kmem 300;
-    Hashtbl.iter
-      (fun _ kind ->
-        match kind with
-        | Proc.Pipe_read p -> Pipe_dev.drop_reader p
-        | Proc.Pipe_write p -> Pipe_dev.drop_writer p
-        | Proc.Sock_conn conn -> Netstack.close k.Kernel.net ~conn
-        | Proc.File _ | Proc.Sock_listen _ | Proc.Console_out -> ())
-      proc.Proc.fds;
-    Hashtbl.reset proc.Proc.fds;
-    List.iter
-      (fun (va, pages) ->
-        match
-          Sva.freegm k.Kernel.sva ~pid:proc.Proc.pid ~pt:proc.Proc.pt ~va
-            ~count:pages
-        with
-        | Ok frames -> List.iter (Frame_alloc.free k.Kernel.frames) frames
-        | Error _ -> ())
-      proc.Proc.ghost_regions;
-    Ghost_swap.release_blobs k proc;
-    proc.Proc.ghost_regions <- [];
-    Kernel.free_user_pages k proc;
-    proc.Proc.state <- Proc.Zombie 137;
-    Waitq.wake k.Kernel.child_wq
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Entry registration                                                  *)
 
-(* Every numbered entry point, as a first-class [Syscall_abi.Entry].
-   Handlers mirror the bodies above; [None] handlers are the
-   typed-only syscalls (paths, struct results, process handles) that
-   cannot be addressed by number in this simulation — registering them
-   anyway keeps the table total, so [Dispatch.entries] and the ABI
-   bijection tests cover all of them. *)
+(* Every numbered entry point, as a first-class [Syscall_abi.Entry]:
+   register arguments in, a codec-shaped result out. *)
 let () =
   Dispatch.on_kill := policy_kill;
-  let module A = Syscall_abi in
   let reg sysno h = Dispatch.register (A.Entry.make sysno h) in
   let arg (args : int64 array) n = if n < Array.length args then args.(n) else 0L in
   let iarg args n = Int64.to_int (arg args n) in
@@ -1065,83 +1054,90 @@ let () =
   let unit_of r = Result.map (fun () -> 0L) r in
   (* read, write, send and recv take (fd, buf, len) and refuse a
      negative length before any copy or charge. *)
-  let io body =
-    Some
-      (fun k proc a ->
-        let len = iarg a 2 in
-        if len < 0 then Error Errno.EINVAL
-        else int_of (body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len))
+  let io body k proc a =
+    let len = iarg a 2 in
+    if len < 0 then Error Errno.EINVAL
+    else int_of (body k proc ~fd:(iarg a 0) ~buf:(arg a 1) ~len)
+  in
+  (* A path at registers [at], [at+1]: a bad length is [EINVAL] before
+     anything is charged; [entry] (the body's CFI entry) comes first,
+     then the copy's budget, and a copy that faults is [EFAULT]. *)
+  let bad_len a at = iarg a (at + 1) < 0 || iarg a (at + 1) > path_max in
+  let with_path ?(entry = false) ?(at = 0) k a f =
+    if bad_len a at then Error Errno.EINVAL
+    else begin
+      if entry then Kmem.fn_entry k.Kernel.kmem;
+      path_charge k (iarg a (at + 1));
+      let* p = copyin_path k ~va:(arg a at) ~len:(iarg a (at + 1)) in
+      f p
+    end
   in
   reg A.sys_read (io read_body);
   reg A.sys_write (io write_body);
-  reg A.sys_open None;
-  reg A.sys_close (Some (fun k proc a -> unit_of (close_body k proc (iarg a 0))));
-  reg A.sys_lseek
-    (Some (fun k proc a -> int_of (lseek_body k proc ~fd:(iarg a 0) ~pos:(iarg a 1))));
-  reg A.sys_unlink None;
-  reg A.sys_mkdir None;
-  reg A.sys_stat None;
-  reg A.sys_rename None;
-  reg A.sys_fstat None;
-  reg A.sys_dup2
-    (Some
-       (fun k proc a -> unit_of (dup2_body k proc ~src:(iarg a 0) ~dst:(iarg a 1))));
-  reg A.sys_readdir None;
-  reg A.sys_fsync (Some (fun k _proc _a -> unit_of (fsync_body k)));
-  reg A.sys_getpid (Some (fun _k proc _a -> int_of (getpid_body proc)));
-  reg A.sys_fork None;
-  reg A.sys_execve None;
-  reg A.sys_exit None;
-  reg A.sys_wait
-    (Some
-       (fun k proc a ->
-         int_of (Result.map fst (wait_body ~block:(iarg a 0 <> 0) k proc))));
-  reg A.sys_mmap (Some (fun k proc a -> genuine_mmap k proc ~len:(iarg a 0)));
-  reg A.sys_munmap
-    (Some
-       (fun k proc a ->
-         unit_of (munmap_body k proc ~addr:(arg a 0) ~len:(iarg a 1))));
-  reg A.sys_allocgm
-    (Some
-       (fun k proc a ->
-         unit_of (allocgm_body k proc ~va:(arg a 0) ~pages:(iarg a 1))));
-  reg A.sys_freegm
-    (Some
-       (fun k proc a ->
-         unit_of (freegm_body k proc ~va:(arg a 0) ~pages:(iarg a 1))));
-  reg A.sys_signal
-    (Some
-       (fun k proc a ->
-         unit_of (signal_body k proc ~signum:(iarg a 0) ~handler:(arg a 1))));
-  reg A.sys_kill
-    (Some
-       (fun k _proc a ->
-         unit_of
-           (Result.map
-              (fun target ->
-                (* In-ring delivery happens right after the handler:
-                   the completion lands in the ring, not in the
-                   interrupt context, so there is nothing to defer
-                   around. *)
-                deliver_signal k target (iarg a 1))
-              (kill_find_target k ~pid:(iarg a 0)))));
-  reg A.sys_sigreturn (Some (fun k proc _a -> unit_of (sigreturn_body k proc)));
-  reg A.sys_pipe None;
-  reg A.sys_listen (Some (fun k proc a -> int_of (listen_body k proc ~port:(iarg a 0))));
-  reg A.sys_accept (Some (fun k proc a -> int_of (accept_body k proc ~fd:(iarg a 0))));
-  reg A.sys_connect
-    (Some (fun k proc a -> int_of (connect_body k proc (Netstack.addr_of_wire a.(0)))));
+  reg A.sys_open (fun k proc a ->
+      with_path ~entry:true k a (fun p ->
+          let bits = iarg a 2 in
+          int_of
+            (open_body k proc p
+               { create = bits land 1 <> 0; truncate = bits land 2 <> 0; append = bits land 4 <> 0 })));
+  reg A.sys_close (fun k proc a -> unit_of (close_body k proc (iarg a 0)));
+  reg A.sys_lseek (fun k proc a -> int_of (lseek_body k proc ~fd:(iarg a 0) ~pos:(iarg a 1)));
+  reg A.sys_unlink (fun k _proc a ->
+      with_path ~entry:true k a (fun p -> unit_of (Diskfs.unlink k.Kernel.fs p)));
+  reg A.sys_mkdir (fun k _proc a ->
+      with_path k a (fun p -> Result.map (fun _ -> 0L) (Diskfs.mkdir k.Kernel.fs p)));
+  reg A.sys_stat (fun k _proc a ->
+      with_path k a (fun p ->
+          let st = Result.bind (Diskfs.lookup k.Kernel.fs p) (fun ino -> Diskfs.stat k.Kernel.fs ~ino) in
+          unit_of (stat_out k ~out:(arg a 2) st)));
+  reg A.sys_rename (fun k _proc a ->
+      if bad_len a 2 then Error Errno.EINVAL
+      else
+        with_path ~entry:true k a (fun src ->
+            with_path ~at:2 k a (fun dst -> unit_of (Diskfs.rename k.Kernel.fs ~src ~dst))));
+  reg A.sys_fstat (fun k proc a -> unit_of (fstat_body k proc ~fd:(iarg a 0) ~out:(arg a 1)));
+  reg A.sys_dup2 (fun k proc a -> unit_of (dup2_body k proc ~src:(iarg a 0) ~dst:(iarg a 1)));
+  reg A.sys_readdir (fun k _proc a ->
+      with_path k a (fun p ->
+          let* ino = Diskfs.lookup k.Kernel.fs p in
+          let* entries = Diskfs.readdir k.Kernel.fs ~ino in
+          copyout_struct k ~dst:(arg a 2) (S.encode_dirents entries ~cap:(max 0 (iarg a 3)));
+          Ok (i64 (List.length entries))));
+  reg A.sys_fsync (fun k _proc _a ->
+      Diskfs.sync k.Kernel.fs;
+      Ok 0L);
+  reg A.sys_getpid (fun _k proc _a -> Ok (i64 proc.Proc.pid));
+  reg A.sys_fork (fun k proc _a -> int_of (fork_body k proc));
+  reg A.sys_execve (fun k proc a ->
+      match Kernel.image_of_handle k (iarg a 0) with
+      | None -> Error Errno.EFAULT
+      | Some image -> unit_of (execve_body k proc image));
+  reg A.sys_exit (fun k proc a -> unit_of (exit_body k proc (iarg a 0)));
+  reg A.sys_wait (fun k proc a ->
+      int_of (wait_body ~block:(iarg a 0 <> 0) k proc ~status:(arg a 1)));
+  reg A.sys_mmap (fun k proc a -> genuine_mmap k proc ~len:(iarg a 0));
+  reg A.sys_munmap (fun k proc a -> unit_of (munmap_body k proc ~addr:(arg a 0) ~len:(iarg a 1)));
+  reg A.sys_allocgm (fun k proc a ->
+      unit_of (allocgm_body k proc ~va:(arg a 0) ~pages:(iarg a 1)));
+  reg A.sys_freegm (fun k proc a -> unit_of (freegm_body k proc ~va:(arg a 0) ~pages:(iarg a 1)));
+  reg A.sys_signal (fun k proc a ->
+      unit_of (signal_body k proc ~signum:(iarg a 0) ~handler:(arg a 1)));
+  reg A.sys_kill (fun k proc a -> unit_of (kill_body k proc ~pid:(iarg a 0) ~signum:(iarg a 1)));
+  reg A.sys_sigreturn (fun k proc _a -> unit_of (sigreturn_body k proc));
+  reg A.sys_pipe (fun k proc a -> unit_of (pipe_body k proc ~out:(arg a 0)));
+  reg A.sys_listen (fun k proc a -> int_of (listen_body k proc ~port:(iarg a 0)));
+  reg A.sys_accept (fun k proc a -> int_of (accept_body k proc ~fd:(iarg a 0)));
+  reg A.sys_connect (fun k proc a ->
+      int_of (connect_body k proc (Netstack.addr_of_wire (arg a 0))));
   reg A.sys_send (io send_body);
   reg A.sys_recv (io recv_body);
-  reg A.sys_select None;
-  reg A.sys_poll None;
-  reg A.sys_set_blocking
-    (Some
-       (fun k proc a ->
-         unit_of (set_blocking_body k proc ~fd:(iarg a 0) (iarg a 1 <> 0))));
-  reg A.sys_ring_enter
-    (Some
-       (fun k proc a ->
-         int_of
-           (ring_enter_body k proc ~ring:(arg a 0) ~depth:(iarg a 1)
-              ~to_submit:(iarg a 2))))
+  let readiness body k proc a =
+    let* fds = copyin_fds k ~fds:(arg a 0) ~count:(iarg a 1) in
+    int_of (ready_out k ~out:(arg a 2) (body k proc fds))
+  in
+  reg A.sys_select (readiness (fun k proc fds -> Ok (poll_scan k proc fds)));
+  reg A.sys_poll (readiness poll_body);
+  reg A.sys_set_blocking (fun k proc a ->
+      unit_of (set_blocking_body k proc ~fd:(iarg a 0) (iarg a 1 <> 0)));
+  reg A.sys_ring_enter (fun k proc a ->
+      int_of (ring_enter_body k proc ~ring:(arg a 0) ~depth:(iarg a 1) ~to_submit:(iarg a 2)))

@@ -11,24 +11,43 @@
     application's data (which is why the ghosting libc wrappers copy
     through traditional memory).
 
-    Dispatch is unified over the numbered ABI ({!Syscall_abi}): every
-    register-argument call runs through {!Dispatch.run} — shared by
-    the typed wrappers here, the batched submission ring
-    ({!ring_enter}) and loadable-module overrides ({!Module_loader},
-    keyed by {!Syscall_abi.Sysno.t}) — so an overridden call behaves
-    identically whether it arrives by trap or by ring, and every
-    result crosses the boundary through the single {!Syscall_abi}
-    codec.  This module registers the builtin {!Syscall_abi.Entry}
-    records into {!Dispatch} at initialisation.
+    There is one way into the kernel: every wrapper here traps into
+    {!Dispatch.run} with register arguments, exactly as a submission
+    ring entry ({!ring_enter}) or a caller of a loadable-module
+    override ({!Module_loader}, keyed by {!Syscall_abi.Sysno.t}) does,
+    so an overridden call behaves identically whether it arrives by
+    trap or by ring, and every result crosses the boundary through the
+    single {!Syscall_abi} codec.  This module registers a builtin
+    {!Syscall_abi.Entry} for every number into {!Dispatch} at
+    initialisation.
+
+    The wrappers act as the C library.  A path goes to the kernel as a
+    (user VA, length) pair, and a struct result (stat, a directory
+    listing, pipe descriptors, a ready set, an exit status) comes back
+    through a user buffer.  The wrappers stage those bytes in the
+    first pages of the process's first anonymous mapping (the
+    runtime's bounce buffer, {!Proc.mmap_base}); staging charges
+    nothing, since it models bytes a libc already holds.  The kernel
+    reads paths and writes struct results with budgeted copies
+    ({!Kmem.read_budgeted}): masked and fault-handled like any user
+    buffer, but paid for by the body's fixed charge.  Under Virtual
+    Ghost a path pointer into ghost memory faults ([EFAULT], one
+    [Security{sandbox}] event).
 
     Syscall-flow integrity: processes carrying a {!Syscall_policy} get
-    every call — numbered or typed-only, trap or ring — checked
-    against their transition graph; out-of-policy sequences kill the
-    process with one [Security{sfip}] event and [ESFIP].  [exit]
-    remains always-allowed, and unprofiled processes are charged
-    nothing. *)
+    every call, trap or ring, checked against their transition graph;
+    out-of-policy sequences kill the process with one [Security{sfip}]
+    event and [ESFIP].  [exit] remains always-allowed, and unprofiled
+    processes are charged nothing. *)
 
 type open_flags = { create : bool; truncate : bool; append : bool }
+
+val syscall : Kernel.t -> Proc.t -> Syscall_abi.Sysno.t -> int64 array -> int64
+(** One trap with raw register arguments — the trap prologue,
+    {!Dispatch.run}, and (for every call but exit) the result
+    write-back and return path — returning the ABI-encoded result
+    register.  Every wrapper below is this call after staging its
+    arguments. *)
 
 val rdonly : open_flags
 val creat_trunc : open_flags
@@ -47,10 +66,14 @@ val rename : Kernel.t -> Proc.t -> src:string -> dst:string -> unit Errno.result
 val fstat : Kernel.t -> Proc.t -> fd:int -> Diskfs.stat Errno.result
 val dup2 : Kernel.t -> Proc.t -> src:int -> dst:int -> unit Errno.result
 (** Make descriptor [dst] refer to the same open object as [src]
-    (closing whatever [dst] held). *)
+    (closing whatever [dst] held, sockets included).  [EBADF] for a
+    negative [dst] or one at or above {!Proc.fd_limit}; [dup2 fd fd]
+    is a no-op. *)
 
 val readdir : Kernel.t -> Proc.t -> string -> (string * int) list Errno.result
-(** Directory listing of a path (getdents-style). *)
+(** Directory listing of a path (getdents-style): (name, inode) pairs.
+    The listing comes back as 32-byte dirents in the staging space;
+    [ENOMEM] if the directory holds more than fit there. *)
 
 val fsync : Kernel.t -> Proc.t -> unit Errno.result
 
@@ -60,22 +83,32 @@ val getpid : Kernel.t -> Proc.t -> int
 (** Also the "null syscall" of the LMBench table. *)
 
 val fork : Kernel.t -> Proc.t -> Proc.t Errno.result
-(** Returns the child process object (the runtime decides when its
-    closure runs). *)
+(** The syscall returns the child's pid; the wrapper looks the child
+    process object up (the runtime decides when its closure runs). *)
 
 val execve : Kernel.t -> Proc.t -> Appimage.t -> unit Errno.result
-(** Copies the image text into user memory and reinitialises the
-    Interrupt Context through the VM (signature check, key recovery). *)
+(** Passes the image's install handle ({!Kernel.image_handle}); the
+    kernel copies the image text into user memory and reinitialises
+    the Interrupt Context through the VM (signature check, key
+    recovery). *)
 
 val exit_ : Kernel.t -> Proc.t -> int -> unit
+(** Enters through the trap prologue and runs no epilogue: the
+    process's thread is gone when the body returns.  Outside the
+    syscall-flow policy. *)
 
-val wait : ?block:bool -> Kernel.t -> Proc.t -> (int * int) Errno.result
-(** Reap a zombie child: [Ok (pid, status)]; [ECHILD] with none.
-    Default [block:false] keeps the historical contract — [EAGAIN]
-    while children run (LMBench drives the reap loop itself).  With
-    [block:true] the caller sleeps on the kernel's child waitqueue
-    until a child exits (requires the {!Sched} block hook; without a
-    scheduler it still returns [EAGAIN]). *)
+val wait : ?block:bool -> Kernel.t -> Proc.t -> int Errno.result
+(** Reap a zombie child and return its pid; [ECHILD] with none.
+    Passes a null status pointer, so nothing is staged (init, which
+    has no user mapping, reaps this way).  Default [block:false] keeps
+    the historical contract — [EAGAIN] while children run (LMBench
+    drives the reap loop itself).  With [block:true] the caller sleeps
+    on the kernel's child waitqueue until a child exits (requires the
+    {!Sched} block hook; without a scheduler it still returns
+    [EAGAIN]). *)
+
+val wait_status : ?block:bool -> Kernel.t -> Proc.t -> (int * int) Errno.result
+(** {!wait} that also asks for the exit status: [Ok (pid, status)]. *)
 
 (** {1 Memory} *)
 
@@ -94,9 +127,10 @@ val freegm : Kernel.t -> Proc.t -> va:int64 -> pages:int -> unit Errno.result
 
 val signal : Kernel.t -> Proc.t -> signum:int -> handler:int64 -> unit Errno.result
 val kill : Kernel.t -> Proc.t -> pid:int -> signum:int -> unit Errno.result
-(** Delivers via [sva.ipush.function]; under Virtual Ghost an
-    unregistered handler target is refused by the VM (the delivery is
-    dropped and logged). *)
+(** Delivers via [sva.ipush.function] on the trap's way out, after the
+    result register is written (also for a kill inside a ring batch);
+    under Virtual Ghost an unregistered handler target is refused by
+    the VM (the delivery is dropped and logged). *)
 
 val sigreturn : Kernel.t -> Proc.t -> unit Errno.result
 
@@ -158,5 +192,5 @@ val genuine_read : Kernel.t -> Proc.t -> fd:int -> buf:int64 -> len:int -> int E
 val register_builtin_externs : Kernel.t -> unit
 (** Install the kernel helper API modules link against:
     [extern.genuine_read], [extern.klog], [extern.kmmap],
-    [extern.copyout], [extern.signal_install], [extern.kill],
-    [extern.open_for_attacker], [extern.io_write]. *)
+    [extern.signal_install], [extern.kill], [extern.genuine_mmap] and
+    [extern.open_exfil]. *)

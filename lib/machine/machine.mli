@@ -151,6 +151,14 @@ val translate : t -> access -> int64 -> int64
 (** [translate t access va] is the physical address, charging TLB
     costs. @raise Page_fault on missing mapping or permission. *)
 
+val translate_quiet : t -> pt:Pagetable.t -> privilege -> access -> int64 -> int64
+(** [translate_quiet t ~pt privilege access va] walks [pt] (the kernel
+    table for kernel addresses) and checks [access] at [privilege] as
+    {!translate} does, with no side effect on the machine: it charges
+    nothing, fills no TLB and touches no cache line.  Copies whose cost
+    is modelled as a fixed budget, and user-side argument staging, use
+    it.  @raise Page_fault on missing mapping or permission. *)
+
 val read_virt : t -> int64 -> len:int -> int64
 val write_virt : t -> int64 -> len:int -> int64 -> unit
 (** Single-word accessors ([len] in 1/2/4/8); they charge

@@ -110,7 +110,7 @@ let test_fork_in_child () =
           in
           Alcotest.(check string) "child saw parent data" "from parent" child_view;
           let _, status = 
-            match Syscalls.wait ctx.Runtime.kernel ctx.Runtime.proc with
+            match Syscalls.wait_status ctx.Runtime.kernel ctx.Runtime.proc with
             | Ok r -> r
             | Error e -> Alcotest.failf "wait: %s" (Errno.to_string e)
           in

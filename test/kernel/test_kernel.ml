@@ -665,7 +665,7 @@ let test_fork_and_wait () =
     (Bytes.to_string (user_read k p user_buf 11));
   expect_err Errno.EAGAIN "still running" (Syscalls.wait k p);
   Syscalls.exit_ k child 7;
-  let pid, status = expect_ok "wait" (Syscalls.wait k p) in
+  let pid, status = expect_ok "wait" (Syscalls.wait_status k p) in
   Alcotest.(check int) "pid" child.Proc.pid pid;
   Alcotest.(check int) "status" 7 status;
   expect_err Errno.ECHILD "no children" (Syscalls.wait k p)
@@ -1204,6 +1204,9 @@ let prop_kmem_write_matches_bytes =
    result and a small per-call constant — one host copy per modelled
    copy, no intermediate buffers. *)
 let words_allocated f =
+  (* Empty the minor heap first, so words promoted during [f] were all
+     allocated by [f]. *)
+  Gc.minor ();
   let minor0, promoted0, major0 = Gc.counters () in
   let r = f () in
   let minor1, promoted1, major1 = Gc.counters () in
@@ -1780,6 +1783,9 @@ let test_esfip_distinct () =
 let test_sfip_direct_violation () =
   let k = boot () in
   let p = child k in
+  (* The staging mapping path arguments travel through, made before the
+     profile applies (as the runtime's bounce buffer is). *)
+  ignore (expect_ok "mmap" (Syscalls.mmap k p ~len:65536));
   p.Proc.policy <-
     Some
       (Syscall_policy.enforce
@@ -1807,7 +1813,7 @@ let test_sfip_direct_violation () =
         expect_err Errno.ESFIP "post-kill open" (Syscalls.open_ k p "/t" Syscalls.rdonly))
   in
   Alcotest.(check int) "no further events" 0 more;
-  let pid, status = expect_ok "reap" (Syscalls.wait k (init k)) in
+  let pid, status = expect_ok "reap" (Syscalls.wait_status k (init k)) in
   Alcotest.(check int) "reaped the killed pid" p.Proc.pid pid;
   Alcotest.(check int) "status 137" 137 status
 
@@ -2122,9 +2128,179 @@ let test_swap_watermark_hysteresis () =
   Alcotest.(check int) "two reclaim episodes" 2 st.Ghost_swap.reclaims;
   Alcotest.(check bool) "pages went out" true (st.Ghost_swap.swap_outs >= 13)
 
+(* ------------------------------------------------------------------ *)
+(* One entry path                                                      *)
+
+let override_module name arity ret =
+  let b = Builder.create () in
+  Builder.func b ("sys_" ^ name) ~params:(List.init arity (Printf.sprintf "a%d"));
+  Builder.ret b (Some (Imm ret));
+  Builder.program b
+
+let load_ok k ~name program =
+  match Module_loader.load k ~name program with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "load %s: %s" name (Module_loader.describe_load_error e)
+
+let decoded sysno r = Syscall_abi.decode (Syscall_abi.codec sysno) r
+
+let ring_one k p sysno args =
+  stage_ring k p ~depth:1
+    [ { Syscall_ring.sysno = Syscall_abi.Sysno.to_int sysno; args; user_data = 1L } ];
+  ignore (expect_ok "ring_enter" (Syscalls.ring_enter k p ~ring:ring_base ~depth:1 ~to_submit:1));
+  decoded sysno (read_cqe_slot k p ~depth:1 0).Syscall_ring.result
+
+(* Every number has a handler: a direct trap never gets ENOSYS; a ring
+   entry runs unless the table keeps the call to traps (fork, execve,
+   exit, ring_enter: ENOSYS); and a module override of the call runs
+   for a direct trap.  Arguments are all zero; each leg gets a fresh
+   process. *)
+let test_every_sysno_three_ways () =
+  Alcotest.(check int) "an entry for every number" Syscall_abi.Sysno.count
+    (List.length (Dispatch.entries ()));
+  List.iter
+    (fun s ->
+      let name = Syscall_abi.Sysno.to_name s in
+      let arity = Syscall_abi.arity s in
+      let k = boot () in
+      (match decoded s (Syscalls.syscall k (child k) s (Array.make arity 0L)) with
+      | Error Errno.ENOSYS -> Alcotest.failf "%s: a direct trap got ENOSYS" name
+      | Ok _ | Error _ -> ());
+      (match (Syscall_abi.ring_callable s, ring_one k (child k) s (Array.make 4 0L)) with
+      | true, Error Errno.ENOSYS -> Alcotest.failf "%s: a ring entry got ENOSYS" name
+      | true, _ -> ()
+      | false, r -> expect_err Errno.ENOSYS (name ^ " refused from a ring") r);
+      let marker = Int64.of_int (7000 + Syscall_abi.Sysno.to_int s) in
+      load_ok k ~name:("ov_" ^ name) (override_module name arity marker);
+      Alcotest.(check int64) (name ^ ": override runs for a direct trap") marker
+        (Syscalls.syscall k (child k) s (Array.make arity 0L));
+      Module_loader.unload k ~name:("ov_" ^ name))
+    Syscall_abi.Sysno.all
+
+(* The typed open wrapper traps through the same dispatch as a ring
+   entry, so a module's sys_open answers it. *)
+let test_open_override_direct () =
+  let k = boot () in
+  let p = init k in
+  load_ok k ~name:"open42" (override_module "open" 3 42L);
+  Alcotest.(check int) "the override's result" 42
+    (expect_ok "open" (Syscalls.open_ k p "/o" Syscalls.creat_trunc))
+
+(* kill(self) inside a ring batch: delivery waits for ring_enter's
+   result to be written, so the handler gets the signal number and the
+   interrupted context keeps ring_enter's count. *)
+let test_ring_self_kill () =
+  let k = boot () in
+  let p = init k in
+  let handler = 0x0000_0000_0041_0000L in
+  Sva.permit_function k.Kernel.sva ~pid:p.Proc.pid handler;
+  ignore (expect_ok "signal" (Syscalls.signal k p ~signum:10 ~handler));
+  stage_ring k p ~depth:1
+    [
+      {
+        Syscall_ring.sysno = Syscall_abi.Sysno.to_int Syscall_abi.sys_kill;
+        args = [| Int64.of_int p.Proc.pid; 10L |];
+        user_data = 1L;
+      };
+    ];
+  Alcotest.(check int) "ring_enter consumed one" 1
+    (expect_ok "ring_enter" (Syscalls.ring_enter k p ~ring:ring_base ~depth:1 ~to_submit:1));
+  ignore
+    (expect_ok "kill completion"
+       (Syscall_abi.decode_int (read_cqe_slot k p ~depth:1 0).Syscall_ring.result));
+  let ic = Sva.thread_icontext k.Kernel.sva ~tid:p.Proc.tid in
+  Alcotest.(check int64) "pc -> handler" handler ic.Icontext.pc;
+  Alcotest.(check int64) "handler arg = signum" 10L ic.Icontext.gprs.(0);
+  (* Pop the handler frame: the interrupted context underneath. *)
+  (match Sva.icontext_load k.Kernel.sva ~tid:p.Proc.tid with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  Alcotest.(check int64) "interrupted context holds ring_enter's count" 1L
+    (Sva.thread_icontext k.Kernel.sva ~tid:p.Proc.tid).Icontext.gprs.(0)
+
+(* A path pointer into ghost memory: a Virtual Ghost kernel's masked
+   copy faults (EFAULT, one Security{sandbox} event); a native kernel
+   reads the path. *)
+let test_ghost_path () =
+  List.iter
+    (fun mode ->
+      let k = boot ~mode () in
+      let p = init k in
+      let va = Int64.add Layout.ghost_start 0x1000_0000L in
+      ignore (expect_ok "allocgm" (Syscalls.allocgm k p ~va ~pages:1));
+      Kernel.switch_to k p;
+      Machine.set_privilege k.Kernel.machine Machine.User;
+      Machine.write_bytes_virt k.Kernel.machine va (Bytes.of_string "/gpath");
+      Machine.set_privilege k.Kernel.machine Machine.Kernel;
+      let recorder = Vg_obs.Obs_recorder.create () in
+      let r =
+        Vg_obs.Obs.with_sink (Machine.obs k.Kernel.machine)
+          (Vg_obs.Obs_recorder.sink recorder)
+          (fun () ->
+            Syscall_abi.decode_int
+              (Syscalls.syscall k p Syscall_abi.sys_open [| va; 6L; 1L |]))
+      in
+      let sandbox =
+        Vg_obs.Obs_recorder.count_matching recorder (function
+          | Vg_obs.Obs.Event.Security { subsystem = "sandbox"; _ } -> true
+          | _ -> false)
+      in
+      match mode with
+      | Sva.Virtual_ghost ->
+          expect_err Errno.EFAULT "ghost path under VG" r;
+          Alcotest.(check int) "one sandbox event" 1 sandbox
+      | Sva.Native_build ->
+          ignore (expect_ok "ghost path natively" r);
+          ignore (expect_ok "the path was read" (Diskfs.lookup k.Kernel.fs "/gpath")))
+    [ Sva.Virtual_ghost; Sva.Native_build ]
+
+(* dup2 refuses a target outside [0, fd_limit), leaves numbering
+   intact, is a no-op onto itself, and closes a socket it replaces. *)
+let test_dup2_targets () =
+  let k = boot () in
+  let p = init k in
+  let file = expect_ok "open" (Syscalls.open_ k p "/d2" Syscalls.creat_trunc) in
+  expect_err Errno.EBADF "negative target" (Syscalls.dup2 k p ~src:file ~dst:(-5));
+  expect_err Errno.EBADF "max_int target" (Syscalls.dup2 k p ~src:file ~dst:max_int);
+  expect_err Errno.EBADF "target at the limit" (Syscalls.dup2 k p ~src:file ~dst:Proc.fd_limit);
+  let next = expect_ok "open after" (Syscalls.open_ k p "/d3" Syscalls.creat_trunc) in
+  Alcotest.(check int) "numbering intact" (file + 1) next;
+  let lfd = expect_ok "listen" (Syscalls.listen k p ~port:80) in
+  ignore (Netstack.Remote.connect k.Kernel.machine ~port:80);
+  let sock = expect_ok "accept" (Syscalls.accept k p ~fd:lfd) in
+  let conn =
+    match Proc.find_fd p sock with
+    | Some (Proc.Sock_conn c) -> c
+    | _ -> Alcotest.fail "accept gave no connection"
+  in
+  ignore (expect_ok "dup2 onto itself" (Syscalls.dup2 k p ~src:sock ~dst:sock));
+  Alcotest.(check bool) "still connected" true (Netstack.conn_wq k.Kernel.net ~conn <> None);
+  ignore (expect_ok "dup2 over the socket" (Syscalls.dup2 k p ~src:file ~dst:sock));
+  Alcotest.(check bool) "connection closed" true (Netstack.conn_wq k.Kernel.net ~conn = None)
+
+(* An override whose parameters do not match its syscall's registers
+   is refused at load; every call to it would trap. *)
+let test_module_arity_refused () =
+  let k = boot () in
+  match Module_loader.load k ~name:"short_open" (override_module "open" 2 42L) with
+  | Error (Module_loader.Arity_mismatch { params = 2; arity = 3; _ }) ->
+      Alcotest.(check (list string)) "nothing overridden" [] (Module_loader.loaded_overrides k)
+  | Ok () -> Alcotest.fail "a 2-parameter sys_open loaded"
+  | Error e -> Alcotest.failf "wrong error class: %s" (Module_loader.describe_load_error e)
+
 let () =
   Alcotest.run "vg_kernel"
     [
+      ( "entry-path",
+        [
+          Alcotest.test_case "every sysno three ways" `Quick test_every_sysno_three_ways;
+          Alcotest.test_case "sys_open override on the direct path" `Quick
+            test_open_override_direct;
+          Alcotest.test_case "ring self-kill" `Quick test_ring_self_kill;
+          Alcotest.test_case "ghost-pointer path" `Quick test_ghost_path;
+          Alcotest.test_case "dup2 targets" `Quick test_dup2_targets;
+          Alcotest.test_case "module arity at load" `Quick test_module_arity_refused;
+        ] );
       ( "boot",
         [
           Alcotest.test_case "boots with init" `Quick test_boot;

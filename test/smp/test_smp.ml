@@ -402,7 +402,7 @@ let test_wait_blocks_until_child_exit () =
          let c = expect_ok "fork" (Syscalls.fork ctx.Runtime.kernel proc) in
          child := Some c;
          reaped :=
-           Some (expect_ok "wait" (Syscalls.wait ~block:true ctx.Runtime.kernel proc))));
+           Some (expect_ok "wait" (Syscalls.wait_status ~block:true ctx.Runtime.kernel proc))));
   ignore
     (Runtime.spawn_fiber k sched ~cpu:1 ~ghosting:false ~name:"killer"
        (fun ctx ->
