@@ -78,36 +78,48 @@ let store t addr ~len v =
    own and copied straight between memory and the caller's buffer.  A
    faulting chunk reads as zeros or drops its store, and the next chunk
    is still attempted.  A charged chunk pays its mask and its copy
-   through the machine's charging accessors.  A budgeted chunk is
-   masked and copied through a quiet walk of the current tables: its
-   caller charges the whole copy as a fixed budget.  The result says
-   whether every chunk went through. *)
-let chunks t ~charged ~what addr len copy on_fault =
-  let ok = ref true in
-  as_kernel t (fun () ->
-      Machine.iter_pages addr len (fun ~pos ~va ~len ->
-          let ea =
-            if charged then effective t va
-            else
-              match t.mode with
-              | Sva.Native_build -> va
-              | Sva.Virtual_ghost -> Vg_compiler.Sandbox_pass.masked_address va
-          in
-          try copy ea ~pos ~len
-          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
-            ok := false;
-            fault t what va;
-            on_fault ~pos ~len));
+   through the machine's charging accessors (at kernel privilege: see
+   [as_kernel]).  A budgeted chunk is masked and copied through a quiet
+   walk of the current tables at kernel privilege: its caller charges
+   the whole copy as a fixed budget.  The result says whether every
+   chunk went through. *)
+let chunks t ~charged ~write addr buf ~off ~len =
+  let m = t.machine in
+  let ok = ref true and pos = ref 0 in
+  while !pos < len do
+    let va = Int64.add addr (Int64.of_int !pos) in
+    let n = min (len - !pos) (4096 - Int64.to_int (Int64.logand va 0xfffL)) in
+    let at = off + !pos in
+    (try
+       if charged then begin
+         let ea = effective t va in
+         if write then Machine.write_virt_from m ea buf ~off:at ~len:n
+         else Machine.read_virt_into m ea buf ~off:at ~len:n
+       end
+       else begin
+         let ea =
+           match t.mode with
+           | Sva.Native_build -> va
+           | Sva.Virtual_ghost -> Vg_compiler.Sandbox_pass.masked_address va
+         in
+         let access = if write then Machine.Write else Machine.Read in
+         let addr =
+           Machine.translate_quiet m ~pt:(Machine.current_pt m) Machine.Kernel access ea
+         in
+         if write then Phys_mem.blit_from (Machine.mem m) ~addr buf ~off:at ~len:n
+         else Phys_mem.blit_to (Machine.mem m) ~addr buf ~off:at ~len:n
+       end
+     with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
+       ok := false;
+       fault t (if write then "write" else "read") va;
+       if not write then Bytes.fill buf at n '\000');
+    pos := !pos + n
+  done;
   !ok
-
-let drop_store ~pos:_ ~len:_ = ()
 
 let read_into t addr dst ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length dst - len then invalid_arg "Kmem.read_into";
-  ignore
-    (chunks t ~charged:true ~what:"read" addr len
-       (fun ea ~pos ~len -> Machine.read_virt_into t.machine ea dst ~off:(off + pos) ~len)
-       (fun ~pos ~len -> Bytes.fill dst (off + pos) len '\000'))
+  as_kernel t (fun () -> ignore (chunks t ~charged:true ~write:false addr dst ~off ~len))
 
 let read_bytes t addr ~len =
   let out = Bytes.create len in
@@ -115,28 +127,14 @@ let read_bytes t addr ~len =
   out
 
 let write_bytes t addr src =
-  ignore
-    (chunks t ~charged:true ~what:"write" addr (Bytes.length src)
-       (fun ea ~pos ~len -> Machine.write_virt_from t.machine ea src ~off:pos ~len)
-       drop_store)
-
-let quiet t access ea =
-  Machine.translate_quiet t.machine ~pt:(Machine.current_pt t.machine) Machine.Kernel
-    access ea
+  as_kernel t (fun () ->
+      ignore (chunks t ~charged:true ~write:true addr src ~off:0 ~len:(Bytes.length src)))
 
 let read_budgeted t addr dst =
-  chunks t ~charged:false ~what:"read" addr (Bytes.length dst)
-    (fun ea ~pos ~len ->
-      Phys_mem.blit_to (Machine.mem t.machine) ~addr:(quiet t Machine.Read ea) dst ~off:pos
-        ~len)
-    (fun ~pos ~len -> Bytes.fill dst pos len '\000')
+  chunks t ~charged:false ~write:false addr dst ~off:0 ~len:(Bytes.length dst)
 
 let write_budgeted t addr src =
-  chunks t ~charged:false ~what:"write" addr (Bytes.length src)
-    (fun ea ~pos ~len ->
-      Phys_mem.blit_from (Machine.mem t.machine) ~addr:(quiet t Machine.Write ea) src
-        ~off:pos ~len)
-    drop_store
+  chunks t ~charged:false ~write:true addr src ~off:0 ~len:(Bytes.length src)
 
 (* [n * (mem_access + sandbox_mask)] split by distributivity so the
    mask surcharge is attributed separately; the total is unchanged. *)

@@ -54,7 +54,16 @@ let fd_bytes = 4
 
 let encode_fds fds =
   let b = Bytes.create (fd_bytes * List.length fds) in
-  List.iteri (fun i fd -> Bytes.set_int32_le b (fd_bytes * i) (Int32.of_int fd)) fds;
-  b
+  let rec fill i = function
+    | [] -> b
+    | fd :: rest ->
+        Bytes.set_int32_le b (fd_bytes * i) (Int32.of_int fd);
+        fill (i + 1) rest
+  in
+  fill 0 fds
 
-let decode_fds b n = List.init n (fun i -> Int32.to_int (Bytes.get_int32_le b (fd_bytes * i)))
+let decode_fd b i = Int32.to_int (Bytes.get_int32_le b (fd_bytes * i))
+
+let decode_fds b n =
+  let rec build i acc = if i < 0 then acc else build (i - 1) (decode_fd b i :: acc) in
+  build (n - 1) []

@@ -22,4 +22,8 @@ val fd_bytes : int
     int32. *)
 
 val encode_fds : int list -> bytes
+
+val decode_fd : bytes -> int -> int
+(** The [i]th descriptor. *)
+
 val decode_fds : bytes -> int -> int list

@@ -387,9 +387,7 @@ let genuine_mmap k proc ~len =
     Kmem.work k.Kernel.kmem 60;
     let va = proc.Proc.mmap_cursor in
     proc.Proc.mmap_cursor <- Int64.add va (Int64.of_int (round_up_pages len + 4096));
-    match Kernel.ensure_user_range k proc va ~len with
-    | Ok () -> Ok va
-    | Error e -> Error e
+    Result.map (fun () -> va) (Kernel.ensure_user_range k proc va ~len)
   end
 
 let munmap_body k proc ~addr ~len =
@@ -498,9 +496,7 @@ let sigreturn_body k (proc : Proc.t) =
 
 let listen_body k proc ~port =
   Kmem.work k.Kernel.kmem 40;
-  match Netstack.listen k.Kernel.net ~port with
-  | Ok () -> Ok (Proc.add_fd proc (Proc.Sock_listen port))
-  | Error e -> Error e
+  Result.map (fun () -> Proc.add_fd proc (Proc.Sock_listen port)) (Netstack.listen k.Kernel.net ~port)
 
 let accept_once k proc ~fd =
   Kmem.work k.Kernel.kmem 40;
@@ -519,9 +515,7 @@ let accept_body k proc ~fd =
 
 let connect_body k proc addr =
   Kmem.work k.Kernel.kmem 60;
-  match Netstack.connect_to k.Kernel.net addr with
-  | Ok conn -> Ok (Proc.add_fd proc (Proc.Sock_conn conn))
-  | Error e -> Error e
+  Result.map (fun conn -> Proc.add_fd proc (Proc.Sock_conn conn)) (Netstack.connect_to k.Kernel.net addr)
 
 let send_body k proc ~fd ~buf ~len =
   Kmem.fn_entry k.Kernel.kmem;
@@ -610,19 +604,17 @@ let poll_body k proc fds =
 (* select and poll take (fds, count, out) and return how many of the
    descriptors are ready, copying those out; the scan's own charge
    ([poll_scan]) is the copies' budget. *)
-let copyin_fds k ~fds ~count =
+let readiness_body k proc ~fds ~count ~out scan =
   if count < 0 || count > Proc.fd_limit then Error Errno.EINVAL
   else begin
     let b = Bytes.create (S.fd_bytes * count) in
     ignore (Kmem.read_budgeted k.Kernel.kmem fds b);
-    Ok (S.decode_fds b count)
+    match scan k proc (S.decode_fds b count) with
+    | Ok ready ->
+        copyout_struct k ~dst:out (S.encode_fds ready);
+        Ok (List.length ready)
+    | Error e -> Error e
   end
-
-let ready_out k ~out = function
-  | Ok ready ->
-      copyout_struct k ~dst:out (S.encode_fds ready);
-      Ok (List.length ready)
-  | Error e -> Error e
 
 let pipe_body k proc ~out =
   Kmem.work k.Kernel.kmem 50;
@@ -751,17 +743,15 @@ let syscall k (proc : Proc.t) sysno args =
   if Machine.tracing k.Kernel.machine then
     Machine.emit k.Kernel.machine
       (Obs.Event.Syscall { name = Syscall_abi.Sysno.to_name sysno; pid = proc.Proc.pid });
-  let run () =
-    Dispatch.run k proc ~origin:Dispatch.Trap ~sysno:(Syscall_abi.Sysno.to_int sysno) args
-  in
+  let sysno_int = Syscall_abi.Sysno.to_int sysno in
   match Syscall_abi.disposition sysno with
-  | Syscall_abi.No_return -> run ()
+  | Syscall_abi.No_return -> Dispatch.run k proc ~origin:Dispatch.Trap ~sysno:sysno_int args
   | Syscall_abi.Anywhere | Syscall_abi.Trap_only ->
       (* Dispatch: table lookup, argument validation, credential checks. *)
       Kmem.fn_entry k.Kernel.kmem;
       Kmem.work k.Kernel.kmem 40;
       Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 40;
-      let result = run () in
+      let result = Dispatch.run k proc ~origin:Dispatch.Trap ~sysno:sysno_int args in
       Sva.set_syscall_result k.Kernel.sva ~tid result;
       (match proc.Proc.pending_signals with
       | [] -> ()
@@ -777,7 +767,8 @@ let syscall k (proc : Proc.t) sysno args =
       result
 
 let via k proc ~sysno args = Syscall_abi.decode_int (syscall k proc sysno args)
-let via_unit k proc ~sysno args = Result.map ignore (via k proc ~sysno args)
+let via_unit k proc ~sysno args =
+  match via k proc ~sysno args with Ok _ -> Ok () | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Argument staging                                                    *)
@@ -800,62 +791,62 @@ let ( let* ) = Result.bind
 
 let mmap k proc ~len = Syscall_abi.decode_addr (syscall k proc Syscall_abi.sys_mmap [| i64 len |])
 
-let stage k (proc : Proc.t) ~len =
-  let* () =
+let rec prepare k (proc : Proc.t) ~len page =
+  if page * 4096 >= len then Ok ()
+  else begin
+    let va = Int64.add stage_base (i64 (page * 4096)) in
+    let vpage = Int64.shift_right_logical va 12 in
+    if Hashtbl.mem proc.Proc.user_frames vpage && not (Hashtbl.mem proc.Proc.cow vpage) then
+      prepare k proc ~len (page + 1)
+    else begin
+      Kernel.switch_to k proc;
+      Result.bind (Kernel.handle_page_fault k proc va) (fun () -> prepare k proc ~len (page + 1))
+    end
+  end
+
+(* Make [len] bytes of staging space ready, then run [f]. *)
+let with_staged k (proc : Proc.t) ~len f =
+  let mapped =
     if len > staging_bytes then Error Errno.EINVAL
     else if Int64.equal proc.Proc.mmap_cursor Proc.mmap_base then
       Result.map ignore (mmap k proc ~len:staging_bytes)
     else Ok ()
   in
-  let rec prepare page =
-    let va = Int64.add stage_base (i64 (page * 4096)) in
-    let vpage = Int64.shift_right_logical va 12 in
-    if page * 4096 >= len then Ok ()
-    else if Hashtbl.mem proc.Proc.user_frames vpage && not (Hashtbl.mem proc.Proc.cow vpage)
-    then prepare (page + 1)
-    else begin
-      Kernel.switch_to k proc;
-      let* () = Kernel.handle_page_fault k proc va in
-      prepare (page + 1)
-    end
-  in
-  prepare 0
+  match mapped with
+  | Error _ as e -> e
+  | Ok () -> ( match prepare k proc ~len 0 with Ok () -> f () | Error _ as e -> e)
 
 (* The user side's own reads and writes of staged bytes. *)
-let stage_copy k (proc : Proc.t) access va b =
+let stage_copy k (proc : Proc.t) access va b ~len =
   let m = k.Kernel.machine in
-  Machine.iter_pages va (Bytes.length b) (fun ~pos ~va ~len ->
-      let addr = Machine.translate_quiet m ~pt:proc.Proc.pt Machine.User access va in
-      match access with
-      | Machine.Write -> Phys_mem.blit_from (Machine.mem m) ~addr b ~off:pos ~len
-      | Machine.Read | Machine.Exec -> Phys_mem.blit_to (Machine.mem m) ~addr b ~off:pos ~len)
+  let pos = ref 0 in
+  while !pos < len do
+    let va = Int64.add va (i64 !pos) in
+    let n = min (len - !pos) (4096 - Int64.to_int (Int64.logand va 0xfffL)) in
+    let addr = Machine.translate_quiet m ~pt:proc.Proc.pt Machine.User access va in
+    (match access with
+    | Machine.Write -> Phys_mem.blit_from (Machine.mem m) ~addr b ~off:!pos ~len:n
+    | Machine.Read | Machine.Exec -> Phys_mem.blit_to (Machine.mem m) ~addr b ~off:!pos ~len:n);
+    pos := !pos + n
+  done
 
-let put k proc va b = stage_copy k proc Machine.Write va b
+let put k proc va b = stage_copy k proc Machine.Write va b ~len:(Bytes.length b)
 
 let get k proc va len =
   let b = Bytes.create len in
-  stage_copy k proc Machine.Read va b;
+  stage_copy k proc Machine.Read va b ~len;
   b
 
-(* Stage [paths] back to back from the base, each cut to [path_max]
-   (the kernel refuses a longer one before reading it), then [out]
-   bytes of result space.  [f] gets each path's (VA, length) registers
-   and the result area's address. *)
-let with_staged k proc ?(out = 0) paths f =
-  let cut p = if String.length p <= path_max then p else String.sub p 0 path_max in
-  let staged = List.map cut paths in
-  let total = List.fold_left (fun acc p -> acc + align8 (String.length p)) 0 staged in
-  let* () = stage k proc ~len:(total + out) in
-  let rec place va regs = function
-    | [] -> f (List.rev regs) va
-    | (p, full) :: rest ->
-        put k proc va (Bytes.unsafe_of_string p);
-        place
-          (Int64.add va (i64 (align8 (String.length p))))
-          (i64 (String.length full) :: va :: regs)
-          rest
-  in
-  place stage_base [] (List.combine staged paths)
+(* A path takes its length cut to [path_max] (the kernel refuses a
+   longer one before reading it), rounded up to 8 bytes.  [put_path]
+   stages it at [va] and returns the next free address. *)
+let room path = align8 (min (String.length path) path_max)
+let plen path = i64 (String.length path)
+
+let put_path k proc va path =
+  stage_copy k proc Machine.Write va (Bytes.unsafe_of_string path)
+    ~len:(min (String.length path) path_max);
+  Int64.add va (i64 (room path))
 
 (* ------------------------------------------------------------------ *)
 (* Typed wrappers: one trap around the unified dispatch                *)
@@ -872,42 +863,51 @@ let fsync k proc = via_unit k proc ~sysno:A.sys_fsync [||]
 let flag_bits f =
   (if f.create then 1 else 0) lor (if f.truncate then 2 else 0) lor if f.append then 4 else 0
 
+(* A call taking one path, then [extra] registers; [out] bytes of
+   result space go behind the path. *)
+let path_call ?(out = 0) k proc ~sysno path extra =
+  with_staged k proc ~len:(room path + out) (fun () ->
+      ignore (put_path k proc stage_base path);
+      via k proc ~sysno (Array.append [| stage_base; plen path |] extra))
+
 let open_ k proc path flags =
-  with_staged k proc [ path ] (fun regs _ ->
-      via k proc ~sysno:A.sys_open (Array.of_list (regs @ [ i64 (flag_bits flags) ])))
+  with_staged k proc ~len:(room path) (fun () ->
+      ignore (put_path k proc stage_base path);
+      via k proc ~sysno:A.sys_open [| stage_base; plen path; i64 (flag_bits flags) |])
 
-let unlink k proc path =
-  with_staged k proc [ path ] (fun regs _ -> via_unit k proc ~sysno:A.sys_unlink (Array.of_list regs))
-
-let mkdir k proc path =
-  with_staged k proc [ path ] (fun regs _ -> via_unit k proc ~sysno:A.sys_mkdir (Array.of_list regs))
+let unlink k proc path = Result.map ignore (path_call k proc ~sysno:A.sys_unlink path [||])
+let mkdir k proc path = Result.map ignore (path_call k proc ~sysno:A.sys_mkdir path [||])
 
 let rename k proc ~src ~dst =
-  with_staged k proc [ src; dst ] (fun regs _ ->
-      via_unit k proc ~sysno:A.sys_rename (Array.of_list regs))
+  with_staged k proc ~len:(room src + room dst) (fun () ->
+      let dst_va = put_path k proc stage_base src in
+      ignore (put_path k proc dst_va dst);
+      via_unit k proc ~sysno:A.sys_rename [| stage_base; plen src; dst_va; plen dst |])
 
 let stat k proc path =
-  with_staged k proc ~out:S.stat_bytes [ path ] (fun regs out ->
-      let* () = via_unit k proc ~sysno:A.sys_stat (Array.of_list (regs @ [ out ])) in
-      Ok (S.decode_stat (get k proc out S.stat_bytes)))
+  let out = Int64.add stage_base (i64 (room path)) in
+  match path_call ~out:S.stat_bytes k proc ~sysno:A.sys_stat path [| out |] with
+  | Ok _ -> Ok (S.decode_stat (get k proc out S.stat_bytes))
+  | Error e -> Error e
 
 let fstat k proc ~fd =
-  with_staged k proc ~out:S.stat_bytes [] (fun _ out ->
-      let* () = via_unit k proc ~sysno:A.sys_fstat [| i64 fd; out |] in
-      Ok (S.decode_stat (get k proc out S.stat_bytes)))
+  with_staged k proc ~len:S.stat_bytes (fun () ->
+      match via k proc ~sysno:A.sys_fstat [| i64 fd; stage_base |] with
+      | Ok _ -> Ok (S.decode_stat (get k proc stage_base S.stat_bytes))
+      | Error e -> Error e)
 
 (* The listing fills whatever staging space the path leaves; a
    directory with more entries than that is [ENOMEM]. *)
 let readdir k proc path =
-  let room = staging_bytes - align8 (min (String.length path) path_max) in
-  let cap = room / S.dirent_bytes in
-  with_staged k proc ~out:(cap * S.dirent_bytes) [ path ] (fun regs out ->
-      let* n = via k proc ~sysno:A.sys_readdir (Array.of_list (regs @ [ out; i64 cap ])) in
-      if n > cap then Error Errno.ENOMEM
-      else Ok (S.decode_dirents (get k proc out (n * S.dirent_bytes)) n))
+  let out = Int64.add stage_base (i64 (room path)) in
+  let cap = (staging_bytes - room path) / S.dirent_bytes in
+  match path_call ~out:(cap * S.dirent_bytes) k proc ~sysno:A.sys_readdir path [| out; i64 cap |] with
+  | Ok n when n > cap -> Error Errno.ENOMEM
+  | Ok n -> Ok (S.decode_dirents (get k proc out (n * S.dirent_bytes)) n)
+  | Error e -> Error e
 
-let getpid k proc =
-  match via k proc ~sysno:A.sys_getpid [||] with Ok pid -> pid | Error e -> -Errno.to_int e
+(* The pid, or [-errno]: the result register as it stands. *)
+let getpid k proc = Int64.to_int (syscall k proc A.sys_getpid [||])
 
 let fork k proc =
   let* pid = via k proc ~sysno:A.sys_fork [||] in
@@ -922,9 +922,10 @@ let wait ?(block = false) k proc =
   via k proc ~sysno:A.sys_wait [| (if block then 1L else 0L); 0L |]
 
 let wait_status ?(block = false) k proc =
-  with_staged k proc ~out:S.fd_bytes [] (fun _ out ->
-      let* pid = via k proc ~sysno:A.sys_wait [| (if block then 1L else 0L); out |] in
-      Ok (pid, List.hd (S.decode_fds (get k proc out S.fd_bytes) 1)))
+  with_staged k proc ~len:S.fd_bytes (fun () ->
+      match via k proc ~sysno:A.sys_wait [| (if block then 1L else 0L); stage_base |] with
+      | Ok pid -> Ok (pid, S.decode_fd (get k proc stage_base S.fd_bytes) 0)
+      | Error e -> Error e)
 
 let munmap k proc ~addr ~len = via_unit k proc ~sysno:A.sys_munmap [| addr; i64 len |]
 let allocgm k proc ~va ~pages = via_unit k proc ~sysno:A.sys_allocgm [| va; i64 pages |]
@@ -937,11 +938,12 @@ let kill k proc ~pid ~signum = via_unit k proc ~sysno:A.sys_kill [| i64 pid; i64
 let sigreturn k proc = via_unit k proc ~sysno:A.sys_sigreturn [||]
 
 let pipe k proc =
-  with_staged k proc ~out:(2 * S.fd_bytes) [] (fun _ out ->
-      let* () = via_unit k proc ~sysno:A.sys_pipe [| out |] in
-      match S.decode_fds (get k proc out (2 * S.fd_bytes)) 2 with
-      | [ r; w ] -> Ok (r, w)
-      | _ -> Error Errno.EFAULT)
+  with_staged k proc ~len:(2 * S.fd_bytes) (fun () ->
+      match via k proc ~sysno:A.sys_pipe [| stage_base |] with
+      | Ok _ ->
+          let b = get k proc stage_base (2 * S.fd_bytes) in
+          Ok (S.decode_fd b 0, S.decode_fd b 1)
+      | Error e -> Error e)
 
 let listen k proc ~port = via k proc ~sysno:A.sys_listen [| i64 port |]
 let accept k proc ~fd = via k proc ~sysno:A.sys_accept [| i64 fd |]
@@ -959,12 +961,15 @@ let set_blocking k proc ~fd on =
 (* The descriptor set is staged, then the same space again for the
    ready set. *)
 let readiness sysno k proc fds =
-  let bytes = S.fd_bytes * List.length fds in
-  with_staged k proc ~out:(2 * bytes) [] (fun _ base ->
-      put k proc base (S.encode_fds fds);
-      let out = Int64.add base (i64 bytes) in
-      let* n = via k proc ~sysno [| base; i64 (List.length fds); out |] in
-      Ok (S.decode_fds (get k proc out (S.fd_bytes * n)) n))
+  let n = List.length fds in
+  let out = Int64.add stage_base (i64 (S.fd_bytes * n)) in
+  match with_staged k proc ~len:(2 * S.fd_bytes * n) (fun () -> Ok ()) with
+  | Error e -> Error e
+  | Ok () -> (
+      put k proc stage_base (S.encode_fds fds);
+      match via k proc ~sysno [| stage_base; i64 n; out |] with
+      | Ok ready -> Ok (S.decode_fds (get k proc out (S.fd_bytes * ready)) ready)
+      | Error e -> Error e)
 
 let select = readiness A.sys_select
 let poll = readiness A.sys_poll
@@ -1068,8 +1073,9 @@ let () =
     else begin
       if entry then Kmem.fn_entry k.Kernel.kmem;
       path_charge k (iarg a (at + 1));
-      let* p = copyin_path k ~va:(arg a at) ~len:(iarg a (at + 1)) in
-      f p
+      match copyin_path k ~va:(arg a at) ~len:(iarg a (at + 1)) with
+      | Ok p -> f p
+      | Error e -> Error e
     end
   in
   reg A.sys_read (io read_body);
@@ -1103,9 +1109,7 @@ let () =
           let* entries = Diskfs.readdir k.Kernel.fs ~ino in
           copyout_struct k ~dst:(arg a 2) (S.encode_dirents entries ~cap:(max 0 (iarg a 3)));
           Ok (i64 (List.length entries))));
-  reg A.sys_fsync (fun k _proc _a ->
-      Diskfs.sync k.Kernel.fs;
-      Ok 0L);
+  reg A.sys_fsync (fun k _proc _a -> Diskfs.sync k.Kernel.fs; Ok 0L);
   reg A.sys_getpid (fun _k proc _a -> Ok (i64 proc.Proc.pid));
   reg A.sys_fork (fun k proc _a -> int_of (fork_body k proc));
   reg A.sys_execve (fun k proc a ->
@@ -1131,9 +1135,8 @@ let () =
       int_of (connect_body k proc (Netstack.addr_of_wire (arg a 0))));
   reg A.sys_send (io send_body);
   reg A.sys_recv (io recv_body);
-  let readiness body k proc a =
-    let* fds = copyin_fds k ~fds:(arg a 0) ~count:(iarg a 1) in
-    int_of (ready_out k ~out:(arg a 2) (body k proc fds))
+  let readiness scan k proc a =
+    int_of (readiness_body k proc ~fds:(arg a 0) ~count:(iarg a 1) ~out:(arg a 2) scan)
   in
   reg A.sys_select (readiness (fun k proc fds -> Ok (poll_scan k proc fds)));
   reg A.sys_poll (readiness poll_body);
