@@ -486,10 +486,16 @@ let run_cycles ?(arg = 97L) ~entry artifact =
     {
       Vg_compiler.Exec_env.null_env with
       load =
-        (fun addr _ -> Bytes.get_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)));
+        (fun cell _ ->
+          Vg_compiler.Exec_env.(
+            set cell value
+              (Bytes.get_int64_le mem (Int64.to_int (Int64.logand (get cell address) 0xfff8L)))));
       store =
-        (fun addr _ v ->
-          Bytes.set_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)) v);
+        (fun cell _ ->
+          Vg_compiler.Exec_env.(
+            Bytes.set_int64_le mem
+              (Int64.to_int (Int64.logand (get cell address) 0xfff8L))
+              (get cell value)));
       charge = (fun _ n -> cycles := !cycles + n);
     }
   in
@@ -1292,9 +1298,14 @@ let engine_env () =
   let env =
     {
       Vg_compiler.Exec_env.null_env with
-      load = (fun addr _ -> bytes_get64u mem (Int64.to_int (Int64.logand addr 0xfff8L)));
+      load =
+        (fun cell _ ->
+          Vg_compiler.Exec_env.(
+            set cell value (bytes_get64u mem (Int64.to_int (Int64.logand (get cell address) 0xfff8L)))));
       store =
-        (fun addr _ v -> bytes_set64u mem (Int64.to_int (Int64.logand addr 0xfff8L)) v);
+        (fun cell _ ->
+          Vg_compiler.Exec_env.(
+            bytes_set64u mem (Int64.to_int (Int64.logand (get cell address) 0xfff8L)) (get cell value)));
       memcpy = (fun ~dst:_ ~src:_ ~len:_ -> ());
       charge =
         (* hot path for every engine under measurement: tally per-tag

@@ -51,10 +51,11 @@ let () =
   let env =
     {
       Vg_compiler.Exec_env.null_env with
-      load = (fun addr _ ->
-          observed := ("load", addr) :: !observed;
-          0x1122334455667788L);
-      store = (fun addr _ _ -> observed := ("store", addr) :: !observed);
+      load = (fun cell _ ->
+          observed := ("load", Vg_compiler.Exec_env.(get cell address)) :: !observed;
+          Vg_compiler.Exec_env.(set cell value) 0x1122334455667788L);
+      store = (fun cell _ ->
+          observed := ("store", Vg_compiler.Exec_env.(get cell address)) :: !observed);
     }
   in
   let ghost_ptr = Int64.add Layout.ghost_start 0x5000L in

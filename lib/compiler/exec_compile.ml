@@ -74,13 +74,20 @@ type state = {
   ret : Bytes.t;  (* the value the last return produced, unboxed *)
   mutable running : bool;
   scratch : Bytes.t;  (* call arguments, unboxed, 8 bytes each *)
+  cell : Bytes.t;  (* the memory callbacks' exchange cell, unboxed *)
   mutable env : Exec_env.env;
   (* hot env callbacks hoisted out of the record hop: one load instead
      of two on every tick / memory access *)
   mutable charge : Obs.Tag.t -> int -> unit;
-  mutable mem_load : int64 -> Ir.width -> int64;
-  mutable mem_store : int64 -> Ir.width -> int64 -> unit;
+  mutable mem_load : Bytes.t -> Ir.width -> unit;
+  mutable mem_store : Bytes.t -> Ir.width -> unit;
   mutable spec_depth : int;  (* hoisted: checked on every resolved conditional *)
+  (* Tick accounting.  With [each] (charges observed) every tick is
+     its own [Exec] charge.  Without it the ticks since the last
+     payment are [paid - fuel], paid in one charge by [flush] before
+     any callback, raise or return. *)
+  mutable each : bool;
+  mutable paid : int;
 }
 
 type stats = { slots : int; fused_pairs : int; static_calls : int }
@@ -122,10 +129,49 @@ let stats t = t.stats
    prev_base, prev_func, prev_gen, ret_pc, ret_dst *)
 let stk_stride = 5
 
+(* The tick that runs out of fuel is not charged; its decrement is not
+   stored either, so [paid - fuel] counts only charged ticks (the state
+   dies with the raise). *)
 let[@inline] tick st =
-  st.fuel <- st.fuel - 1;
-  if st.fuel <= 0 then raise (Exec_env.Exec_trap "out of fuel");
-  st.charge Obs.Tag.Exec 1
+  let f = st.fuel - 1 in
+  if f <= 0 then raise (Exec_env.Exec_trap "out of fuel");
+  st.fuel <- f;
+  if st.each then st.charge Obs.Tag.Exec 1
+
+(* Pay the pending ticks: the clock is exact from here on. *)
+let[@inline] flush st =
+  if not st.each then begin
+    let n = st.paid - st.fuel in
+    if n > 0 then begin
+      st.paid <- st.fuel;
+      st.charge Obs.Tag.Exec n
+    end
+  end
+
+(* After a callback that can run arbitrary code: it may have armed or
+   disarmed the hub. *)
+let recheck st =
+  let each = st.env.Exec_env.observed () in
+  if each <> st.each then begin
+    st.each <- each;
+    st.paid <- st.fuel
+  end
+
+let[@inline] charge st tag n =
+  flush st;
+  st.charge tag n
+
+let[@inline] mem_load st a w =
+  flush st;
+  Exec_env.set st.cell Exec_env.address a;
+  st.mem_load st.cell w;
+  Exec_env.get st.cell Exec_env.value
+
+let[@inline] mem_store st a w v =
+  flush st;
+  Exec_env.set st.cell Exec_env.address a;
+  Exec_env.set st.cell Exec_env.value v;
+  st.mem_store st.cell w
 
 (* Pure operations as inlined matches over primitives: the operands and
    the result stay unboxed between register-file read and write (a
@@ -152,16 +198,17 @@ let[@inline] binop (op : Ir.binop) a b =
   | Lshr -> Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L))
   | Ashr -> Int64.shift_right a (Int64.to_int (Int64.logand b 63L))
 
-let[@inline] cmpop (op : Ir.cmp) a b =
+let[@inline] holds (op : Ir.cmp) a b =
   match op with
-  | Eq -> if Int64.equal a b then 1L else 0L
-  | Ne -> if Int64.equal a b then 0L else 1L
-  | Ult -> if Int64.unsigned_compare a b < 0 then 1L else 0L
-  | Ule -> if Int64.unsigned_compare a b <= 0 then 1L else 0L
-  | Ugt -> if Int64.unsigned_compare a b > 0 then 1L else 0L
-  | Uge -> if Int64.unsigned_compare a b >= 0 then 1L else 0L
-  | Slt -> if Int64.compare a b < 0 then 1L else 0L
-  | Sle -> if Int64.compare a b <= 0 then 1L else 0L
+  | Eq -> Int64.equal a b
+  | Ne -> not (Int64.equal a b)
+  | Ult -> Int64.unsigned_compare a b < 0
+  | Ule -> Int64.unsigned_compare a b <= 0
+  | Ugt -> Int64.unsigned_compare a b > 0
+  | Uge -> Int64.unsigned_compare a b >= 0
+  | Slt -> Int64.compare a b < 0
+  | Sle -> Int64.compare a b <= 0
+
 
 let trunc (width : Ir.width) : int64 -> int64 =
   match width with
@@ -182,6 +229,30 @@ let[@inline] write st slot v =
   let i = st.base + slot in
   rf_set st.rf (i lsl 3) v;
   Array.unsafe_set st.def i st.gen
+
+(* [write st dst (binop op a b)] and [write st dst (cmpop op a b)] with
+   the write inside every arm: an [int64] that a match yields is boxed
+   where its arms join, one written in each arm is not. *)
+let[@inline] write_binop st dst (op : Ir.binop) a b =
+  match op with
+  | Add -> write st dst (Int64.add a b)
+  | Sub -> write st dst (Int64.sub a b)
+  | Mul -> write st dst (Int64.mul a b)
+  | Udiv ->
+      if Int64.equal b 0L then raise (Exec_env.Exec_trap "udiv by zero")
+      else write st dst (Int64.unsigned_div a b)
+  | Urem ->
+      if Int64.equal b 0L then raise (Exec_env.Exec_trap "urem by zero")
+      else write st dst (Int64.unsigned_rem a b)
+  | And -> write st dst (Int64.logand a b)
+  | Or -> write st dst (Int64.logor a b)
+  | Xor -> write st dst (Int64.logxor a b)
+  | Shl -> write st dst (Int64.shift_left a (Int64.to_int (Int64.logand b 63L)))
+  | Lshr -> write st dst (Int64.shift_right_logical a (Int64.to_int (Int64.logand b 63L)))
+  | Ashr -> write st dst (Int64.shift_right a (Int64.to_int (Int64.logand b 63L)))
+
+let[@inline] write_cmp st dst op a b =
+  if holds op a b then write st dst 1L else write st dst 0L
 
 let ensure_rf st need =
   if need > Array.length st.def then begin
@@ -361,6 +432,7 @@ let compile (image : Linker.image) : t =
     else None
   in
   let open_window st ~shadow ~pc =
+    flush st;
     st.env.Exec_env.spec_window ();
     Spec_exec.transient_window ~image ~depth:st.spec_depth
       ~read:(read_opt st) ~spec_load:st.env.Exec_env.spec_load ~shadow ~pc
@@ -462,6 +534,7 @@ let compile (image : Linker.image) : t =
           if ret_dst >= 0 then write st ret_dst (rf_get st.ret 0);
           st.pc <- ret_pc
       | Some f -> (
+          flush st;
           let ret_addr = f (Native.addr_of_index native ret_pc) in
           match Native.index_of_addr native ret_addr with
           | Some idx ->
@@ -479,13 +552,15 @@ let compile (image : Linker.image) : t =
     else begin
       let o = pop_frame st in
       let ret_pc = st.stack.(o + 3) and ret_dst = st.stack.(o + 4) in
-      st.charge Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
+      charge st Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
       let target =
         match st.env.Exec_env.tamper_return with
         | None ->
             if ret_pc < ncode && ret_label_of.(ret_pc) = label then ret_pc
             else checked_target label (Native.addr_of_index native ret_pc)
-        | Some f -> checked_target label (f (Native.addr_of_index native ret_pc))
+        | Some f ->
+            flush st;
+            checked_target label (f (Native.addr_of_index native ret_pc))
       in
       if ret_dst >= 0 then write st ret_dst (rf_get st.ret 0);
       st.pc <- target
@@ -509,14 +584,14 @@ let compile (image : Linker.image) : t =
                     fun st ->
                       gb st;
                       tick st;
-                      write st dst (st.mem_load (safe st g) Ir.W64);
+                      write st dst (mem_load st (safe st g) Ir.W64);
                       goto after st
                 | w ->
                     let tr = trunc w in
                     fun st ->
                       gb st;
                       tick st;
-                      write st dst (tr (st.mem_load (safe st g) w));
+                      write st dst (tr (mem_load st (safe st g) w));
                       goto after st)
           | LStore { src; addr = Slot sa; width } when sa = g.g_s ->
               fused_pairs := !fused_pairs + 7;
@@ -527,14 +602,14 @@ let compile (image : Linker.image) : t =
                     fun st ->
                       gb st;
                       tick st;
-                      st.mem_store (safe st g) Ir.W64 (rsrc st);
+                      mem_store st (safe st g) Ir.W64 (rsrc st);
                       goto after st
                 | w ->
                     let tr = trunc w in
                     fun st ->
                       gb st;
                       tick st;
-                      st.mem_store (safe st g) w (tr (rsrc st));
+                      mem_store st (safe st g) w (tr (rsrc st));
                       goto after st)
           | LAtomic { dst; op; addr = Slot sa; operand_; width }
             when sa = g.g_s ->
@@ -546,8 +621,8 @@ let compile (image : Linker.image) : t =
                   gb st;
                   tick st;
                   let sa = safe st g in
-                  let old = tr (st.mem_load sa width) in
-                  st.mem_store sa width (tr (binop op old (rop st)));
+                  let old = tr (mem_load st sa width) in
+                  mem_store st sa width (tr (binop op old (rop st)));
                   write st dst old;
                   goto after st)
           | LCmp _ -> (
@@ -574,7 +649,7 @@ let compile (image : Linker.image) : t =
                               gb st;
                               gb2 st;
                               tick st;
-                              st.charge Obs.Tag.Copy copy_cycles;
+                              charge st Obs.Tag.Copy copy_cycles;
                               st.env.Exec_env.memcpy ~dst:(safe st g)
                                 ~src:(safe st g2) ~len:len_v;
                               goto after st
@@ -585,7 +660,7 @@ let compile (image : Linker.image) : t =
                               gb2 st;
                               tick st;
                               let len_v = rlen st in
-                              st.charge Obs.Tag.Copy
+                              charge st Obs.Tag.Copy
                                 (Int64.to_int (Vg_util.U64.div len_v 8L));
                               st.env.Exec_env.memcpy ~dst:(safe st g)
                                 ~src:(safe st g2) ~len:len_v;
@@ -604,10 +679,12 @@ let compile (image : Linker.image) : t =
       when c = dst -> (
         incr fused_pairs;
         let fall = i + 2 in
-        let finish st x =
-          write st dst x;
+        (* the outcome travels as a [bool]: an [int64] argument to this
+           out-of-line function would be boxed *)
+        let finish st c =
+          write st dst (if c then 1L else 0L);
           tick st;
-          let taken = Int64.equal x 0L in
+          let taken = not c in
           if st.spec_depth > 0 then
             open_window st ~shadow:None ~pc:(if taken then fall else target);
           if taken then goto target st else goto fall st
@@ -616,20 +693,20 @@ let compile (image : Linker.image) : t =
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              finish st (cmpop op (rslot st sa) (rslot st sb))
+              finish st (holds op (rslot st sa) (rslot st sb))
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              finish st (cmpop op (rslot st sa) vb)
+              finish st (holds op (rslot st sa) vb)
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              finish st (cmpop op va (rslot st sb))
+              finish st (holds op va (rslot st sb))
         | Imm va, Imm vb ->
-            let x = cmpop op va vb in
+            let c = holds op va vb in
             fun st ->
               tick st;
-              finish st x)
+              finish st c)
     (* --- superinstruction: mask+load ------------------------------ *)
     | ( LBin { dst = m; op = (Ir.And | Ir.Or) as op; a; b },
         Some (LLoad { dst = ldst; addr = Slot am; width }) )
@@ -642,29 +719,29 @@ let compile (image : Linker.image) : t =
         let finish st =
           tick st;
           write st ldst
-            (tr (st.mem_load (rf_get st.rf ((st.base + m) lsl 3)) width));
+            (tr (mem_load st (rf_get st.rf ((st.base + m) lsl 3)) width));
           goto fall st
         in
         match (a, b) with
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              write st m (binop op (rslot st sa) (rslot st sb));
+              write_binop st m op (rslot st sa) (rslot st sb);
               finish st
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              write st m (binop op (rslot st sa) vb);
+              write_binop st m op (rslot st sa) vb;
               finish st
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              write st m (binop op va (rslot st sb));
+              write_binop st m op va (rslot st sb);
               finish st
         | Imm va, Imm vb ->
             fun st ->
               tick st;
-              write st m (binop op va vb);
+              write_binop st m op va vb;
               finish st)
     (* --- superinstruction: load+mask ------------------------------ *)
     | ( LLoad { dst = l; addr; width },
@@ -678,9 +755,9 @@ let compile (image : Linker.image) : t =
         and tr = trunc width in
         fun st ->
           tick st;
-          write st l (tr (st.mem_load (raddr st) width));
+          write st l (tr (mem_load st (raddr st) width));
           tick st;
-          write st bdst (binop bop (rba st) (rbb st));
+          write_binop st bdst bop (rba st) (rbb st);
           goto (i + 2) st
     (* --- single instructions -------------------------------------- *)
     | LMov { dst; src }, _ -> (
@@ -700,44 +777,44 @@ let compile (image : Linker.image) : t =
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              write st dst (binop op (rslot st sa) (rslot st sb));
+              write_binop st dst op (rslot st sa) (rslot st sb);
               goto next st
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              write st dst (binop op (rslot st sa) vb);
+              write_binop st dst op (rslot st sa) vb;
               goto next st
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              write st dst (binop op va (rslot st sb));
+              write_binop st dst op va (rslot st sb);
               goto next st
         | Imm va, Imm vb ->
             fun st ->
               tick st;
-              write st dst (binop op va vb);
+              write_binop st dst op va vb;
               goto next st)
     | LCmp { dst; op; a; b }, _ -> (
         match (a, b) with
         | Slot sa, Slot sb ->
             fun st ->
               tick st;
-              write st dst (cmpop op (rslot st sa) (rslot st sb));
+              write_cmp st dst op (rslot st sa) (rslot st sb);
               goto next st
         | Slot sa, Imm vb ->
             fun st ->
               tick st;
-              write st dst (cmpop op (rslot st sa) vb);
+              write_cmp st dst op (rslot st sa) vb;
               goto next st
         | Imm va, Slot sb ->
             fun st ->
               tick st;
-              write st dst (cmpop op va (rslot st sb));
+              write_cmp st dst op va (rslot st sb);
               goto next st
         | Imm va, Imm vb ->
             fun st ->
               tick st;
-              write st dst (cmpop op va vb);
+              write_cmp st dst op va vb;
               goto next st)
     | LSelect { dst; cond; if_true; if_false }, _ ->
         let rcond = rd cond and rt_ = rd if_true and rf_ = rd if_false in
@@ -761,24 +838,24 @@ let compile (image : Linker.image) : t =
         | Slot sa, W64 ->
             fun st ->
               tick st;
-              write st dst (st.mem_load (rslot st sa) Ir.W64);
+              write st dst (mem_load st (rslot st sa) Ir.W64);
               goto next st
         | Imm va, W64 ->
             fun st ->
               tick st;
-              write st dst (st.mem_load va Ir.W64);
+              write st dst (mem_load st va Ir.W64);
               goto next st
         | Slot sa, w ->
             let tr = trunc w in
             fun st ->
               tick st;
-              write st dst (tr (st.mem_load (rslot st sa) w));
+              write st dst (tr (mem_load st (rslot st sa) w));
               goto next st
         | Imm va, w ->
             let tr = trunc w in
             fun st ->
               tick st;
-              write st dst (tr (st.mem_load va w));
+              write st dst (tr (mem_load st va w));
               goto next st)
     | LStore { src; addr; width }, _ -> (
         match width with
@@ -787,29 +864,29 @@ let compile (image : Linker.image) : t =
             | Slot sa, Slot ss ->
                 fun st ->
                   tick st;
-                  st.mem_store (rslot st sa) Ir.W64 (rslot st ss);
+                  mem_store st (rslot st sa) Ir.W64 (rslot st ss);
                   goto next st
             | Slot sa, Imm vs ->
                 fun st ->
                   tick st;
-                  st.mem_store (rslot st sa) Ir.W64 vs;
+                  mem_store st (rslot st sa) Ir.W64 vs;
                   goto next st
             | Imm va, Slot ss ->
                 fun st ->
                   tick st;
-                  st.mem_store va Ir.W64 (rslot st ss);
+                  mem_store st va Ir.W64 (rslot st ss);
                   goto next st
             | Imm va, Imm vs ->
                 fun st ->
                   tick st;
-                  st.mem_store va Ir.W64 vs;
+                  mem_store st va Ir.W64 vs;
                   goto next st)
         | w ->
             let rsrc = rd src and raddr = rd addr in
             let tr = trunc w in
             fun st ->
               tick st;
-              st.mem_store (raddr st) w (tr (rsrc st));
+              mem_store st (raddr st) w (tr (rsrc st));
               goto next st)
     | LMemcpy { dst; src; len }, _ -> (
         let rdst = rd dst and rsrc = rd src in
@@ -820,7 +897,7 @@ let compile (image : Linker.image) : t =
             let copy_cycles = Int64.to_int (Vg_util.U64.div len_v 8L) in
             fun st ->
               tick st;
-              st.charge Obs.Tag.Copy copy_cycles;
+              charge st Obs.Tag.Copy copy_cycles;
               st.env.Exec_env.memcpy ~dst:(rdst st) ~src:(rsrc st) ~len:len_v;
               goto next st
         | _ ->
@@ -828,7 +905,7 @@ let compile (image : Linker.image) : t =
             fun st ->
               tick st;
               let len_v = rlen st in
-              st.charge Obs.Tag.Copy (Int64.to_int (Vg_util.U64.div len_v 8L));
+              charge st Obs.Tag.Copy (Int64.to_int (Vg_util.U64.div len_v 8L));
               st.env.Exec_env.memcpy ~dst:(rdst st) ~src:(rsrc st) ~len:len_v;
               goto next st)
     | LAtomic { dst; op; addr; operand_; width }, _ ->
@@ -837,8 +914,8 @@ let compile (image : Linker.image) : t =
         fun st ->
           tick st;
           let a = raddr st in
-          let old = tr (st.mem_load a width) in
-          st.mem_store a width (tr (binop op old (rop st)));
+          let old = tr (mem_load st a width) in
+          mem_store st a width (tr (binop op old (rop st)));
           write st dst old;
           goto next st
     | LJmp target, _ ->
@@ -903,7 +980,9 @@ let compile (image : Linker.image) : t =
         fun st ->
           tick st;
           let n = eval_args st args in
+          flush st;
           let res = st.env.Exec_env.extern name (boxed_args st n) in
+          recheck st;
           if dst >= 0 then write st dst res;
           goto next st
     | LCallIndirect { dst; target; args }, _ ->
@@ -917,9 +996,11 @@ let compile (image : Linker.image) : t =
               do_call_dyn st ~ret_dst:dst ~target:idx ~ret_pc:next ~nargs;
               goto st.pc st
           | None ->
+              flush st;
               let res =
                 st.env.Exec_env.call_foreign addr (boxed_args st nargs)
               in
+              recheck st;
               if dst >= 0 then write st dst res;
               goto next st)
     | LCallIndirectChecked { dst; target; args; label }, _ ->
@@ -928,7 +1009,7 @@ let compile (image : Linker.image) : t =
           tick st;
           let addr = rtarget st in
           let nargs = eval_args st args in
-          st.charge Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
+          charge st Obs.Tag.Cfi Cfi_pass.check_extra_cycles;
           let idx = checked_target label addr in
           do_call_dyn st ~ret_dst:dst ~target:idx ~ret_pc:next ~nargs;
           goto st.pc st
@@ -954,18 +1035,26 @@ let compile (image : Linker.image) : t =
         let rport = rd port in
         fun st ->
           tick st;
-          write st dst (st.env.Exec_env.io_read (rport st));
+          let port = rport st in
+          flush st;
+          let v = st.env.Exec_env.io_read port in
+          recheck st;
+          write st dst v;
           goto next st
     | LIoWrite { port; src }, _ ->
         let rport = rd port and rsrc = rd src in
         fun st ->
           tick st;
-          st.env.Exec_env.io_write (rport st) (rsrc st);
+          let v = rsrc st in
+          let port = rport st in
+          flush st;
+          st.env.Exec_env.io_write port v;
+          recheck st;
           goto next st
     | LFence, _ ->
         fun st ->
           tick st;
-          st.charge Obs.Tag.Spec Fence_pass.fence_cycles;
+          charge st Obs.Tag.Spec Fence_pass.fence_cycles;
           goto next st
     | LHalt, _ ->
         fun st ->
@@ -978,8 +1067,7 @@ let compile (image : Linker.image) : t =
   (* falling off the end of the image is the interpreter's bounds trap *)
   code.(ncode) <-
     (fun st ->
-      st.fuel <- st.fuel - 1;
-      if st.fuel <= 0 then raise (Exec_env.Exec_trap "out of fuel");
+      if st.fuel - 1 <= 0 then raise (Exec_env.Exec_trap "out of fuel");
       raise
         (Exec_env.Exec_trap (Printf.sprintf "pc %d out of code bounds" ncode)));
   {
@@ -1012,6 +1100,8 @@ let take_state t (env : Exec_env.env) ~fuel ~fid (f0 : Linker.func) =
       st.mem_load <- env.Exec_env.load;
       st.mem_store <- env.Exec_env.store;
       st.spec_depth <- env.Exec_env.spec_depth;
+      st.each <- env.Exec_env.observed ();
+      st.paid <- fuel;
       st
   | [] ->
       let nr = max 64 f0.Linker.f_nregs in
@@ -1029,14 +1119,17 @@ let take_state t (env : Exec_env.env) ~fuel ~fid (f0 : Linker.func) =
         ret = Bytes.make 8 '\000';
         running = true;
         scratch = Bytes.create (t.image.Linker.max_args lsl 3);
+        cell = Bytes.create Exec_env.cell_bytes;
         env;
         charge = env.Exec_env.charge;
         mem_load = env.Exec_env.load;
         mem_store = env.Exec_env.store;
         spec_depth = env.Exec_env.spec_depth;
+        each = env.Exec_env.observed ();
+        paid = fuel;
       }
 
-let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
+let start ~fuel (env : Exec_env.env) t entry args =
   let image = t.image in
   let fid =
     match Linker.find_func image entry with
@@ -1054,15 +1147,26 @@ let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
   (* bind the entry frame straight from the caller's array (it may be
      wider than any in-image call site, so [scratch] cannot hold it) *)
   Array.iteri (fun j p -> write st p args.(j)) f0.Linker.f_params;
-  let ncode = Array.length image.Linker.lcode in
+  st
+
+let loop t st =
+  let ncode = Array.length t.image.Linker.lcode in
   while st.running do
     let p = st.pc in
     if p >= 0 && p < ncode then t.code.(p) st
     else begin
-      st.fuel <- st.fuel - 1;
-      if st.fuel <= 0 then raise (Exec_env.Exec_trap "out of fuel");
+      if st.fuel - 1 <= 0 then raise (Exec_env.Exec_trap "out of fuel");
       raise (Exec_env.Exec_trap (Printf.sprintf "pc %d out of code bounds" p))
     end
-  done;
-  t.spares <- st :: t.spares;
-  rf_get st.ret 0
+  done
+
+let run ?(fuel = 50_000_000) (env : Exec_env.env) t entry args =
+  let st = start ~fuel env t entry args in
+  match loop t st with
+  | () ->
+      flush st;
+      t.spares <- st :: t.spares;
+      rf_get st.ret 0
+  | exception e ->
+      flush st;
+      raise e

@@ -7,8 +7,16 @@
     of the two exceptions below. *)
 
 type env = {
-  load : int64 -> Ir.width -> int64;
-  store : int64 -> Ir.width -> int64 -> unit;
+  load : Bytes.t -> Ir.width -> unit;
+      (** [load cell width]: load [width] bytes at the address in
+          [cell] and put the value in [cell]
+          ([set cell value (... (get cell address))]).  The memory
+          callbacks exchange words through the engine's cell rather
+          than as arguments and results, so an access boxes no [int64]
+          on either side. *)
+  store : Bytes.t -> Ir.width -> unit;
+      (** [store cell width]: store [get cell value] at
+          [get cell address], truncated to [width]. *)
   memcpy : dst:int64 -> src:int64 -> len:int64 -> unit;
   io_read : int64 -> int64;
   io_write : int64 -> int64 -> unit;
@@ -25,6 +33,15 @@ type env = {
           {!Vg_obs.Obs.Tag.Copy} for memcpy length cost) so sinks can
           attribute instrumentation overhead; implementations that don't
           care simply ignore it. *)
+  observed : unit -> bool;
+      (** Whether something watches the individual charges (an armed
+          observability hub).  While it answers [false] an engine may
+          sum consecutive [Exec] ticks and pay them in one [charge]
+          before anything can read the clock: before every other
+          callback, before raising and before returning.  The engine
+          asks at the start of a run and again after every [extern],
+          [call_foreign], [io_read] and [io_write], the callbacks that
+          can run code which arms a hub. *)
   tamper_return : (int64 -> int64) option;
       (** Attack hook: rewrite each popped return address. *)
   spec_depth : int;
@@ -51,3 +68,23 @@ exception Cfi_violation of string
 
 exception Exec_trap of string
 (** Non-CFI execution error (bad jump, arity mismatch, fuel, ...). *)
+
+(** {1 The memory exchange cell}
+
+    A cell is {!cell_bytes} bytes: the word at offset {!address} is the
+    address of a load or store, the word at offset {!value} the value a
+    store writes or a load returns.  {!get} and {!set} are compiler
+    primitives, so they read and write the words unboxed in any
+    module. *)
+
+val cell_bytes : int
+(** 16. *)
+
+val address : int
+(** 0. *)
+
+val value : int
+(** 8. *)
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"

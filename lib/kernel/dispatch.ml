@@ -145,14 +145,19 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
     {
       Vg_compiler.Exec_env.null_env with
       load =
-        (fun addr width ->
-          try Machine.read_virt machine addr ~len:(Ir.bytes_of_width width)
-          with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
-            sandbox_fault "load" addr;
-            0L);
+        (fun cell width ->
+          let addr = Vg_compiler.Exec_env.(get cell address) in
+          Vg_compiler.Exec_env.(set cell value)
+            (try Machine.read_virt machine addr ~len:(Ir.bytes_of_width width)
+             with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
+               sandbox_fault "load" addr;
+               0L));
       store =
-        (fun addr width v ->
-          try Machine.write_virt machine addr ~len:(Ir.bytes_of_width width) v
+        (fun cell width ->
+          let addr = Vg_compiler.Exec_env.(get cell address) in
+          try
+            Machine.write_virt machine addr ~len:(Ir.bytes_of_width width)
+              Vg_compiler.Exec_env.(get cell value)
           with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
             sandbox_fault "store" addr);
       memcpy =
@@ -176,6 +181,7 @@ let run_override (k : Kernel.t) proc (ov : Kernel.syscall_override) args : int64
                 ("module: call to unknown kernel symbol " ^ name);
               0L);
       charge = Machine.charge_to machine;
+      observed = (fun () -> Machine.tracing machine);
       spec_depth = Machine.spec_depth machine;
       spec_load =
         (fun va width ->
@@ -213,7 +219,7 @@ let run k proc ~origin ?(prechecked = false) ~sysno (args : int64 array) : int64
       match gate with
       | Error e -> Syscall_abi.encode codec (Error e)
       | Ok () -> (
-          match Hashtbl.find_opt k.Kernel.overrides sysno with
+          match k.Kernel.override_of.(Syscall_abi.Sysno.to_int sysno) with
           | Some ov -> (
               (* Ring entries always carry four registers; the module
                  function takes the call's real arity. *)

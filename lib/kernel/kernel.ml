@@ -10,6 +10,7 @@ type t = {
   mutable next_pid : int;
   current : int array; (* per-CPU: pid whose address space is installed *)
   overrides : (Syscall_abi.Sysno.t, syscall_override) Hashtbl.t;
+  override_of : syscall_override option array; (* [overrides] by sysno *)
   module_externs : (string, t -> Proc.t -> int64 array -> int64) Hashtbl.t;
   frame_refs : (int, int) Hashtbl.t; (* COW sharing; absent = 1 *)
   modules : (string, Syscall_abi.Sysno.t list) Hashtbl.t; (* module name -> overridden syscalls *)
@@ -105,6 +106,7 @@ let boot ~frame_limit ~spec_mitigation ~mode machine =
       next_pid = 1;
       current = Array.make (Machine.cpus machine) 1;
       overrides = Hashtbl.create 4;
+      override_of = Array.make Syscall_abi.Sysno.count None;
       module_externs = Hashtbl.create 16;
       frame_refs = Hashtbl.create 256;
       modules = Hashtbl.create 4;
@@ -169,7 +171,9 @@ let current_proc t =
 let switch_to t (proc : Proc.t) =
   let cpu = Machine.cpu t.machine in
   let same_space = t.current.(cpu) = proc.Proc.pid in
-  let live = Sva.running_on t.sva ~cpu = Some proc.Proc.tid in
+  let live =
+    match Sva.running_on t.sva ~cpu with Some tid -> tid = proc.Proc.tid | None -> false
+  in
   if not (same_space && live) then begin
     if not same_space then begin
       Kmem.fn_entry t.kmem;

@@ -27,7 +27,12 @@ type t = {
       (** per-CPU: pid whose address space is installed on that core *)
   overrides : (Syscall_abi.Sysno.t, syscall_override) Hashtbl.t;
       (** loadable-module replacements, keyed by validated syscall
-          number *)
+          number: the registry {!Module_loader.loaded_overrides} lists
+          in its order *)
+  override_of : syscall_override option array;
+      (** the same replacements indexed by syscall number, which the
+          trap path reads without hashing; {!Module_loader} keeps the
+          two in step *)
   module_externs : (string, t -> Proc.t -> int64 array -> int64) Hashtbl.t;
       (** kernel helper API exposed to module native code *)
   frame_refs : (int, int) Hashtbl.t;

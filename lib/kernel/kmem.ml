@@ -53,26 +53,52 @@ let fault t what addr =
            detail = Printf.sprintf "masked kernel %s at %s faulted" what (U64.to_hex addr);
          })
 
-(* Kernel accesses always run at kernel privilege; restore afterwards so
-   interleaved user-level code is unaffected. *)
+(* Kernel accesses always run at kernel privilege; restore afterwards,
+   exception or not, so interleaved user-level code is unaffected. *)
 let as_kernel t f =
-  let saved = Machine.privilege t.machine in
-  Machine.set_privilege t.machine Machine.Kernel;
-  Fun.protect ~finally:(fun () -> Machine.set_privilege t.machine saved) f
+  let m = t.machine in
+  let saved = Machine.privilege m in
+  Machine.set_privilege m Machine.Kernel;
+  match f () with
+  | r ->
+      Machine.set_privilege m saved;
+      r
+  | exception e ->
+      Machine.set_privilege m saved;
+      raise e
 
+(* The word accessors switch privilege inline: a closure per access
+   would be most of what one allocates. *)
 let load t addr ~len =
   let ea = effective t addr in
-  as_kernel t (fun () ->
-      try Machine.read_virt t.machine ea ~len
-      with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ ->
-        fault t "load" addr;
-        0L)
+  let m = t.machine in
+  let saved = Machine.privilege m in
+  Machine.set_privilege m Machine.Kernel;
+  match Machine.read_virt m ea ~len with
+  | v ->
+      Machine.set_privilege m saved;
+      v
+  | exception (Machine.Page_fault _ | Phys_mem.Bad_physical_address _) ->
+      fault t "load" addr;
+      Machine.set_privilege m saved;
+      0L
+  | exception e ->
+      Machine.set_privilege m saved;
+      raise e
 
 let store t addr ~len v =
   let ea = effective t addr in
-  as_kernel t (fun () ->
-      try Machine.write_virt t.machine ea ~len v
-      with Machine.Page_fault _ | Phys_mem.Bad_physical_address _ -> fault t "store" addr)
+  let m = t.machine in
+  let saved = Machine.privilege m in
+  Machine.set_privilege m Machine.Kernel;
+  match Machine.write_virt m ea ~len v with
+  | () -> Machine.set_privilege m saved
+  | exception (Machine.Page_fault _ | Phys_mem.Bad_physical_address _) ->
+      fault t "store" addr;
+      Machine.set_privilege m saved
+  | exception e ->
+      Machine.set_privilege m saved;
+      raise e
 
 (* Bulk copies go page chunk by page chunk: each chunk is masked on its
    own and copied straight between memory and the caller's buffer.  A

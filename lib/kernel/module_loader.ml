@@ -93,8 +93,9 @@ let load (k : Kernel.t) ~name program =
           | None ->
               List.iter
               (fun (sysno, func) ->
-                Hashtbl.replace k.Kernel.overrides sysno
-                  { Kernel.func; compiled = artifact })
+                let ov = { Kernel.func; compiled = artifact } in
+                Hashtbl.replace k.Kernel.overrides sysno ov;
+                k.Kernel.override_of.(Syscall_abi.Sysno.to_int sysno) <- Some ov)
               overrides;
             Hashtbl.replace k.Kernel.modules name (List.map fst overrides);
             Machine.emit k.Kernel.machine
@@ -109,7 +110,11 @@ let unload (k : Kernel.t) ~name =
   match Hashtbl.find_opt k.Kernel.modules name with
   | None -> ()
   | Some sysnos ->
-      List.iter (Hashtbl.remove k.Kernel.overrides) sysnos;
+      List.iter
+        (fun sysno ->
+          Hashtbl.remove k.Kernel.overrides sysno;
+          k.Kernel.override_of.(Syscall_abi.Sysno.to_int sysno) <- None)
+        sysnos;
       Hashtbl.remove k.Kernel.modules name
 
 let loaded_modules (k : Kernel.t) =

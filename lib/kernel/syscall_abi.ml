@@ -64,7 +64,7 @@ let specs =
     d "freegm" 2;
     d "signal" 2;
     d "kill" 2;
-    d "sigreturn" 0;
+    d "sigreturn" 0 ~codec:Addr_result;
     d "pipe" 1 (* out: two descriptors *);
     d "listen" 1;
     d "accept" 1;

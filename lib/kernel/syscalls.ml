@@ -484,11 +484,14 @@ let kill_body k (proc : Proc.t) ~pid ~signum =
       proc.Proc.pending_signals <- (target, signum) :: proc.Proc.pending_signals;
       Ok ()
 
+(* sigreturn returns the restored context's result register, as Linux
+   rt_sigreturn does: the trap epilogue writes it back unchanged, so the
+   interrupted code keeps the result of the syscall it was in. *)
 let sigreturn_body k (proc : Proc.t) =
   Kmem.work k.Kernel.kmem 20;
   Machine.charge ~tag:Obs.Tag.Kernel_work k.Kernel.machine 800;
   match Sva.icontext_load k.Kernel.sva ~tid:proc.Proc.tid with
-  | Ok () -> Ok ()
+  | Ok gpr0 -> Ok gpr0
   | Error _ -> Error Errno.EINVAL
 
 (* ------------------------------------------------------------------ *)
@@ -935,7 +938,15 @@ let signal k proc ~signum ~handler =
   via_unit k proc ~sysno:A.sys_signal [| i64 signum; handler |]
 
 let kill k proc ~pid ~signum = via_unit k proc ~sysno:A.sys_kill [| i64 pid; i64 signum |]
-let sigreturn k proc = via_unit k proc ~sysno:A.sys_sigreturn [||]
+(* The result register holds whatever the restored context held, which
+   can read as any result; whether a context was restored is whether
+   one was consumed. *)
+let sigreturn k (proc : Proc.t) =
+  let sva = k.Kernel.sva and tid = proc.Proc.tid in
+  let saved = Sva.saved_contexts sva ~tid in
+  let r = syscall k proc A.sys_sigreturn [||] in
+  if Sva.saved_contexts sva ~tid < saved then Ok ()
+  else Error (match Syscall_abi.decode_int r with Error e -> e | Ok _ -> Errno.EINVAL)
 
 let pipe k proc =
   with_staged k proc ~len:(2 * S.fd_bytes) (fun () ->
@@ -1127,7 +1138,7 @@ let () =
   reg A.sys_signal (fun k proc a ->
       unit_of (signal_body k proc ~signum:(iarg a 0) ~handler:(arg a 1)));
   reg A.sys_kill (fun k proc a -> unit_of (kill_body k proc ~pid:(iarg a 0) ~signum:(iarg a 1)));
-  reg A.sys_sigreturn (fun k proc _a -> unit_of (sigreturn_body k proc));
+  reg A.sys_sigreturn (fun k proc _a -> sigreturn_body k proc);
   reg A.sys_pipe (fun k proc a -> unit_of (pipe_body k proc ~out:(arg a 0)));
   reg A.sys_listen (fun k proc a -> int_of (listen_body k proc ~port:(iarg a 0)));
   reg A.sys_accept (fun k proc a -> int_of (accept_body k proc ~fd:(iarg a 0)));

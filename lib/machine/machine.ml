@@ -1,4 +1,4 @@
-module I64 = Vg_util.Int_tbl.Int64
+module Ident = Vg_util.Int_tbl.Ident
 
 type privilege = User | Kernel
 type access = Read | Write | Exec
@@ -14,8 +14,9 @@ type core = {
   id : int;
   mutable privilege : privilege;
   mutable cycles : int;
-  (* TLB: vpage -> pte, invalidated wholesale on context switch. *)
-  tlb : Pagetable.pte I64.t;
+  (* TLB: vpage -> pte, invalidated wholesale on context switch.  Never
+     iterated, so keyed by the page number itself. *)
+  tlb : Pagetable.pte Ident.t;
   mutable current_pt : Pagetable.t;
   mutable timer_period : int; (* 0 = disarmed *)
   mutable timer_deadline : int;
@@ -45,7 +46,7 @@ type t = {
   (* VA-indexed cache-line presence set (line = va >> 6).  Only the
      word-sized access paths consult it; bulk copies are modelled as
      non-temporal. *)
-  cache_lines : unit I64.t;
+  cache_lines : unit Ident.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable spec_windows : int;
@@ -93,7 +94,7 @@ let make_core id =
     id;
     privilege = Kernel;
     cycles = 0;
-    tlb = I64.create 512;
+    tlb = Ident.create 512;
     current_pt = Pagetable.create ();
     timer_period = 0;
     timer_deadline = 0;
@@ -121,7 +122,7 @@ let create ~cpus ~phys_frames ~disk_sectors ~obs ~spec_depth ~seed =
          tpm = Tpm.create ~seed;
          obs;
          spec_depth;
-         cache_lines = I64.create 1024;
+         cache_lines = Ident.create 1024;
          cache_hits = 0;
          cache_misses = 0;
          spec_windows = 0;
@@ -139,7 +140,7 @@ let privilege t = (core t).privilege
 let set_privilege t p = (core t).privilege <- p
 let kernel_pt t = t.kernel_pt
 let current_pt t = (core t).current_pt
-let flush_tlb t = I64.reset (core t).tlb
+let flush_tlb t = Ident.reset (core t).tlb
 
 let set_current_pt t pt =
   let c = core t in
@@ -161,7 +162,7 @@ let tlb_shootdown t =
       (fun c ->
         if c.id <> sender.id then begin
           charge ~tag:Obs.Tag.Ipi t Cost.ipi_send;
-          I64.reset c.tlb;
+          Ident.reset c.tlb;
           c.cycles <- c.cycles + Cost.ipi_deliver;
           if Obs.is_armed t.obs then
             Obs.charge t.obs ~cycles:c.cycles Obs.Tag.Ipi Cost.ipi_deliver;
@@ -212,17 +213,19 @@ let ack_timer t =
 let table_for t va =
   if Vg_util.Layout.in_kernel va then t.kernel_pt else (core t).current_pt
 
-let lookup_pte t va =
+(* A TLB hit allocates nothing: the page number is an immediate and
+   the lookup raises rather than wrapping its result in an option. *)
+let lookup_pte t access va =
   let c = core t in
-  let vpage = Int64.shift_right_logical va 12 in
-  match I64.find_opt c.tlb vpage with
-  | Some pte -> pte
-  | None -> (
+  let vpage = Int64.to_int (Int64.shift_right_logical va 12) in
+  match Ident.find c.tlb vpage with
+  | pte -> pte
+  | exception Not_found -> (
       charge ~tag:Obs.Tag.Tlb t Cost.tlb_miss;
-      match Pagetable.lookup (table_for t va) ~vpage with
-      | None -> raise (Page_fault { va; access = Read; present = false })
+      match Pagetable.lookup (table_for t va) ~vpage:(Int64.of_int vpage) with
+      | None -> raise (Page_fault { va; access; present = false })
       | Some pte ->
-          I64.replace c.tlb vpage pte;
+          Ident.replace c.tlb vpage pte;
           pte)
 
 let check_access privilege access va (pte : Pagetable.pte) =
@@ -241,12 +244,20 @@ let phys_of (pte : Pagetable.pte) va =
   Int64.logor (Int64.shift_left (Int64.of_int pte.frame) 12) (Int64.logand va 0xfffL)
 
 let translate t access va =
-  let pte =
-    try lookup_pte t va
-    with Page_fault _ -> raise (Page_fault { va; access; present = false })
-  in
+  let pte = lookup_pte t access va in
   check_access (core t).privilege access va pte;
   phys_of pte va
+
+(* [translate] for the accessors below: the physical address as an
+   immediate [int].  A frame outside physical memory raises here what
+   [Phys_mem] would have raised on [translate]'s address. *)
+let translate_pa t access va =
+  let pte = lookup_pte t access va in
+  check_access (core t).privilege access va pte;
+  let frame = pte.Pagetable.frame in
+  if frame < 0 || frame >= Phys_mem.frames t.mem then
+    raise (Phys_mem.Bad_physical_address (phys_of pte va));
+  (frame lsl 12) lor (Int64.to_int va land 0xfff)
 
 (* The same walk and permission check with no side effect on the
    machine: no charge, no TLB fill, no cache-line touch. *)
@@ -262,7 +273,7 @@ let translate_quiet t ~pt privilege access va =
 
 let spec_depth t = t.spec_depth
 
-let cache_line va = Int64.shift_right_logical va 6
+let cache_line va = Int64.to_int (Int64.shift_right_logical va 6)
 
 (* Architectural consult of the cache-line state.  Entirely gated on
    the machine having a speculative window at all: a depth-0 machine
@@ -271,10 +282,10 @@ let cache_line va = Int64.shift_right_logical va 6
 let consult_cache t va =
   if t.spec_depth > 0 then begin
     let line = cache_line va in
-    if I64.mem t.cache_lines line then t.cache_hits <- t.cache_hits + 1
+    if Ident.mem t.cache_lines line then t.cache_hits <- t.cache_hits + 1
     else begin
       t.cache_misses <- t.cache_misses + 1;
-      I64.replace t.cache_lines line ();
+      Ident.replace t.cache_lines line ();
       charge ~tag:Obs.Tag.Spec t Cost.cache_miss
     end
   end
@@ -292,13 +303,13 @@ let spec_load t va ~len =
     | Some pte -> (
         match Phys_mem.read t.mem ~addr:(phys_of pte va) ~len with
         | v ->
-            I64.replace t.cache_lines (cache_line va) ();
+            Ident.replace t.cache_lines (cache_line va) ();
             t.spec_transient <- t.spec_transient + 1;
             Some v
         | exception Phys_mem.Bad_physical_address _ -> None)
 
 let spec_window_opened t = t.spec_windows <- t.spec_windows + 1
-let spec_flush t = I64.reset t.cache_lines
+let spec_flush t = Ident.reset t.cache_lines
 
 type spec_stats = {
   windows : int;
@@ -317,40 +328,38 @@ let spec_stats t =
 
 let read_virt t va ~len =
   charge ~tag:Obs.Tag.Mem t Cost.mem_access;
-  let v = Phys_mem.read t.mem ~addr:(translate t Read va) ~len in
+  let v = Phys_mem.read_at t.mem (translate_pa t Read va) ~len in
   consult_cache t va;
   v
 
 let write_virt t va ~len v =
   charge ~tag:Obs.Tag.Mem t Cost.mem_access;
-  Phys_mem.write t.mem ~addr:(translate t Write va) ~len v;
+  Phys_mem.write_at t.mem (translate_pa t Write va) ~len v;
   consult_cache t va
-
-let iter_pages va len f =
-  let pos = ref 0 in
-  while !pos < len do
-    let page_off = Int64.to_int (Int64.logand (Int64.add va (Int64.of_int !pos)) 0xfffL) in
-    let chunk = min (len - !pos) (4096 - page_off) in
-    f ~pos:!pos ~va:(Int64.add va (Int64.of_int !pos)) ~len:chunk;
-    pos := !pos + chunk
-  done
 
 (* One modelled copy: one [copy_cycles] charge before the first
    translation, then page by page straight between physical memory and
-   the caller's buffer. *)
+   the caller's buffer, each page translated as it is reached. *)
+let copy_virt t access va buf ~off ~len =
+  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
+  let pos = ref 0 in
+  while !pos < len do
+    let va = Int64.add va (Int64.of_int !pos) in
+    let chunk = min (len - !pos) (4096 - (Int64.to_int va land 0xfff)) in
+    Phys_mem.blit_at t.mem (translate_pa t access va) buf ~off:(off + !pos) ~len:chunk
+      ~to_mem:(access = Write);
+    pos := !pos + chunk
+  done
+
 let read_virt_into t va dst ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length dst - len then
     invalid_arg "Machine.read_virt_into";
-  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
-  iter_pages va len (fun ~pos ~va ~len ->
-      Phys_mem.blit_to t.mem ~addr:(translate t Read va) dst ~off:(off + pos) ~len)
+  copy_virt t Read va dst ~off ~len
 
 let write_virt_from t va src ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length src - len then
     invalid_arg "Machine.write_virt_from";
-  charge ~tag:Obs.Tag.Copy t (Cost.copy_cycles len);
-  iter_pages va len (fun ~pos ~va ~len ->
-      Phys_mem.blit_from t.mem ~addr:(translate t Write va) src ~off:(off + pos) ~len)
+  copy_virt t Write va src ~off ~len
 
 let read_bytes_virt t va ~len =
   let out = Bytes.create len in

@@ -165,12 +165,6 @@ val write_virt : t -> int64 -> len:int -> int64 -> unit
     {!Cost.mem_access} plus translation costs and obey the current
     privilege level. *)
 
-val iter_pages : int64 -> int -> (pos:int -> va:int64 -> len:int -> unit) -> unit
-(** [iter_pages va len f] splits [va, va+len) at page boundaries and
-    calls [f] on each piece in order: its offset [pos] in the range, its
-    address and its length.  The bulk accessors below and [Kmem]'s
-    per-chunk copies walk ranges with it. *)
-
 val read_virt_into : t -> int64 -> bytes -> off:int -> len:int -> unit
 (** [read_virt_into t va dst ~off ~len] copies [len] bytes at [va] into
     [dst] at [off].  One modelled copy: a single [Cost.copy_cycles len]

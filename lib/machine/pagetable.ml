@@ -3,24 +3,26 @@ type pte = { frame : int; perm : perm }
 
 module Tbl = Vg_util.Int_tbl
 
+(* [entries] is iterated (fork copies it, teardown walks it), so it
+   keeps the polymorphic table's order; [frame_refs] is only probed. *)
 type t = {
   entries : pte Tbl.Int64.t;
   (* frame -> number of vpages mapping it: a count answers "is this
      frame mapped here?" without scanning [entries]. *)
-  frame_refs : int Tbl.Int.t;
+  frame_refs : int Tbl.Ident.t;
 }
 
-let create () = { entries = Tbl.Int64.create 256; frame_refs = Tbl.Int.create 256 }
+let create () = { entries = Tbl.Int64.create 256; frame_refs = Tbl.Ident.create 256 }
 
 let incr_ref t frame =
-  Tbl.Int.replace t.frame_refs frame
-    (1 + Option.value ~default:0 (Tbl.Int.find_opt t.frame_refs frame))
+  Tbl.Ident.replace t.frame_refs frame
+    (1 + Option.value ~default:0 (Tbl.Ident.find_opt t.frame_refs frame))
 
 let decr_ref t frame =
-  match Tbl.Int.find_opt t.frame_refs frame with
+  match Tbl.Ident.find_opt t.frame_refs frame with
   | None -> ()
-  | Some 1 -> Tbl.Int.remove t.frame_refs frame
-  | Some n -> Tbl.Int.replace t.frame_refs frame (n - 1)
+  | Some 1 -> Tbl.Ident.remove t.frame_refs frame
+  | Some n -> Tbl.Ident.replace t.frame_refs frame (n - 1)
 
 let map t ~vpage pte =
   (match Tbl.Int64.find_opt t.entries vpage with
@@ -38,9 +40,9 @@ let unmap t ~vpage =
 
 let lookup t ~vpage = Tbl.Int64.find_opt t.entries vpage
 let iter t f = Tbl.Int64.iter f t.entries
-let maps_frame t frame = Tbl.Int.mem t.frame_refs frame
+let maps_frame t frame = Tbl.Ident.mem t.frame_refs frame
 
 let count t = Tbl.Int64.length t.entries
 
 let copy t =
-  { entries = Tbl.Int64.copy t.entries; frame_refs = Tbl.Int.copy t.frame_refs }
+  { entries = Tbl.Int64.copy t.entries; frame_refs = Tbl.Ident.copy t.frame_refs }

@@ -1,10 +1,14 @@
 (** Simulated physical memory.
 
-    Memory is organised as 4 KiB frames, allocated lazily so a machine
-    can be configured with gigabytes of physical memory without paying
-    for it up front.  Addresses are physical byte addresses; accesses
-    must not cross a frame boundary (the MMU hands out frame-aligned
-    regions, and the simulator's accessors split larger transfers). *)
+    Memory is organised as 4 KiB frames, allocated on first touch so a
+    machine can be configured with gigabytes of physical memory without
+    paying for it up front.  The frames sit in a two-level array indexed
+    by frame number (a directory slot per 2 MiB, a leaf of 512 frame
+    slots allocated with the first frame touched in its range), so
+    finding a frame involves no hashing.  Addresses are physical byte
+    addresses; accesses must not cross a frame boundary (the MMU hands
+    out frame-aligned regions, and the simulator's accessors split
+    larger transfers). *)
 
 type t
 
@@ -24,6 +28,24 @@ val read : t -> addr:int64 -> len:int -> int64
 
 val write : t -> addr:int64 -> len:int -> int64 -> unit
 (** Little-endian truncating store. *)
+
+(** {1 The MMU's forms}
+
+    The same accesses with the physical address as an [int], which a
+    translated address always fits: the MMU passes it without boxing.
+    Out of range or crossing a frame, they raise
+    {!Bad_physical_address} with the address as an [int64]. *)
+
+val read_at : t -> int -> len:int -> int64
+(** [read_at t pa ~len] is [read t ~addr:(Int64.of_int pa) ~len]. *)
+
+val write_at : t -> int -> len:int -> int64 -> unit
+(** [write_at t pa ~len v] is [write t ~addr:(Int64.of_int pa) ~len v]. *)
+
+val blit_at : t -> int -> bytes -> off:int -> len:int -> to_mem:bool -> unit
+(** [blit_at t pa buf ~off ~len ~to_mem] is {!blit_from} ([to_mem]) or
+    {!blit_to} at [pa], except that the caller has already checked
+    [off] and [len] against [buf]. *)
 
 val blit_to : t -> addr:int64 -> bytes -> off:int -> len:int -> unit
 (** [blit_to t ~addr dst ~off ~len] copies [len] bytes of memory at
@@ -50,7 +72,10 @@ val copy_frame : t -> src:int -> dst:int -> unit
 
 val zero_frame : t -> int -> unit
 (** Clear one frame — used when ghost frames change hands so data never
-    leaks between owners. *)
+    leaks between owners.  The frame's storage is released; it reads as
+    zeros and is allocated again on its next touch. *)
 
 val frame_is_allocated : t -> int -> bool
-(** Whether the frame has been touched (backing storage exists). *)
+(** Whether the frame has been touched (backing storage exists) and
+    not zeroed since.  @raise Bad_physical_address on a frame out of
+    range, like {!zero_frame} and {!copy_frame}. *)

@@ -9,9 +9,10 @@
     the general-purpose registers before the kernel runs.
 
     The record is the authoritative in-simulator representation; the
-    serialisation functions produce the in-memory image used to mirror
-    it into kernel-visible memory (native builds) or SVA-internal
-    memory (Virtual Ghost builds). *)
+    serialisation functions write and read the in-memory image used to
+    mirror it into kernel-visible memory (native builds) or
+    SVA-internal memory (Virtual Ghost builds), through a buffer the
+    caller keeps, so a trap allocates no image. *)
 
 type t = {
   mutable pc : int64;
@@ -30,6 +31,11 @@ val clone : t -> t
 val byte_size : int
 (** Size of the serialised image (pc, sp, privilege, 16 GPRs). *)
 
-val to_bytes : t -> bytes
-val of_bytes : bytes -> t
-(** @raise Invalid_argument on a short buffer. *)
+val store : t -> bytes -> unit
+(** [store t b] writes [t]'s image into the first {!byte_size} bytes
+    of [b].  @raise Invalid_argument on a short buffer. *)
+
+val load : t -> bytes -> unit
+(** [load t b] sets [t] in place from the image in [b] (the inverse of
+    {!store}): the privilege word 3 reads as user, any other as kernel.
+    @raise Invalid_argument on a short buffer. *)

@@ -45,7 +45,7 @@ type t = {
   percpu : percpu array;
   uses : (int, frame_use) Hashtbl.t;
   mutable address_spaces : (Pagetable.t * int) list;
-  threads : (int, thread) Hashtbl.t;
+  threads : thread Vg_util.Int_tbl.Int.t;  (* tid -> thread *)
   mutable next_tid : int;
   mutable free_slots : int list;
   mutable next_slot : int;
@@ -63,6 +63,9 @@ type t = {
      not restore. *)
   swap_versions : (int * int64, int) Hashtbl.t;
   mutable swap_epoch : int;
+  (* The one buffer every interrupt-context image passes through on
+     its way to or from a mirror, so a trap allocates none. *)
+  ic_image : Bytes.t;
 }
 
 let mode t = t.mode
@@ -145,7 +148,7 @@ let boot ?(vg_key_bits = 256) ~mode machine =
       percpu;
       uses;
       address_spaces = [];
-      threads = Hashtbl.create 64;
+      threads = Vg_util.Int_tbl.Int.create 64;
       next_tid = 1;
       free_slots = [];
       next_slot = 0;
@@ -159,6 +162,7 @@ let boot ?(vg_key_bits = 256) ~mode machine =
       swap_key;
       swap_versions = Hashtbl.create 64;
       swap_epoch = 0;
+      ic_image = Bytes.create Icontext.byte_size;
     }
   in
   (* DMA protection: the IOMMU refuses transfers touching any frame the
@@ -357,25 +361,36 @@ let ensure_mirror_mapped t slot =
       end
 
 (* SVA's own accesses to its mirrors run at kernel privilege no matter
-   what the CPU was doing (the VM is part of the trap path). *)
-let with_kernel_privilege t f =
-  let saved = Machine.privilege t.machine in
-  Machine.set_privilege t.machine Machine.Kernel;
-  Fun.protect ~finally:(fun () -> Machine.set_privilege t.machine saved) f
+   what the CPU was doing (the VM is part of the trap path).  [f] is a
+   closed function of its arguments, so a call allocates no closure. *)
+let with_kernel_privilege t f thread v =
+  let m = t.machine in
+  let saved = Machine.privilege m in
+  Machine.set_privilege m Machine.Kernel;
+  match f t thread v with
+  | () -> Machine.set_privilege m saved
+  | exception e ->
+      Machine.set_privilege m saved;
+      raise e
 
 let write_mirror t thread =
-  with_kernel_privilege t (fun () ->
-      Machine.write_bytes_virt t.machine thread.mirror_va (Icontext.to_bytes thread.ic))
+  with_kernel_privilege t
+    (fun t thread () ->
+      Icontext.store thread.ic t.ic_image;
+      Machine.write_virt_from t.machine thread.mirror_va t.ic_image ~off:0
+        ~len:Icontext.byte_size)
+    thread ()
 
+(* Read the mirror back into the thread's context, in place. *)
 let read_mirror t thread =
-  with_kernel_privilege t (fun () ->
-      Icontext.of_bytes
-        (Machine.read_bytes_virt t.machine thread.mirror_va ~len:Icontext.byte_size))
+  with_kernel_privilege t
+    (fun t thread () ->
+      Machine.read_virt_into t.machine thread.mirror_va t.ic_image ~off:0
+        ~len:Icontext.byte_size;
+      Icontext.load thread.ic t.ic_image)
+    thread ()
 
-let find_thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some thread -> thread
-  | None -> raise Not_found
+let find_thread t tid = Vg_util.Int_tbl.Int.find t.threads tid
 
 let new_thread t ~pid ~entry ~stack =
   let tid = t.next_tid in
@@ -392,7 +407,7 @@ let new_thread t ~pid ~entry ~stack =
       mirror_slot = slot;
     }
   in
-  Hashtbl.replace t.threads tid thread;
+  Vg_util.Int_tbl.Int.replace t.threads tid thread;
   write_mirror t thread;
   tid
 
@@ -412,21 +427,21 @@ let clone_thread t ~tid ~new_pid =
       mirror_slot = slot;
     }
   in
-  Hashtbl.replace t.threads ntid thread;
+  Vg_util.Int_tbl.Int.replace t.threads ntid thread;
   write_mirror t thread;
   ntid
 
 let free_thread t ~tid =
-  match Hashtbl.find_opt t.threads tid with
+  match Vg_util.Int_tbl.Int.find_opt t.threads tid with
   | None -> ()
   | Some thread ->
-      Hashtbl.remove t.threads tid;
+      Vg_util.Int_tbl.Int.remove t.threads tid;
       t.free_slots <- thread.mirror_slot :: t.free_slots;
       (* A process's handler set and application key die with its last
          thread: a later thread given the same pid inherits neither. *)
       let pid = thread.pid in
       let alive = ref false in
-      Hashtbl.iter (fun _ th -> if th.pid = pid then alive := true) t.threads;
+      Vg_util.Int_tbl.Int.iter (fun _ th -> if th.pid = pid then alive := true) t.threads;
       if not !alive then begin
         Hashtbl.remove t.permitted pid;
         Hashtbl.remove t.app_keys pid
@@ -434,7 +449,7 @@ let free_thread t ~tid =
 
 let refresh_from_mirror t thread =
   match t.mode with
-  | Native_build -> thread.ic <- read_mirror t thread
+  | Native_build -> read_mirror t thread
   | Virtual_ghost -> ()
 
 let thread_icontext t ~tid =
@@ -446,8 +461,9 @@ let set_syscall_result t ~tid v =
   let thread = find_thread t tid in
   thread.ic.Icontext.gprs.(0) <- v;
   (* Keep the mirror coherent (offset 24 is gpr 0). *)
-  with_kernel_privilege t (fun () ->
-      Machine.write_virt t.machine (Int64.add thread.mirror_va 24L) ~len:8 v)
+  with_kernel_privilege t
+    (fun t thread v -> Machine.write_virt t.machine (Int64.add thread.mirror_va 24L) ~len:8 v)
+    thread v
 
 let native_ic_address t ~tid =
   let thread = find_thread t tid in
@@ -491,7 +507,7 @@ let return_from_trap t ~tid =
 let swap_integer t ~tid =
   let cpu = Machine.cpu t.machine in
   let pc = t.percpu.(cpu) in
-  match Hashtbl.find_opt t.threads tid with
+  match Vg_util.Int_tbl.Int.find_opt t.threads tid with
   | None -> Error (Printf.sprintf "sva.swap.integer: no thread %d" tid)
   | Some _ ->
       let live_elsewhere =
@@ -687,8 +703,10 @@ let icontext_load t ~tid =
   else begin
     thread.ic <- Stack.pop thread.ic_stack;
     write_mirror t thread;
-    Ok ()
+    Ok thread.ic.Icontext.gprs.(0)
   end
+
+let saved_contexts t ~tid = Stack.length (find_thread t tid).ic_stack
 
 (* ------------------------------------------------------------------ *)
 (* Ghost memory                                                        *)

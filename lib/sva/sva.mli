@@ -191,8 +191,13 @@ val ipush_function :
     thread to run [target] on resume.  Under Virtual Ghost the target
     must have been registered with {!permit_function}. *)
 
-val icontext_load : t -> tid:int -> (unit, string) result
-(** [sigreturn]: pop the pushed context. *)
+val icontext_load : t -> tid:int -> (int64, string) result
+(** [sigreturn]: pop the pushed context.  The result is the restored
+    context's result register (gpr 0), which sigreturn returns. *)
+
+val saved_contexts : t -> tid:int -> int
+(** How many contexts {!ipush_function} saved that {!icontext_load}
+    has not popped. *)
 
 (** {1 Ghost memory} *)
 

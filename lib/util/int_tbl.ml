@@ -43,3 +43,14 @@ module Int64 = Hashtbl.Make (struct
   let equal = Int64.equal
   let hash = hash_int64
 end)
+
+(* No mixing at all: the key is its own hash.  Sequential keys (page
+   numbers, frame numbers, cache lines) land in distinct buckets, and a
+   lookup costs one mask.  The bucket layout differs from the tables
+   above, so only a table nothing iterates may use it. *)
+module Ident = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k
+end)

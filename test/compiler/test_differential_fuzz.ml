@@ -75,8 +75,8 @@ let run_native ~vg program args =
   let env =
     {
       Exec_env.null_env with
-      load = w_load w;
-      store = w_store w;
+      load = Boxed_mem.load (w_load w);
+      store = Boxed_mem.store (w_store w);
       charge = (fun _ n -> cycles := !cycles + n);
     }
   in
@@ -95,8 +95,8 @@ let run_compiled ~vg program args =
   let env =
     {
       Exec_env.null_env with
-      load = w_load w;
-      store = w_store w;
+      load = Boxed_mem.load (w_load w);
+      store = Boxed_mem.store (w_store w);
       charge = (fun _ n -> cycles := !cycles + n);
     }
   in
@@ -195,8 +195,8 @@ let prop_compiled_trajectory_parity =
         let env =
           {
             Exec_env.null_env with
-            load = w_load w;
-            store = w_store w;
+            load = Boxed_mem.load (w_load w);
+            store = Boxed_mem.store (w_store w);
             charge =
               (fun tag n ->
                 let i = Obs.Tag.index tag in
@@ -243,7 +243,7 @@ let prop_optimizer_preserves_semantics =
       let inst_then_opt = Opt_pass.optimize_program (Sandbox_pass.instrument_program program) in
       let image = Linker.link (Codegen.compile ~cfi:true inst_then_opt) in
       let w = make_world () in
-      let env = { Exec_env.null_env with load = w_load w; store = w_store w } in
+      let env = { Exec_env.null_env with load = Boxed_mem.load (w_load w); store = Boxed_mem.store (w_store w) } in
       agree reference
         (match Executor.run ~fuel:400_000 env image "f0" args with
         | v -> Value (v, w.mem, 0)
@@ -268,10 +268,10 @@ let prop_optimizer_never_unmasks =
         {
           Exec_env.null_env with
           load =
-            (fun addr _ ->
+            Boxed_mem.load (fun addr _ ->
               check addr;
               0L);
-          store = (fun addr _ _ -> check addr);
+          store = Boxed_mem.store (fun addr _ _ -> check addr);
           memcpy =
             (fun ~dst ~src ~len:_ ->
               check dst;
@@ -357,8 +357,8 @@ let prop_safe_mask_no_transient_leak =
         let env =
           {
             Exec_env.null_env with
-            load = w_load w;
-            store = w_store w;
+            load = Boxed_mem.load (w_load w);
+            store = Boxed_mem.store (w_store w);
             charge = (fun _ n -> cycles := !cycles + n);
             spec_depth;
             spec_load = (fun _ _ -> Some 0L);
@@ -386,10 +386,10 @@ let prop_safe_mask_no_transient_leak =
         {
           Exec_env.null_env with
           load =
-            (fun addr _ ->
+            Boxed_mem.load (fun addr _ ->
               check addr;
               0L);
-          store = (fun addr _ _ -> check addr);
+          store = Boxed_mem.store (fun addr _ _ -> check addr);
           memcpy =
             (fun ~dst ~src ~len:_ ->
               check dst;

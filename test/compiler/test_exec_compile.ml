@@ -51,8 +51,8 @@ let world_store w addr (width : Ir.width) v =
 let exec_env w : Exec_env.env =
   {
     Exec_env.null_env with
-    load = world_load w;
-    store = world_store w;
+    load = Boxed_mem.load (world_load w);
+    store = Boxed_mem.store (world_store w);
     memcpy =
       (fun ~dst ~src ~len ->
         Bytes.blit w.mem (world_off w src) w.mem (world_off w dst) (Int64.to_int len));

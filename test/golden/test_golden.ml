@@ -27,11 +27,16 @@ let run_tagged_cycles ?(compiled = false) ~cfi ~sandbox program entry arg =
     {
       Vg_compiler.Exec_env.null_env with
       load =
-        (fun addr _ ->
-          Bytes.get_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)));
+        (fun cell _ ->
+          Vg_compiler.Exec_env.(
+            set cell value
+              (Bytes.get_int64_le mem (Int64.to_int (Int64.logand (get cell address) 0xfff8L)))));
       store =
-        (fun addr _ v ->
-          Bytes.set_int64_le mem (Int64.to_int (Int64.logand addr 0xfff8L)) v);
+        (fun cell _ ->
+          Vg_compiler.Exec_env.(
+            Bytes.set_int64_le mem
+              (Int64.to_int (Int64.logand (get cell address) 0xfff8L))
+              (get cell value)));
       charge =
         (fun tag n ->
           let i = Obs.Tag.index tag in

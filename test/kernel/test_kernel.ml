@@ -2211,10 +2211,10 @@ let test_ring_self_kill () =
   let ic = Sva.thread_icontext k.Kernel.sva ~tid:p.Proc.tid in
   Alcotest.(check int64) "pc -> handler" handler ic.Icontext.pc;
   Alcotest.(check int64) "handler arg = signum" 10L ic.Icontext.gprs.(0);
-  (* Pop the handler frame: the interrupted context underneath. *)
-  (match Sva.icontext_load k.Kernel.sva ~tid:p.Proc.tid with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail msg);
+  (* The handler returns: sigreturn restores the interrupted context
+     and hands back its result register, so ring_enter's count
+     survives the trap epilogue. *)
+  ignore (expect_ok "sigreturn" (Syscalls.sigreturn k p));
   Alcotest.(check int64) "interrupted context holds ring_enter's count" 1L
     (Sva.thread_icontext k.Kernel.sva ~tid:p.Proc.tid).Icontext.gprs.(0)
 

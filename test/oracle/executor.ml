@@ -48,6 +48,17 @@ let run ?(fuel = 50_000_000) env (image : Linker.image) entry args =
   let gen_ctr = ref 1 in
   let gen = ref 1 in
   let scratch = Array.make image.Linker.max_args 0L in
+  let cell = Bytes.create cell_bytes in
+  let load a width =
+    set cell address a;
+    env.load cell width;
+    get cell value
+  in
+  let store a width v =
+    set cell address a;
+    set cell value v;
+    env.store cell width
+  in
   let read slot =
     let i = !base + slot in
     if (!def).(i) = !gen then (!rf).(i)
@@ -248,10 +259,10 @@ let run ?(fuel = 50_000_000) env (image : Linker.image) entry args =
         end;
         pc := p + 1
     | LLoad { dst; addr; width } ->
-        write dst (Eval.truncate width (env.load (v addr) width));
+        write dst (Eval.truncate width (load (v addr) width));
         pc := p + 1
     | LStore { src; addr; width } ->
-        env.store (v addr) width (Eval.truncate width (v src));
+        store (v addr) width (Eval.truncate width (v src));
         pc := p + 1
     | LMemcpy { dst; src; len } ->
         let len_v = v len in
@@ -261,8 +272,8 @@ let run ?(fuel = 50_000_000) env (image : Linker.image) entry args =
         pc := p + 1
     | LAtomic { dst; op; addr; operand_; width } ->
         let a = v addr in
-        let old = Eval.truncate width (env.load a width) in
-        (try env.store a width (Eval.truncate width (Eval.eval_binop op old (v operand_)))
+        let old = Eval.truncate width (load a width) in
+        (try store a width (Eval.truncate width (Eval.eval_binop op old (v operand_)))
          with Eval.Trap m -> raise (Exec_trap m));
         write dst old;
         pc := p + 1

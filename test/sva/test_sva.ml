@@ -329,7 +329,7 @@ let test_ipush_unchecked_in_native () =
 let test_sigreturn_without_push () =
   let _, sva = boot () in
   let tid = Sva.new_thread sva ~pid:3 ~entry:0x1000L ~stack:0x7fff0000L in
-  Alcotest.(check bool) "refused" true (Sva.icontext_load sva ~tid <> Ok ())
+  Alcotest.(check bool) "refused" true (Result.is_error (Sva.icontext_load sva ~tid))
 
 let test_nested_signals () =
   let _, sva = boot () in
