@@ -1368,21 +1368,19 @@ let time_ns_per_run f =
   let t1 = Unix.gettimeofday () in
   (t1 -. t0) /. float_of_int runs *. 1e9
 
-(* Host words one warm run allocates, counted as vgbench counts them:
-   minor words plus words allocated straight on the major heap (major
-   minus promoted), averaged over a few runs after a warm-up.  The
-   caller builds the run's env outside, so the harness's own buffers
-   are not counted. *)
+(* Host words one warm run allocates ({!Vg_oracle.Alloc_meter}),
+   averaged over a few runs after a warm-up.  The caller builds the
+   run's env outside, so the harness's own buffers are not counted. *)
 let words_per_run f =
   f ();
-  Gc.minor ();
   let runs = 3 in
-  let minor0, promoted0, major0 = Gc.counters () in
-  for _ = 1 to runs do
-    f ()
-  done;
-  let minor1, promoted1, major1 = Gc.counters () in
-  (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)) /. float_of_int runs
+  let (), c =
+    Vg_oracle.Alloc_meter.count (fun () ->
+        for _ = 1 to runs do
+          f ()
+        done)
+  in
+  c.Vg_oracle.Alloc_meter.words /. float_of_int runs
 
 let total = Array.fold_left ( + ) 0
 
@@ -1476,6 +1474,8 @@ let executor r =
         let c_words =
           engine_words (fun env -> Vg_compiler.Exec_compile.run env artifact entry [| arg |])
         in
+        R.check r ~row:name ~what:"warm compiled run allocates no more than the slot executor"
+          (c_words <= s_words);
         let engine cycles instrs ns words =
           R.obj
             [

@@ -272,19 +272,11 @@ let checksum_program () =
   Builder.ret b (Some (Builder.bin b Add (Builder.bin b Mul rest (Imm 31L)) word));
   Builder.program b
 
-(* Host words [f] allocates, as vgbench counts them: minor words plus
-   words allocated straight on the major heap (major minus promoted).
-   A buffer over 256 words skips the minor heap, so minor words alone
-   would not see a register file grow. *)
+(* Host words [f] allocates ({!Alloc_meter}): a register file that
+   grows skips the minor heap, so the direct major words count too. *)
 let host_words f =
-  (* an empty minor heap, so every word promoted below was allocated
-     below *)
-  Gc.minor ();
-  let minor0, promoted0, major0 = Gc.counters () in
-  let r = f () in
-  let minor1, promoted1, major1 = Gc.counters () in
-  let direct_major = major1 -. major0 -. (promoted1 -. promoted0) in
-  (r, minor1 -. minor0 +. direct_major, direct_major)
+  let r, c = Alloc_meter.count f in
+  (r, c.Alloc_meter.words, c.Alloc_meter.direct_major)
 
 let checksum_buf = 0x4000L
 let checksum_len = 4096

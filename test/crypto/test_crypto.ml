@@ -296,13 +296,7 @@ let prop_sha256_split =
 (* ------------------------------------------------------------------ *)
 (* Allocation guard: one swap blob's header || page                    *)
 
-(* Words a call allocates: minor plus those allocated directly in the
-   major heap (major minus promoted). *)
-let words_allocated f =
-  let minor0, promoted0, major0 = Gc.counters () in
-  let r = f () in
-  let minor1, promoted1, major1 = Gc.counters () in
-  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+let words_allocated = Vg_oracle.Alloc_meter.words
 
 let test_swap_envelope_allocation () =
   let key = Bytes.make 16 'k' and nonce = hex "0000000000000007" in

@@ -1199,18 +1199,10 @@ let prop_kmem_write_matches_bytes =
 (* ------------------------------------------------------------------ *)
 (* Copy allocation                                                     *)
 
-(* Host words a call allocates: minor words plus direct major
-   allocations (major minus promoted).  A bulk copy should allocate its
-   result and a small per-call constant — one host copy per modelled
-   copy, no intermediate buffers. *)
-let words_allocated f =
-  (* Empty the minor heap first, so words promoted during [f] were all
-     allocated by [f]. *)
-  Gc.minor ();
-  let minor0, promoted0, major0 = Gc.counters () in
-  let r = f () in
-  let minor1, promoted1, major1 = Gc.counters () in
-  (r, int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+(* A bulk copy should allocate its result and a small per-call
+   constant — one host copy per modelled copy, no intermediate
+   buffers. *)
+let words_allocated = Vg_oracle.Alloc_meter.words
 
 let copy_slack_words = 64
 let bytes_words n = (n / 8) + 2
@@ -1254,6 +1246,44 @@ let test_recv_all_available_allocation () =
   Alcotest.(check bool) "payload reassembled" true (Bytes.equal got payload);
   check_budget "64 KiB Remote.recv_all_available" ~words
     ~budget:(bytes_words (Bytes.length payload) + copy_slack_words)
+
+(* ------------------------------------------------------------------ *)
+(* Trap allocation                                                     *)
+
+(* Host words one warm syscall allocates, on each build.  The trap
+   round trip itself (thread lookup, interrupt-context mirror save and
+   restore, TLB hits, the override lookup) allocates nothing; what is
+   left is the result register's box and the handler's own work. *)
+let trap_words mode =
+  let k = boot ~mode () in
+  let p = init k in
+  user_write k p user_buf (Bytes.init 4096 (fun i -> Char.chr (i land 0xff)));
+  let fd = expect_ok "open" (Syscalls.open_ k p "/trap-alloc" Syscalls.creat_trunc) in
+  ignore (expect_ok "write" (Syscalls.write k p ~fd ~buf:user_buf ~len:4096));
+  let read () =
+    ignore (expect_ok "lseek" (Syscalls.lseek k p ~fd ~pos:0));
+    let n, words = words_allocated (fun () -> Syscalls.read k p ~fd ~buf:user_buf ~len:4096) in
+    Alcotest.(check int) "whole read" 4096 (expect_ok "read" n);
+    words
+  in
+  let getpid () = snd (words_allocated (fun () -> Syscalls.getpid k p)) in
+  ignore (getpid ());
+  ignore (read ());
+  (getpid (), read ())
+
+(* Measured 3 and 535 words on both builds; the parent of this guard
+   allocated 33/15 (native/VG) for getpid and 568/551 for the read.
+   The read's floor is the 4 KiB kernel buffer, 514 words. *)
+let getpid_budget = 8
+let read_4k_budget = 540
+
+let test_trap_alloc () =
+  List.iter
+    (fun (name, mode) ->
+      let getpid_words, read_words = trap_words mode in
+      check_budget (name ^ " warm getpid") ~words:getpid_words ~budget:getpid_budget;
+      check_budget (name ^ " warm 4 KiB read") ~words:read_words ~budget:read_4k_budget)
+    [ ("native", Sva.Native_build); ("vg", Sva.Virtual_ghost) ]
 
 (* A write the pipe takes whole keeps the caller's buffer instead of
    copying it; a partial write into a nearly full pipe copies only what
@@ -2388,6 +2418,7 @@ let () =
             test_recv_all_available_allocation;
           Alcotest.test_case "pipe keeps a whole write" `Quick test_pipe_write_allocation;
         ] );
+      ("trap-alloc", [ Alcotest.test_case "warm getpid and 4 KiB read" `Quick test_trap_alloc ]);
       ( "modules",
         [
           Alcotest.test_case "override" `Quick test_module_override;

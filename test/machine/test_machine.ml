@@ -640,6 +640,218 @@ let test_memcpy_virt_overlap () =
       | Error _ -> Alcotest.fail "window is fully mapped")
     [ (1000, 4000); (5000, 4300) ]
 
+(* ------------------------------------------------------------------ *)
+(* Model-based: the frame store and the TLB                            *)
+
+(* Random calls on a frame store whose second directory leaf is
+   partial agree with a hash table of frames, absent = zero and
+   unallocated.  Frames -1, [nframes] and [nframes + 511] (inside the
+   last leaf's range but past the end) raise on every entry point. *)
+let model_frames = 700
+let model_frame_pool = [| 0; 1; 2; 510; 511; 512; 513; 698; 699 |]
+
+type frame_op =
+  | Read of int * int * int  (* frame pool index, offset, length index *)
+  | Write of int * int * int * int64
+  | Blit_from of int * int * string
+  | Blit_to of int * int * int
+  | Zero of int
+  | Copy of int * int
+  | Allocated of int
+  | Bad of int * int  (* bad frame index, entry point *)
+
+let frame_op_gen =
+  QCheck2.Gen.(
+    let fi = int_bound (Array.length model_frame_pool - 1) in
+    oneof
+      [
+        map3 (fun f o l -> Read (f, o, l)) fi (int_bound 4095) (int_bound 3);
+        map (fun (f, o, l, v) -> Write (f, o, l, v)) (quad fi (int_bound 4095) (int_bound 3) int64);
+        map3
+          (fun f o d -> Blit_from (f, o, d))
+          fi (int_bound 4095)
+          (string_size ~gen:(char_range '\000' '\255') (int_range 0 6000));
+        map3 (fun f o l -> Blit_to (f, o, l)) fi (int_bound 4095) (int_bound 6000);
+        map (fun f -> Zero f) fi;
+        map2 (fun a b -> Copy (a, b)) fi fi;
+        map (fun f -> Allocated f) fi;
+        map2 (fun b e -> Bad (b, e)) (int_bound 2) (int_bound 5);
+      ])
+
+let print_frame_op = function
+  | Read (f, o, l) -> Printf.sprintf "read %d+%d/%d" model_frame_pool.(f) o l
+  | Write (f, o, l, v) -> Printf.sprintf "write %d+%d/%d %Ld" model_frame_pool.(f) o l v
+  | Blit_from (f, o, d) -> Printf.sprintf "blit_from %d+%d %d" model_frame_pool.(f) o (String.length d)
+  | Blit_to (f, o, l) -> Printf.sprintf "blit_to %d+%d %d" model_frame_pool.(f) o l
+  | Zero f -> Printf.sprintf "zero %d" model_frame_pool.(f)
+  | Copy (a, b) -> Printf.sprintf "copy %d -> %d" model_frame_pool.(a) model_frame_pool.(b)
+  | Allocated f -> Printf.sprintf "allocated %d" model_frame_pool.(f)
+  | Bad (b, e) -> Printf.sprintf "bad %d entry %d" b e
+
+let prop_frame_store_model =
+  QCheck2.Test.make ~name:"frame store = hash-table model" ~count:300
+    ~print:QCheck2.Print.(list print_frame_op)
+    QCheck2.Gen.(list_size (int_range 1 40) frame_op_gen)
+    (fun ops ->
+      let mem = Phys_mem.create ~frames:model_frames in
+      let model : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16 in
+      let frame f =
+        match Hashtbl.find_opt model f with
+        | Some b -> b
+        | None ->
+            let b = Bytes.make 4096 '\000' in
+            Hashtbl.replace model f b;
+            b
+      in
+      (* the model's bytes at [addr, addr + len), touching each frame *)
+      let model_bytes addr len =
+        Bytes.init len (fun i -> Bytes.get (frame ((addr + i) / 4096)) ((addr + i) mod 4096))
+      in
+      let raises f =
+        match f () with
+        | _ -> false
+        | exception Phys_mem.Bad_physical_address _ -> true
+      in
+      let lens = [| 1; 2; 4; 8 |] in
+      let fits addr len = addr + len <= model_frames * 4096 in
+      List.for_all
+        (fun op ->
+          match op with
+          | Read (f, o, l) ->
+              let len = lens.(l) and o = min o (4096 - lens.(l)) in
+              let addr = (model_frame_pool.(f) * 4096) + o in
+              let got = Phys_mem.read mem ~addr:(Int64.of_int addr) ~len in
+              let b = Bytes.extend (model_bytes addr len) 0 (8 - len) in
+              Bytes.fill b len (8 - len) '\000';
+              Int64.equal got (Bytes.get_int64_le b 0)
+          | Write (f, o, l, v) ->
+              let len = lens.(l) and o = min o (4096 - lens.(l)) in
+              let addr = (model_frame_pool.(f) * 4096) + o in
+              Phys_mem.write mem ~addr:(Int64.of_int addr) ~len v;
+              let b = frame model_frame_pool.(f) in
+              for i = 0 to len - 1 do
+                Bytes.set b (o + i)
+                  (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
+              done;
+              true
+          | Blit_from (f, o, d) ->
+              let addr = (model_frame_pool.(f) * 4096) + o in
+              let len = if fits addr (String.length d) then String.length d else 0 in
+              Phys_mem.blit_from mem ~addr:(Int64.of_int addr) (Bytes.of_string d) ~off:0 ~len;
+              String.iteri
+                (fun i c ->
+                  if i < len then Bytes.set (frame ((addr + i) / 4096)) ((addr + i) mod 4096) c)
+                d;
+              true
+          | Blit_to (f, o, l) ->
+              let addr = (model_frame_pool.(f) * 4096) + o in
+              let len = if fits addr l then l else 0 in
+              Bytes.equal (Phys_mem.read_bytes mem ~addr:(Int64.of_int addr) ~len) (model_bytes addr len)
+          | Zero f ->
+              Phys_mem.zero_frame mem model_frame_pool.(f);
+              Hashtbl.remove model model_frame_pool.(f);
+              true
+          | Copy (a, b) ->
+              Phys_mem.copy_frame mem ~src:model_frame_pool.(a) ~dst:model_frame_pool.(b);
+              let src = Bytes.copy (frame model_frame_pool.(a)) in
+              Bytes.blit src 0 (frame model_frame_pool.(b)) 0 4096;
+              true
+          | Allocated f ->
+              Phys_mem.frame_is_allocated mem model_frame_pool.(f)
+              = Hashtbl.mem model model_frame_pool.(f)
+          | Bad (b, e) ->
+              let bad = [| -1; model_frames; model_frames + 511 |].(b) in
+              let addr = Int64.of_int (bad * 4096) in
+              raises (fun () ->
+                  match e with
+                  | 0 -> ignore (Phys_mem.read mem ~addr ~len:8)
+                  | 1 -> Phys_mem.write mem ~addr ~len:8 1L
+                  | 2 -> Phys_mem.zero_frame mem bad
+                  | 3 -> Phys_mem.copy_frame mem ~src:bad ~dst:0
+                  | 4 -> Phys_mem.copy_frame mem ~src:0 ~dst:bad
+                  | _ -> ignore (Phys_mem.frame_is_allocated mem bad)))
+        ops
+      && Hashtbl.fold
+           (fun f b ok -> ok && Bytes.equal (Phys_mem.read_bytes mem ~addr:(Int64.of_int (f * 4096)) ~len:4096) b)
+           model true)
+
+(* Random translations on two cores, local flushes and shootdowns from
+   either core: every translation hits or misses (costing
+   [Cost.tlb_miss] to the translating core's clock) exactly as a set of
+   cached pages per core predicts.  Pages 16-19 are unmapped: they miss
+   and fault, and are never cached.  Four kernel pages go through the
+   shared kernel table. *)
+type tlb_op = Translate of int * int | Flush of int | Shootdown of int
+
+let tlb_user_base = 0x400000L
+
+let tlb_va page =
+  if page < 20 then Int64.add tlb_user_base (Int64.of_int (page * 4096))
+  else Int64.add Layout.kernel_data_start (Int64.of_int ((page - 20) * 4096))
+
+let prop_tlb_model =
+  QCheck2.Test.make ~name:"TLB = per-core set model" ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 1 80)
+        (frequency
+           [
+             (8, map2 (fun c p -> Translate (c, p)) (int_bound 1) (int_bound 23));
+             (1, map (fun c -> Flush c) (int_bound 1));
+             (1, map (fun c -> Shootdown c) (int_bound 1));
+           ]))
+    (fun ops ->
+      let m =
+        Vg_fleet.Node_config.(
+          default |> with_cpus 2 |> with_phys_frames 64 |> with_disk_sectors 64
+          |> with_seed "tlb" |> create_machine)
+      in
+      let pt = Pagetable.create () in
+      for p = 0 to 15 do
+        Pagetable.map pt ~vpage:(Int64.shift_right_logical (tlb_va p) 12)
+          { frame = 8 + p; perm = perm_user_rw }
+      done;
+      for p = 20 to 23 do
+        Pagetable.map (Machine.kernel_pt m) ~vpage:(Int64.shift_right_logical (tlb_va p) 12)
+          { frame = 40 + p; perm = perm_user_rw }
+      done;
+      List.iter
+        (fun c ->
+          Machine.switch_core m c;
+          Machine.set_current_pt m pt)
+        [ 0; 1 ];
+      let cached = [| Hashtbl.create 8; Hashtbl.create 8 |] in
+      let misses = [| 0; 0 |] and model_misses = [| 0; 0 |] in
+      let outcomes_agree =
+        List.for_all
+          (fun op ->
+            match op with
+            | Translate (c, p) ->
+                Machine.switch_core m c;
+                let before = Machine.core_cycles m c in
+                (try ignore (Machine.translate m Machine.Read (tlb_va p))
+                 with Machine.Page_fault _ -> ());
+                let missed = Machine.core_cycles m c - before = Cost.tlb_miss in
+                if missed then misses.(c) <- misses.(c) + 1;
+                let model_missed = not (Hashtbl.mem cached.(c) p) in
+                if model_missed then begin
+                  model_misses.(c) <- model_misses.(c) + 1;
+                  if p < 16 || p >= 20 then Hashtbl.replace cached.(c) p ()
+                end;
+                missed = model_missed
+            | Flush c ->
+                Machine.switch_core m c;
+                Machine.flush_tlb m;
+                Hashtbl.reset cached.(c);
+                true
+            | Shootdown c ->
+                Machine.switch_core m c;
+                Machine.tlb_shootdown m;
+                Hashtbl.reset cached.(1 - c);
+                true)
+          ops
+      in
+      outcomes_agree && misses = model_misses)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -659,6 +871,7 @@ let () =
         :: Alcotest.test_case "copy independent" `Quick test_pagetable_copy_independent
         :: qcheck [ prop_pagetable_refcounts ] );
       ("int-tables", qcheck [ prop_int_tbl_hash; prop_int_tbl_order ]);
+      ("host-tables", qcheck [ prop_frame_store_model; prop_tlb_model ]);
       ( "translation",
         [
           Alcotest.test_case "kernel mapping" `Quick test_translate_kernel;
