@@ -173,9 +173,8 @@ let[@inline] mem_store st a w v =
   Exec_env.set st.cell Exec_env.value v;
   st.mem_store st.cell w
 
-(* Pure operations as inlined matches over primitives: the operands and
-   the result stay unboxed between register-file read and write (a
-   closure per operator would box both).  Same arithmetic as
+(* Pure operations as inlined matches over primitives (a closure per
+   operator would box operands and result).  Same arithmetic as
    {!Eval.eval_binop} / {!Eval.eval_cmp} without polymorphic equality,
    same trap messages (the slot executor rewraps [Eval.Trap] into
    [Exec_trap]; the division arms raise [Exec_trap] directly with the
@@ -208,7 +207,6 @@ let[@inline] holds (op : Ir.cmp) a b =
   | Uge -> Int64.unsigned_compare a b >= 0
   | Slt -> Int64.compare a b < 0
   | Sle -> Int64.compare a b <= 0
-
 
 let trunc (width : Ir.width) : int64 -> int64 =
   match width with

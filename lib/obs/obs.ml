@@ -219,7 +219,16 @@ let with_sink t sink f =
   attach t sink;
   Fun.protect ~finally:(fun () -> detach t sink) f
 
-let charge t ~cycles tag n =
-  List.iter (fun s -> s.on_charge ~cycles tag n) t.sinks
+(* A top-level loop rather than [List.iter]: a closure over the charge
+   would be allocated on every armed charge, one per executed
+   instruction. *)
+let rec charge_sinks sinks ~cycles tag n =
+  match sinks with
+  | [] -> ()
+  | s :: rest ->
+      s.on_charge ~cycles tag n;
+      charge_sinks rest ~cycles tag n
+
+let charge t ~cycles tag n = charge_sinks t.sinks ~cycles tag n
 
 let event t ~cycles ev = List.iter (fun s -> s.on_event ~cycles ev) t.sinks
